@@ -47,7 +47,6 @@ from .probability import (
     validate_probability,
 )
 from .projection import (
-    LevelRef,
     proj_ceiling,
     proj_metric,
     proj_sasaki,

@@ -19,6 +19,7 @@ from .ortho import attach_ortho, classify_negation, ortho_class, relations, rela
 from .primorial import (
     boolean_carrier,
     chain_dposet_members,
+    check_reduce_bound,
     dposet_check,
     generate_primorial,
     reduce_boolean,
@@ -149,6 +150,7 @@ def cmd_metric(args, out):
 
 
 def cmd_reduce(args, out):
+    check_reduce_bound(args.n, args.best_effort)
     top = boolean_carrier(args.n)
     levels = reduce_boolean(top, best_effort=args.best_effort)
     for lvl in levels:

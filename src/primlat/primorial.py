@@ -151,6 +151,21 @@ def _complement_pairs(level: Level):
     return pairs
 
 
+def check_reduce_bound(m: int, best_effort: bool = False):
+    """Raise unless a 2^m Boolean level may be reduced under the flag.
+
+    Callers run it on the atom count before building a 2^m carrier, so an
+    oversized request fails before anything of that size is allocated.
+    """
+    if m > EXACT_REDUCE_BOUND:
+        if not best_effort:
+            raise LatticeError(
+                f"reduction of a 2^{m} level needs best_effort=True (exact bound is 2^{EXACT_REDUCE_BOUND})"
+            )
+        if m > BEST_EFFORT_REDUCE_BOUND:
+            raise LatticeError(f"reduction beyond 2^{BEST_EFFORT_REDUCE_BOUND} unsupported")
+
+
 def reduce_boolean(level: Level, best_effort: bool = False):
     """All half-size Boolean sub-levels preserving bounds and complement pairs.
 
@@ -161,13 +176,8 @@ def reduce_boolean(level: Level, best_effort: bool = False):
     best-effort flag.
     """
     m = _check_reducible(level)
+    check_reduce_bound(m, best_effort)
     if m > EXACT_REDUCE_BOUND:
-        if not best_effort:
-            raise LatticeError(
-                f"reduction of a 2^{m} level needs best_effort=True (exact bound is 2^{EXACT_REDUCE_BOUND})"
-            )
-        if m > BEST_EFFORT_REDUCE_BOUND:
-            raise LatticeError(f"reduction beyond 2^{BEST_EFFORT_REDUCE_BOUND} unsupported")
         return reduce_structural(level)
     pairs = _complement_pairs(level)
     want = (1 << (m - 2)) - 1
@@ -182,6 +192,29 @@ def reduce_boolean(level: Level, best_effort: bool = False):
             accepted.append(tuple(carrier))
     accepted.sort()
     return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
+
+
+def is_reduction(level: Level, carrier, best_effort: bool = False) -> bool:
+    """Whether ``carrier`` is one of the levels ``reduce_boolean(level)`` returns.
+
+    Applies the brute force's own predicate to the one candidate: distinct
+    masks drawn from the parent carrier, holding 0 and the top, closed under
+    complement, 2^(m-1) of them (so the rest is 2^(m-2) - 1 complement
+    pairs), with a Boolean induced order.  The reduction bounds apply as in
+    ``reduce_boolean``.
+    """
+    m = _check_reducible(level)
+    check_reduce_bound(m, best_effort)
+    cand = tuple(sorted(carrier))
+    cset = frozenset(cand)
+    return (
+        len(cset) == len(cand) == 1 << (m - 1)
+        and cset <= level.carrier_set
+        and 0 in cset
+        and level.full in cset
+        and all(level.complement(x) in cset for x in cand)
+        and _induced_boolean(cand, m - 1)
+    )
 
 
 def reduce_structural(level: Level):
@@ -385,31 +418,35 @@ def generate_primorial(n: int, choices=None, best_effort: bool = False) -> Primo
 
     ``choices`` optionally fixes the reduction taken at each step, as a
     sequence of carriers (mask collections) for the levels below the top:
-    first the 2^(n-1) level, then 2^(n-2), and so on down to 2^2.  The
-    default picks the lexicographically least carrier at every step.
+    first the 2^(n-1) level, then 2^(n-2), and so on down to 2^2.  Each
+    supplied carrier is verified directly with ``is_reduction``, the
+    predicate the brute force applies to every candidate, so no step with a
+    choice enumerates the other reductions.  Without choices, and for the
+    last step to 2^1, the lexicographically least carrier of
+    ``reduce_boolean`` is taken.  The reduction bounds are checked on ``n``
+    before the top carrier is built.
     Both family invariants are asserted: every difference level is
     orthocomplemented under inherited pairs, and the family order has the
     generated-chain shape.
     """
     if n < 2:
         raise LatticeError("generation needs at least 2 atoms")
+    check_reduce_bound(n, best_effort)
     top = boolean_carrier(n)
     chain = [top.renamed(f"L2^{n}")]
     wanted = list(choices) if choices is not None else None
     step = 0
     for m in range(n, 1, -1):
-        options = reduce_boolean(chain[-1], best_effort=best_effort)
         if m > 2 and wanted is not None:
             if step >= len(wanted):
                 raise LatticeError("not enough reduction choices supplied")
             pick = tuple(sorted(wanted[step]))
             step += 1
-            match = [lvl for lvl in options if lvl.carrier == pick]
-            if not match:
+            if not is_reduction(chain[-1], pick, best_effort):
                 raise LatticeError(f"invalid reduction choice {pick!r}")
-            nxt = match[0]
+            nxt = Level(None, n, pick, "boolean")
         else:
-            nxt = options[0]
+            nxt = reduce_boolean(chain[-1], best_effort=best_effort)[0]
         chain.append(nxt.renamed(f"L2^{m - 1}"))
     if wanted is not None and step != len(wanted):
         raise LatticeError("too many reduction choices supplied")

@@ -10,27 +10,9 @@ least chain level containing both the element and the target carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import LatticeError
 from .primorial import Level, PrimorialLattice
 from .valuation import closed_ball, height_valuation, metric_from_valuation
-
-
-@dataclass(frozen=True)
-class LevelRef:
-    """A member of a family plus its resolved carrier."""
-
-    primorial: PrimorialLattice
-    name: str
-
-    @property
-    def level(self) -> Level:
-        return self.primorial.level(self.name)
-
-    @property
-    def carrier(self):
-        return self.level.carrier
 
 
 METHODS = ("zero", "sasaki", "metric", "ceiling")
@@ -50,20 +32,12 @@ def _enclosing_chain_level(pl: PrimorialLattice, x, target: Level) -> Level:
     raise LatticeError(f"no chain level contains {x!r} and {target.name or target.carrier!r}")
 
 
-def _level_join_all(level: Level, masks):
-    return level.lattice.join_all(masks)
-
-
-def _level_meet_all(level: Level, masks):
-    return level.lattice.meet_all(masks)
-
-
 def proj_zero(pl: PrimorialLattice, level_name, x):
     """x when the level carries it, else 0 (as a join inside the level)."""
     _check_element(pl, x)
     target = pl.level(level_name)
     hits = sorted({x, 0} & target.carrier_set)
-    return _level_join_all(target, hits)
+    return target.lattice.join_all(hits)
 
 
 def proj_sasaki(pl: PrimorialLattice, level_name, x):
@@ -85,8 +59,8 @@ def proj_sasaki(pl: PrimorialLattice, level_name, x):
         comp = lat.index(outer.complement(y))
         shadows_def.add(lat.labels[lat.meet_i(lat.join_i(xi, comp), yi)])
         shadows_meet.add(lat.labels[lat.meet_i(xi, yi)])
-    a = _level_join_all(target, sorted(shadows_def & target.carrier_set))
-    b = _level_join_all(target, sorted(shadows_meet & target.carrier_set))
+    a = target.lattice.join_all(sorted(shadows_def & target.carrier_set))
+    b = target.lattice.join_all(sorted(shadows_meet & target.carrier_set))
     assert a == b, "Sasaki-map and plain-meet forms must agree"
     return b
 
@@ -106,7 +80,7 @@ def proj_metric(pl: PrimorialLattice, level_name, x):
     for r in range(max_r + 1):
         ball = set(closed_ball(metric, x, r)) & target.carrier_set
         if ball:
-            return _level_meet_all(target, sorted(ball))
+            return target.lattice.meet_all(sorted(ball))
     raise AssertionError("the level's top always lies in some ball")
 
 
@@ -115,7 +89,7 @@ def proj_ceiling(pl: PrimorialLattice, level_name, x):
     _check_element(pl, x)
     target = pl.level(level_name)
     ups = [y for y in target.carrier if x & ~y == 0]
-    return _level_meet_all(target, ups)
+    return target.lattice.meet_all(ups)
 
 
 _PROJECTORS = {
@@ -136,17 +110,29 @@ def _height_metric(level: Level):
     return _metric_cache[key]
 
 
-def project(pl: PrimorialLattice, level_name, x, method: str):
+def _projector(method: str):
     try:
-        fn = _PROJECTORS[method]
+        return _PROJECTORS[method]
     except KeyError:
         raise LatticeError(f"unknown projection method {method!r}") from None
-    return fn(pl, level_name, x)
+
+
+def project(pl: PrimorialLattice, level_name, x, method: str):
+    return _projector(method)(pl, level_name, x)
 
 
 def project_sequence(pl: PrimorialLattice, level_name, items, method: str):
-    """Pointwise projection; the output has the input's length."""
-    fn = _PROJECTORS.get(method)
-    if fn is None:
-        raise LatticeError(f"unknown projection method {method!r}")
-    return tuple(fn(pl, level_name, x) for x in items)
+    """Pointwise projection; the output has the input's length.
+
+    Each distinct element is projected once, through the same checked
+    ``proj_*`` function as ``project``, in order of first occurrence (so an
+    error names the first bad element of the input), and the sequence is
+    mapped through that table.
+    """
+    fn = _projector(method)
+    items = tuple(items)
+    table = {}
+    for x in items:
+        if x not in table:
+            table[x] = fn(pl, level_name, x)
+    return tuple(map(table.__getitem__, items))

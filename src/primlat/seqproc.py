@@ -151,12 +151,17 @@ def _or_all(masks):
 
 
 def pyramid_rows(pyramid: AnalysisPyramid, alphabet: SymbolAlphabet | None = None):
-    """TSV-ready rows: position, input element, one column per level."""
+    """TSV-ready rows: position, input element, one column per level.
+
+    Each distinct mask is rendered once.
+    """
     render = alphabet.render if alphabet else format_mask
     names = list(pyramid.levels)
+    columns = [pyramid.source.items] + [pyramid.levels[n].items for n in names]
+    shown = {x: render(x) for x in set().union(*columns)}
     yield ["position", "input"] + names
-    for k, x in enumerate(pyramid.source.items):
-        yield [str(k), render(x)] + [render(pyramid.levels[n].items[k]) for n in names]
+    for k, row in enumerate(zip(*columns)):
+        yield [str(k)] + [shown[x] for x in row]
 
 
 def summarize(

@@ -14,6 +14,7 @@ from primlat.primorial import (
     generate_primorial,
     is_boolean_level_oracle,
     is_primorial,
+    is_reduction,
     reduce_boolean,
     reduce_structural,
 )
@@ -118,9 +119,76 @@ def test_boolean_tests_agree_on_random_carriers():
         assert _induced_boolean(carrier, exp) == is_boolean_level_oracle(carrier, n)
 
 
+def _half_size_candidates(level):
+    """Every complement-closed half-size carrier holding both bounds: the
+    brute force's candidate set."""
+    m = len(level.carrier).bit_length() - 1
+    for chosen in itertools.combinations(_complement_pairs(level), (1 << (m - 2)) - 1):
+        yield tuple(sorted({0, level.full} | {x for pair in chosen for x in pair}))
+
+
+def test_direct_choice_check_matches_brute_force():
+    for n, total in ((3, 3), (4, 35), (5, 6435)):
+        top = boolean_carrier(n)
+        accepted = {lvl.carrier for lvl in reduce_boolean(top)}
+        candidates = list(_half_size_candidates(top))
+        assert len(candidates) == total
+        for carrier in candidates:
+            assert is_reduction(top, carrier) == (carrier in accepted)
+    # below the top: the parent is itself a reduced level of 2^5
+    for parent in reduce_boolean(boolean_carrier(5))[::7]:
+        accepted = {lvl.carrier for lvl in reduce_boolean(parent)}
+        for carrier in _half_size_candidates(parent):
+            assert is_reduction(parent, carrier) == (carrier in accepted)
+
+
+def test_direct_choice_check_rejects_malformed_carriers():
+    top = boolean_carrier(3)
+    assert is_reduction(top, (0, 1, 6, 7))
+    assert is_reduction(top, [7, 6, 1, 0])  # order is irrelevant
+    assert not is_reduction(top, (0, 1, 1, 7))  # duplicate, not closed
+    assert not is_reduction(top, (0, 1, 6, 6, 7))  # duplicate, wrong size
+    assert not is_reduction(top, (0, 1, 2, 7))  # Boolean, but not complement-closed
+    assert not is_reduction(top, (0, 0, 7, 7))  # duplicates fill the size
+    assert not is_reduction(top, (1, 6, 3, 4))  # no bounds
+    assert not is_reduction(top, (0, 7))  # wrong size
+    parent = Level(None, 3, (0, 1, 6, 7), "boolean")
+    assert is_reduction(parent, (0, 7))
+    assert not is_reduction(parent, (0, 1, 6, 7))
+    l8 = reduce_boolean(boolean_carrier(4))[0]
+    outside = next(x for x in range(1, 15) if x not in l8.carrier_set)
+    assert not is_reduction(l8, (0, outside, 15 ^ outside, 15))
+    with pytest.raises(LatticeError, match="at least 4 elements"):
+        is_reduction(Level(None, 3, (0, 7), "boolean"), (0, 7))
+
+
+def test_choices_reproduce_the_default_family():
+    for n, best_effort in ((3, False), (4, False), (5, False), (6, True)):
+        default = generate_primorial(n, best_effort=best_effort)
+        picks = [lvl.carrier for lvl in reversed(default.chain[1:-1])]
+        chosen = generate_primorial(n, choices=picks, best_effort=best_effort)
+        assert {k: v.carrier for k, v in chosen.members.items()} == {
+            k: v.carrier for k, v in default.members.items()
+        }
+    # valid choices above the exact bound still need the flag, and 2^7
+    # stays out of reach with it
+    needs = r"^reduction of a 2\^{} level needs best_effort=True \(exact bound is 2\^5\)$"
+    with pytest.raises(LatticeError, match=needs.format(6)):
+        generate_primorial(6, choices=picks)
+    above = [tuple(range(64))] + picks
+    with pytest.raises(LatticeError, match=needs.format(7)):
+        generate_primorial(7, choices=above)
+    with pytest.raises(LatticeError, match=r"^reduction beyond 2\^6 unsupported$"):
+        generate_primorial(7, choices=above, best_effort=True)
+
+
 def test_reduce_needs_flag_above_exact_bound():
     with pytest.raises(LatticeError, match="best_effort"):
         reduce_boolean(boolean_carrier(6))
+    with pytest.raises(LatticeError, match=r"^reduction of a 2\^6 level needs best_effort=True"):
+        is_reduction(boolean_carrier(6), range(32))
+    with pytest.raises(LatticeError, match=r"^reduction beyond 2\^6 unsupported$"):
+        is_reduction(boolean_carrier(7), range(64), best_effort=True)
 
 
 def test_reduce_best_effort_six_atoms():
@@ -128,6 +196,9 @@ def test_reduce_best_effort_six_atoms():
     assert len(levels) == len({lvl.carrier for lvl in levels})
     for lvl in levels[::20]:
         assert is_boolean_level_oracle(lvl.carrier, 6)
+    top = boolean_carrier(6)
+    for lvl in levels:
+        assert is_reduction(top, lvl.carrier, best_effort=True)
     # 15 full five-block partitions of the six atoms, plus six choices of
     # unused atom times the 76 pairwise-intersecting edge families of K5
     assert len(levels) == 471

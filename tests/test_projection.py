@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from primlat.core import LatticeError
@@ -11,6 +13,7 @@ from primlat.projection import (
     proj_sasaki,
     proj_zero,
 )
+from primlat.seqproc import gsp_preset
 from primlat.valuation import closed_ball, height_valuation, metric_from_valuation
 
 
@@ -124,17 +127,36 @@ def test_top_level_projection_is_identity(family5):
             assert project(family5, top.name, x, method) == x
 
 
-def test_project_sequence_shapes(family3):
+def test_project_sequence_shapes(family3, family4, family5):
     assert project_sequence(family3, "D3", (), "zero") == ()
     top = family3.chain[-1].full
     assert project_sequence(family3, "D3", (top, top), "metric") == (top, top)
     seq = project_sequence(family3, "L2^2", (1, 2, 4), "ceiling")
     assert len(seq) == 3
+    # the distinct-element table agrees with per-element projection on a
+    # sequence holding every top element, most of them repeated
+    rng = random.Random(7)
+    presets = [gsp_preset(kind).primorial for kind in ("acgt-atcg", "acgt-plus-x")]
+    for pl in [family4, family5] + presets:
+        elements = list(pl.chain[-1].carrier)
+        items = elements + rng.choices(elements, k=3 * len(elements))
+        rng.shuffle(items)
+        for name in pl.member_names():
+            for method in METHODS:
+                expected = tuple(project(pl, name, x, method) for x in items)
+                assert project_sequence(pl, name, iter(items), method) == expected
 
 
 def test_unknown_method_and_foreign_element(family3):
-    with pytest.raises(LatticeError):
-        project(family3, "D3", 1, "nonsense")
+    for call in (
+        lambda: project(family3, "D3", 1, "nonsense"),
+        lambda: project_sequence(family3, "D3", (1,), "nonsense"),
+    ):
+        with pytest.raises(LatticeError, match="^unknown projection method 'nonsense'$"):
+            call()
+    for method in METHODS:
+        with pytest.raises(LatticeError, match="^element 99 outside the top carrier$"):
+            project_sequence(family3, "D3", (1, 3, 99, 1, 64, 99), method)
     with pytest.raises(LatticeError):
         proj_zero(family3, "D3", 99)
     with pytest.raises(LatticeError):

@@ -1,10 +1,13 @@
 import io
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primlat.projection import METHODS, project
 from primlat.seqproc import (
+    AnalysisPyramid,
     SequenceError,
     SymbolAlphabet,
     SymbolSequence,
@@ -17,6 +20,7 @@ from primlat.seqproc import (
     synthesize,
 )
 from primlat.projection import proj_zero
+from primlat.textio import format_mask
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +127,38 @@ def test_unknown_preset():
         gsp_preset("acgt-unknown")
 
 
-def test_preset_description_audits_carriers(preset):
-    lines = preset.describe()
-    assert lines[0] == "alphabet: A C G T"
-    assert "member L2^2: {} {C,G} {A,T} {A,C,G,T}" in lines
+PRESET_DESCRIPTIONS = {
+    "acgt-atcg": [
+        "alphabet: A C G T",
+        "member L2^1: {} {A,C,G,T}",
+        "member L2^2: {} {C,G} {A,T} {A,C,G,T}",
+        "member L2^3: {} {A} {C,G} {A,C,G} {T} {A,T} {C,G,T} {A,C,G,T}",
+        "member L2^4: {} {A} {C} {A,C} {G} {A,G} {C,G} {A,C,G} {T} {A,T} {C,T} {A,C,T}"
+        " {G,T} {A,G,T} {C,G,T} {A,C,G,T}",
+        "member D3: {} {A} {A,C,G} {T} {C,G,T} {A,C,G,T}",
+        "member D4: {} {C} {A,C} {G} {A,G} {C,T} {A,C,T} {G,T} {A,G,T} {A,C,G,T}",
+    ],
+    "acgt-plus-x": [
+        "alphabet: A C G T X",
+        "member L2^1: {} {A,C,G,T,X}",
+        "member L2^2: {} {A,T} {C,G,X} {A,C,G,T,X}",
+        "member L2^3: {} {A} {T} {A,T} {C,G,X} {A,C,G,X} {C,G,T,X} {A,C,G,T,X}",
+        "member L2^4: {} {A} {C} {A,C} {G} {A,G} {T} {A,T} {C,G,X} {A,C,G,X} {C,T,X}"
+        " {A,C,T,X} {G,T,X} {A,G,T,X} {C,G,T,X} {A,C,G,T,X}",
+        "member L2^5: {} {A} {C} {A,C} {G} {A,G} {C,G} {A,C,G} {T} {A,T} {C,T} {A,C,T}"
+        " {G,T} {A,G,T} {C,G,T} {A,C,G,T} {X} {A,X} {C,X} {A,C,X} {G,X} {A,G,X} {C,G,X}"
+        " {A,C,G,X} {T,X} {A,T,X} {C,T,X} {A,C,T,X} {G,T,X} {A,G,T,X} {C,G,T,X} {A,C,G,T,X}",
+        "member D3: {} {A} {T} {A,C,G,X} {C,G,T,X} {A,C,G,T,X}",
+        "member D4: {} {C} {A,C} {G} {A,G} {C,T,X} {A,C,T,X} {G,T,X} {A,G,T,X} {A,C,G,T,X}",
+        "member D5: {} {C,G} {A,C,G} {C,T} {A,C,T} {G,T} {A,G,T} {C,G,T} {A,C,G,T} {X}"
+        " {A,X} {C,X} {A,C,X} {G,X} {A,G,X} {T,X} {A,T,X} {A,C,G,T,X}",
+    ],
+}
+
+
+def test_preset_description_audits_carriers():
+    for kind, expected in PRESET_DESCRIPTIONS.items():
+        assert gsp_preset(kind).describe() == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=40),
@@ -163,3 +195,28 @@ def test_pyramid_rows_and_summary(preset):
     lines = summarize(pyramid, preset.alphabet, preset.coarse_atoms, window=2)
     assert any("fraction" in line for line in lines)
     assert any(line.startswith("window [0,2)") for line in lines)
+    # rows and summaries equal a reference projected and rendered per base
+    rng = random.Random(3)
+    for kind in ("acgt-atcg", "acgt-plus-x"):
+        pre = gsp_preset(kind)
+        al, pl = pre.alphabet, pre.primorial
+        tokens = list(al.symbols) + rng.choices(al.symbols, k=200)
+        rng.shuffle(tokens)
+        source = encode(al, tokens)
+        for method in METHODS:
+            pyramid = analyze(pl, al, tokens, method)
+            levels = {
+                name: SymbolSequence(tuple(project(pl, name, x, method) for x in source), name)
+                for name in pyramid.levels
+            }
+            reference = AnalysisPyramid(method, source, levels)
+            for render, alphabet in ((al.render, al), (format_mask, None)):
+                expected = [["position", "input"] + list(levels)] + [
+                    [str(k), render(x)] + [render(levels[n].items[k]) for n in levels]
+                    for k, x in enumerate(source)
+                ]
+                assert list(pyramid_rows(pyramid, alphabet)) == expected
+            for window in (None, 64):
+                assert summarize(pyramid, al, pre.coarse_atoms, window) == summarize(
+                    reference, al, pre.coarse_atoms, window
+                )
