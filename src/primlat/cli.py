@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .core import LatticeError, classify, enumerate_lattices
+from .core import MAX_ELEMENTS, LatticeError, classify, enumerate_lattices
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
 from .primorial import (
     boolean_carrier,
@@ -70,12 +70,12 @@ def _require_lattice(built):
 
 def cmd_classify(args, out):
     doc, built = _load_built(args.file)
+    rep = classify(built) if built.is_lattice else None
     _emit(out, "lattice", doc.name or args.file)
     _emit(out, "elements", built.n)
     _emit(out, "is_lattice", built.is_lattice)
-    if not built.is_lattice:
+    if rep is None:
         return 0
-    rep = classify(built)
     _emit(out, "bounded", rep.is_bounded)
     _emit(out, "bottom", rep.bottom)
     _emit(out, "top", rep.top)
@@ -200,8 +200,15 @@ def cmd_project(args, out):
     return 0
 
 
+RANDOM_BOOLEAN_MAX = MAX_ELEMENTS.bit_length() - 1  # the largest 2^N the tables hold
+
+
 def cmd_probability(args, out):
-    if args.random_boolean:
+    if args.random_boolean is not None:
+        if not 1 <= args.random_boolean <= RANDOM_BOOLEAN_MAX:
+            raise LatticeError(
+                f"--random-boolean needs 1 <= N <= {RANDOM_BOOLEAN_MAX}, got {args.random_boolean}"
+            )
         lat = boolean_carrier(args.random_boolean).lattice
         full = (1 << args.random_boolean) - 1
         neg = {x: full ^ x for x in lat.labels}

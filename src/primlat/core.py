@@ -1,15 +1,19 @@
 """Finite posets and lattices over opaque element labels.
 
 Order relations are stored densely: row ``i`` of ``leq`` is an integer
-bitmask whose bit ``j`` says ``elements[i] <= elements[j]``.  Carriers stay
-small here (tens of elements), so everything derived is precomputed or
-cached; clarity wins over asymptotics throughout.
+bitmask whose bit ``j`` says ``elements[i] <= elements[j]``.  Lattice
+operations are index tables, also kept as ``bytes`` rows so that an identity
+over every third element runs as C-level ``bytes.translate`` calls.  One
+byte per element index caps lattices at ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import eq, getitem
+
+MAX_ELEMENTS = 256
 
 
 class LatticeError(ValueError):
@@ -84,18 +88,12 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, labels, pairs):
-        """Build from explicit <= pairs (already including implied ones is fine)."""
-        labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        rows = [0] * len(labels)
-        for a, b in pairs:
-            rows[index[a]] |= 1 << index[b]
-        _closure(rows)
-        for i in range(len(labels)):
-            for j in bits(rows[i]):
-                if j != i and rows[j] >> i & 1:
-                    raise LatticeError("antisymmetry violation")
-        return cls(labels, rows)
+        """Build from explicit <= pairs (already including implied ones is fine).
+
+        The pairs go through the same closure and antisymmetry check as
+        cover pairs, which they need not be.
+        """
+        return cls.from_covers(labels, pairs)
 
     # -- order queries (index based internally, label based publicly) -------
 
@@ -173,31 +171,30 @@ class FinitePoset:
             rows.append(row)
         return FinitePoset(sub_labels, rows)
 
-    def _lub_i(self, i, j):
-        ub = self.leq_rows[i] & self.leq_rows[j]
-        for m in bits(ub):
-            if ub & ~self.leq_rows[m] == 0:
-                return m
-        return None
-
-    def _glb_i(self, i, j):
-        lb = self.geq_rows[i] & self.geq_rows[j]
-        for m in bits(lb):
-            if lb & ~self.geq_rows[m] == 0:
-                return m
-        return None
-
     def lattice_tables(self):
-        """(join, meet) index tables, or None with a witness pair if absent."""
-        join = [[0] * self.n for _ in range(self.n)]
-        meet = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(i, self.n):
-                m = self._lub_i(i, j)
+        """(join, meet) index tables, or None with a witness pair if absent.
+
+        m is the least upper bound of i and j iff its up-set is exactly
+        their common up-set (dually for the greatest lower bound), so each
+        bound is one dict lookup.  Pairs are visited as (i, j >= i) and the
+        first missing bound is the witness.  More than ``MAX_ELEMENTS``
+        elements raise before any table is allocated.
+        """
+        n = self.n
+        if n > MAX_ELEMENTS:
+            raise LatticeError(f"{n} elements exceed the supported maximum of {MAX_ELEMENTS}")
+        up, down = self.leq_rows, self.geq_rows
+        lub = {row: m for m, row in enumerate(up)}
+        glb = {row: m for m, row in enumerate(down)}
+        join = [[0] * n for _ in range(n)]
+        meet = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m = lub.get(up[i] & up[j])
                 if m is None:
                     return None, None, (self.labels[i], self.labels[j], "no LUB")
                 join[i][j] = join[j][i] = m
-                m = self._glb_i(i, j)
+                m = glb.get(down[i] & down[j])
                 if m is None:
                     return None, None, (self.labels[i], self.labels[j], "no GLB")
                 meet[i][j] = meet[j][i] = m
@@ -236,6 +233,33 @@ class FiniteLattice(FinitePoset):
     def from_covers(cls, labels, covers):
         poset = FinitePoset.from_covers(labels, covers)
         return cls(poset.labels, poset.leq_rows)
+
+    def translate_table(self, values):
+        """Element indices, one per element, as a 256-entry ``bytes.translate`` table.
+
+        Entries past n map to themselves, so a chain of translations keeps
+        that padding fixed: two results are equal exactly when they agree
+        on the carrier.
+        """
+        return bytes(values) + bytes(range(self.n, 256))
+
+    @cached_property
+    def join_bytes(self):
+        """Row x maps z to x ∨ z, as a translate table."""
+        return tuple(map(self.translate_table, self.join_table))
+
+    @cached_property
+    def meet_bytes(self):
+        """Row x maps z to x ∧ z, as a translate table."""
+        return tuple(map(self.translate_table, self.meet_table))
+
+    def pairwise(self, op_bytes, xs, ys):
+        """``op(xs[k], ys[k])`` for every element k, as bytes.
+
+        ``op_bytes`` is ``join_bytes`` or ``meet_bytes``; this is the one
+        place two rows are combined elementwise.
+        """
+        return bytes(map(getitem, map(op_bytes.__getitem__, xs[: self.n]), ys[: self.n]))
 
     def join_i(self, i, j):
         return self.join_table[i][j]
@@ -359,11 +383,11 @@ class PropertyReport:
         covered = sorted(i for c in chains for i in c)
         assert covered == list(range(lat.n)), "chain partition must cover the carrier"
 
-        self.is_modular = self._modular_by_identity(lat)
+        self.is_modular = modular_by_identity(lat)
         self.n5_witness = _find_pentagon(lat)
         assert self.is_modular == (self.n5_witness is None), "modularity routes disagree"
 
-        self.is_distributive = self._distributive_by_identity(lat)
+        self.is_distributive = distributive_by_identity(lat)
         m3 = _find_diamond(lat)
         self.m3_witness = m3
         assert self.is_distributive == (self.n5_witness is None and m3 is None), (
@@ -380,7 +404,7 @@ class PropertyReport:
 
         self.complements_of = {
             lat.labels[i]: tuple(lat.labels[j] for j in comp)
-            for i, comp in enumerate(self._complements(lat))
+            for i, comp in enumerate(complements_i(lat))
         }
         counts = {len(v) for v in self.complements_of.values()}
         if 0 in counts:
@@ -411,66 +435,66 @@ class PropertyReport:
                 return False
         return True
 
-    @staticmethod
-    def _modular_by_identity(lat):
-        # x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y
-        for x in range(lat.n):
-            for y in bits(lat.leq_rows[x]):
-                for z in range(lat.n):
-                    if lat.join_i(x, lat.meet_i(z, y)) != lat.meet_i(lat.join_i(x, z), y):
-                        return False
-        return True
-
-    @staticmethod
-    def _distributive_by_identity(lat):
-        rng = range(lat.n)
-        for x in rng:
-            for y in rng:
-                for z in rng:
-                    if lat.meet_i(x, lat.join_i(y, z)) != lat.join_i(
-                        lat.meet_i(x, y), lat.meet_i(x, z)
-                    ):
-                        return False
-        return True
-
-    @staticmethod
-    def _complements(lat):
-        out = []
-        b, t = lat.bottom_i, lat.top_i
-        for i in range(lat.n):
-            out.append(
-                [j for j in range(lat.n) if lat.meet_i(i, j) == b and lat.join_i(i, j) == t]
-            )
-        return out
-
     @cached_property
     def modular_pairs(self):
-        """The relation M: (x, y) with a <= y => y ∧ (x ∨ a) == (y ∧ x) ∨ a."""
+        """The relation M: (x, y) with a <= y => y ∧ (x ∨ a) == (y ∧ x) ∨ a.
+
+        The a <= y are exactly the y ∧ z over all z, so each pair is one
+        comparison of translated rows.
+        """
         lat = self.lattice
+        jn, mt = lat.join_bytes, lat.meet_bytes
         pairs = set()
         for x in range(lat.n):
             for y in range(lat.n):
-                ok = True
-                for a in bits(lat.geq_rows[y]):
-                    if lat.meet_i(y, lat.join_i(x, a)) != lat.join_i(lat.meet_i(y, x), a):
-                        ok = False
-                        break
-                if ok:
+                my = mt[y]
+                if my.translate(jn[x]).translate(my) == my.translate(jn[my[x]]):
                     pairs.add((lat.labels[x], lat.labels[y]))
         return frozenset(pairs)
 
     @cached_property
     def distributive_triples(self):
         lat = self.lattice
+        jn, mt, L = lat.join_bytes, lat.meet_bytes, lat.labels
         out = set()
-        rng = range(lat.n)
-        for x in rng:
-            for y in rng:
-                xy = lat.meet_i(x, y)
-                for z in rng:
-                    if lat.meet_i(x, lat.join_i(y, z)) == lat.join_i(xy, lat.meet_i(x, z)):
-                        out.add((lat.labels[x], lat.labels[y], lat.labels[z]))
+        for x in range(lat.n):
+            mx = mt[x]
+            for y in range(lat.n):
+                # over z: x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z)
+                same = map(eq, jn[y].translate(mx), mx.translate(jn[mx[y]]))
+                out.update((L[x], L[y], L[z]) for z in itertools.compress(range(lat.n), same))
         return frozenset(out)
+
+
+def modular_by_identity(lat: FiniteLattice) -> bool:
+    """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y)."""
+    jn, mt = lat.join_bytes, lat.meet_bytes
+    for x in range(lat.n):
+        jx = jn[x]
+        for y in bits(lat.leq_rows[x]):
+            if mt[y].translate(jx) != jx.translate(mt[y]):
+                return False
+    return True
+
+
+def distributive_by_identity(lat: FiniteLattice) -> bool:
+    """x ∧ (y ∨ z) == (x ∧ y) ∨ (x ∧ z), one row comparison per (x, y)."""
+    jn, mt = lat.join_bytes, lat.meet_bytes
+    for x in range(lat.n):
+        mx = mt[x]
+        for y in range(lat.n):
+            if jn[y].translate(mx) != mx.translate(jn[mx[y]]):
+                return False
+    return True
+
+
+def complements_i(lat: FiniteLattice):
+    """Per element, the indices of its complements."""
+    b, t = lat.bottom_i, lat.top_i
+    return [
+        [j for j, (m, u) in enumerate(zip(meets, joins)) if m == b and u == t]
+        for meets, joins in zip(lat.meet_table, lat.join_table)
+    ]
 
 
 def _chain_partition(lat):

@@ -4,9 +4,8 @@ orthogonality / commutes / center relations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import FiniteLattice, LatticeError, bits
+from .core import FiniteLattice, LatticeError, bits, distributive_by_identity, modular_by_identity
 
 
 class OrthoError(LatticeError):
@@ -18,24 +17,43 @@ class OrthoError(LatticeError):
         self.witness = witness
 
 
+def _perm(lat: FiniteLattice, neg_map):
+    """The index map of a label map, after checking it names every element."""
+    for lab in lat.labels:
+        if lab not in neg_map:
+            raise OrthoError("totality", lab)
+    return tuple(lat.index(neg_map[lab]) for lab in lat.labels)
+
+
+def _de_morgan_rows(lat: FiniteLattice, perm):
+    """Per i, four rows over j: ¬(i∨j), ¬i∧¬j, ¬(i∧j), ¬i∨¬j.
+
+    Each row is one ``bytes.translate`` call on the lattice's operation rows.
+    """
+    neg = lat.translate_table(perm)
+    jn, mt = lat.join_bytes, lat.meet_bytes
+    for i in range(lat.n):
+        yield (
+            jn[i].translate(neg),
+            neg.translate(mt[perm[i]]),
+            mt[i].translate(neg),
+            neg.translate(jn[perm[i]]),
+        )
+
+
 class OrthoLattice:
     """Bounded lattice with a validated orthocomplement involution."""
 
     def __init__(self, lattice: FiniteLattice, ortho_map):
         self.lattice = lattice
         self.ortho = dict(ortho_map)
-        self._perm = tuple(lattice.index(self.ortho[lab]) for lab in lattice.labels)
+        self._perm = _perm(lattice, self.ortho)
 
     def comp_i(self, i):
         return self._perm[i]
 
     def comp(self, a):
         return self.ortho[a]
-
-    @cached_property
-    def neg(self):
-        """The ortho map viewed as a negation (for the shared relations)."""
-        return dict(self.ortho)
 
     def __repr__(self):
         return f"OrthoLattice({self.lattice!r})"
@@ -48,9 +66,6 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
     antitonicity) with witnesses, then asserts the derived consequences:
     swapped bounds, both De Morgan laws, and the excluded middle.
     """
-    for lab in lattice.labels:
-        if lab not in ortho_map:
-            raise OrthoError("totality", lab)
     ol = OrthoLattice(lattice, ortho_map)
     lat, perm = lattice, ol._perm
     for i in range(lat.n):
@@ -67,9 +82,8 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
     assert perm[lat.top_i] == lat.bottom_i
     for i in range(lat.n):
         assert lat.join_i(i, perm[i]) == lat.top_i, "excluded middle"
-        for j in range(lat.n):
-            assert perm[lat.join_i(i, j)] == lat.meet_i(perm[i], perm[j])
-            assert perm[lat.meet_i(i, j)] == lat.join_i(perm[i], perm[j])
+    for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
+        assert neg_join == meet_neg and neg_meet == join_neg, "De Morgan"
     return ol
 
 
@@ -89,17 +103,18 @@ def _orthomodular_identity(lat, perm):
 
 
 def ortho_class(ol: OrthoLattice) -> frozenset:
-    """Which of the nested orthocomplemented classes the lattice sits in."""
-    from .core import classify
+    """Which of the nested orthocomplemented classes the lattice sits in.
 
+    An orthocomplemented lattice is complemented, so it is Boolean exactly
+    when it is distributive.
+    """
     lat = ol.lattice
     flags = {"orthocomplemented"}
     if _orthomodular_identity(lat, ol._perm):
         flags.add("orthomodular")
-    report = classify(lat)
-    if report.is_modular:
+    if modular_by_identity(lat):
         flags.add("modular-orthocomplemented")
-    if report.is_boolean:
+    if distributive_by_identity(lat):
         flags.add("boolean")
     # the classes form a chain
     if "boolean" in flags:
@@ -144,10 +159,7 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     middle and the Kleene condition for ortho negations.
     """
     lat = lattice
-    for lab in lat.labels:
-        if lab not in neg_map:
-            raise OrthoError("totality", lab)
-    perm = tuple(lat.index(neg_map[lab]) for lab in lat.labels)
+    perm = _perm(lat, neg_map)
     n, b, t = lat.n, lat.bottom_i, lat.top_i
 
     antitone = all(
@@ -156,11 +168,9 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     weak_dn = all(lat.leq_i(i, perm[perm[i]]) for i in range(n))
     non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(n))
     involutive = all(perm[perm[i]] == i for i in range(n))
-    kleene_cond = all(
-        lat.leq_i(lat.meet_i(i, perm[i]), lat.join_i(j, perm[j]))
-        for i in range(n)
-        for j in range(n)
-    )
+    lows = {lat.meet_i(i, perm[i]) for i in range(n)}
+    highs = {lat.join_i(j, perm[j]) for j in range(n)}
+    kleene_cond = all(lat.leq_i(lo, hi) for lo in lows for hi in highs)
 
     cls = set()
     if antitone:
@@ -188,15 +198,13 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     if "intuitionistic" in cls:
         assert perm[t] == b and perm[b] == t and "fuzzy" in cls
     if "minimal" in cls:
-        for i in range(n):
-            for j in range(n):
-                assert lat.leq_i(lat.join_i(perm[i], perm[j]), perm[lat.meet_i(i, j)])
-                assert lat.leq_i(perm[lat.join_i(i, j)], lat.meet_i(perm[i], perm[j]))
-    if "de_morgan" in cls:
-        for i in range(n):
-            for j in range(n):
-                assert perm[lat.join_i(i, j)] == lat.meet_i(perm[i], perm[j])
-                assert perm[lat.meet_i(i, j)] == lat.join_i(perm[i], perm[j])
+        mt = lat.meet_bytes
+        for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
+            # a <= b elementwise iff a ∧ b == a
+            assert lat.pairwise(mt, join_neg, neg_meet) == join_neg[:n]
+            assert lat.pairwise(mt, neg_join, meet_neg) == neg_join[:n]
+            if "de_morgan" in cls:
+                assert neg_join == meet_neg and neg_meet == join_neg
     if "ortho" in cls:
         assert perm[b] == t and perm[t] == b
         for i in range(n):
@@ -224,10 +232,7 @@ def relations(lattice: FiniteLattice, neg_map) -> RelationReport:
     with every y.
     """
     lat = lattice
-    for lab in lat.labels:
-        if lab not in neg_map:
-            raise OrthoError("totality", lab)
-    perm = tuple(lat.index(neg_map[lab]) for lab in lat.labels)
+    perm = _perm(lat, neg_map)
     orth = set()
     for i in range(lat.n):
         for j in range(lat.n):

@@ -14,11 +14,16 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, FinitePoset, LatticeError, distributive_by_identity
 from .ortho import attach_ortho
 
 EXACT_REDUCE_BOUND = 5  # brute force over pair subsets up to 2^5-element levels
 BEST_EFFORT_REDUCE_BOUND = 6
+
+
+def _inclusion_rows(masks):
+    """Order rows of mask inclusion: bit j of row i says masks[i] ⊆ masks[j]."""
+    return [sum(1 << j for j, y in enumerate(masks) if x & ~y == 0) for x in masks]
 
 
 class Level:
@@ -38,14 +43,7 @@ class Level:
 
     @cached_property
     def lattice(self) -> FiniteLattice:
-        rows = []
-        for x in self.carrier:
-            row = 0
-            for j, y in enumerate(self.carrier):
-                if x & ~y == 0:
-                    row |= 1 << j
-            rows.append(row)
-        return FiniteLattice(self.carrier, rows)
+        return FiniteLattice(self.carrier, _inclusion_rows(self.carrier))
 
     def complement(self, mask):
         return self.full ^ mask
@@ -321,17 +319,9 @@ def is_boolean_level_oracle(carrier, top_n) -> bool:
     Independent of the subset-bijection test in `_induced_boolean`; used to
     cross-check reduction results the long way.
     """
-    from .core import FinitePoset
-
     masks = tuple(sorted(carrier))
     n = len(masks)
-    rows = []
-    for x in masks:
-        row = 0
-        for jj, y in enumerate(masks):
-            if x & ~y == 0:
-                row |= 1 << jj
-        rows.append(row)
+    rows = _inclusion_rows(masks)
     p = FinitePoset(masks, rows)
     join, meet, witness = p.lattice_tables()
     if witness is not None:
@@ -343,12 +333,7 @@ def is_boolean_level_oracle(carrier, top_n) -> bool:
     for i in range(n):
         if not any(meet[i][jj] == bot and join[i][jj] == top for jj in range(n)):
             return False
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False
-    return True
+    return distributive_by_identity(FiniteLattice(masks, rows, tables=(join, meet)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FiniteLattice, LatticeError, classify
-from .ortho import classify_negation
+from .core import FiniteLattice, LatticeError, complements_i, distributive_by_identity
+from .ortho import _perm, classify_negation
 
 
 class ProbabilityError(LatticeError):
@@ -39,17 +39,17 @@ def _gate(lat: FiniteLattice):
     symmetry.
     """
     n, bot = lat.n, lat.bottom_i
+    jn, mt = lat.join_bytes, lat.meet_bytes
     gated = set()
     for i in range(n):
         for j in range(n):
-            if lat.meet_i(i, j) != bot:
+            met = mt[i][j]
+            if met != bot:
                 continue
-            joined = lat.join_i(i, j)
-            met = lat.meet_i(i, j)
-            if all(
-                lat.meet_i(z, joined) == lat.join_i(lat.meet_i(z, i), lat.meet_i(z, j))
-                and lat.join_i(z, met) == lat.meet_i(lat.join_i(z, i), lat.join_i(z, j))
-                for z in range(n)
+            # over z: z ∧ (i ∨ j) == (z ∧ i) ∨ (z ∧ j) and z ∨ (i ∧ j) == (z ∨ i) ∧ (z ∨ j)
+            if (
+                mt[jn[i][j]][:n] == lat.pairwise(jn, mt[i], mt[j])
+                and jn[met][:n] == lat.pairwise(mt, jn[i], jn[j])
             ):
                 gated.add((i, j))
     return gated
@@ -88,7 +88,7 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     for v in pi:
         assert 0 <= v <= 1
     if "ortho" in nm.classification:
-        perm = [lat.index(neg_map[lab]) for lab in lat.labels]
+        perm = _perm(lat, neg_map)
         for i in range(lat.n):
             if pi[i] != 1 - pi[perm[i]]:
                 raise ProbabilityError(
@@ -128,7 +128,7 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
     """
     lat = pa.lattice
     pi = [pa.p[lab] for lab in lat.labels]
-    perm = [lat.index(pa.neg[lab]) for lab in lat.labels]
+    perm = _perm(lat, pa.neg)
     bot, top = lat.bottom_i, lat.top_i
     L = lat.labels
 
@@ -184,7 +184,7 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
 
     verdicts["gated"] = DefinitionVerdict(True, None)  # established by validation
 
-    if classify(lat).is_boolean:
+    if distributive_by_identity(lat) and all(complements_i(lat)):
         for i in range(lat.n):
             for j in range(lat.n):
                 assert pi[lat.join_i(i, j)] == pi[i] + pi[j] - pi[lat.meet_i(i, j)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FinitePoset, LatticeError, build_lattice
+from .core import FinitePoset, LatticeError, bits, build_lattice
 
 
 class FormatError(LatticeError):
@@ -102,18 +102,7 @@ def load_lattice_file(path) -> LatticeDocument:
 
 
 def format_mask(mask: int) -> str:
-    return "{" + ",".join(str(b + 1) for b in _asc_bits(mask)) + "}"
-
-
-def _asc_bits(mask):
-    out = []
-    b = 0
-    while mask:
-        if mask & 1:
-            out.append(b)
-        mask >>= 1
-        b += 1
-    return out
+    return "{" + ",".join(str(b + 1) for b in bits(mask)) + "}"
 
 
 def parse_mask(text: str, top_n: int) -> int:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .core import FiniteLattice, LatticeError, bits
 
@@ -76,21 +78,36 @@ class LatticeMetric:
             tuple(vi[lat.join_i(i, j)] - vi[lat.meet_i(i, j)] for j in range(lat.n))
             for i in range(lat.n)
         )
-        self._assert_metric_axioms()
-
-    def _assert_metric_axioms(self):
-        t, n = self.table, self.lattice.n
-        for i in range(n):
-            assert t[i][i] == 0
-            for j in range(n):
-                assert t[i][j] >= 0, "metric must be non-negative"
-                assert (t[i][j] == 0) == (i == j), "metric must be nondegenerate"
-                assert t[i][j] == t[j][i], "metric must be symmetric"
-                for k in range(n):
-                    assert t[i][j] <= t[i][k] + t[k][j], "triangle inequality"
+        failure = _metric_axiom_failure(self.table)
+        assert failure is None, failure
 
     def d(self, a, b) -> Fraction:
         return self.table[self.lattice.index(a)][self.lattice.index(b)]
+
+
+def _metric_axiom_failure(table):
+    """The first metric axiom a square table of rationals breaks, or None.
+
+    Pairs are checked row by row.  Scaled by their common denominator the
+    distances are integers, so the triangle inequality over every k is one
+    C-level ``min`` per pair.
+    """
+    scale = lcm(*(d.denominator for row in table for d in row))
+    t = [[d.numerator * (scale // d.denominator) for d in row] for row in table]
+    cols = list(zip(*t))
+    for i, row in enumerate(t):
+        if row[i] != 0:
+            return "metric must vanish on the diagonal"
+        for j, col in enumerate(cols):
+            if row[j] < 0:
+                return "metric must be non-negative"
+            if (row[j] == 0) != (i == j):
+                return "metric must be nondegenerate"
+            if row[j] != t[j][i]:
+                return "metric must be symmetric"
+            if row[j] > min(map(add, row, col)):
+                return "triangle inequality"
+    return None
 
 
 def metric_from_valuation(lat: FiniteLattice, values) -> LatticeMetric:

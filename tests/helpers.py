@@ -273,3 +273,125 @@ def elkan_law(lat: FiniteLattice, perm) -> bool:
         for x in _idx(lat)
         for y in _idx(lat)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference loops for the byte-row kernels: one Python step per element
+
+
+def distributive_identity_loop(lat: FiniteLattice) -> bool:
+    J, M = lat.join_table, lat.meet_table
+    for x in _idx(lat):
+        for y in _idx(lat):
+            for z in _idx(lat):
+                if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
+                    return False
+    return True
+
+
+def modular_identity_loop(lat: FiniteLattice) -> bool:
+    J, M = lat.join_table, lat.meet_table
+    for x in _idx(lat):
+        for y in _idx(lat):
+            if not lat.leq_i(x, y):
+                continue
+            for z in _idx(lat):
+                if J[x][M[z][y]] != M[J[x][z]][y]:
+                    return False
+    return True
+
+
+def distributive_triples_loop(lat: FiniteLattice):
+    J, M, L = lat.join_table, lat.meet_table, lat.labels
+    return frozenset(
+        (L[x], L[y], L[z])
+        for x in _idx(lat)
+        for y in _idx(lat)
+        for z in _idx(lat)
+        if M[x][J[y][z]] == J[M[x][y]][M[x][z]]
+    )
+
+
+def modular_pairs_loop(lat: FiniteLattice):
+    J, M, L = lat.join_table, lat.meet_table, lat.labels
+    return frozenset(
+        (L[x], L[y])
+        for x in _idx(lat)
+        for y in _idx(lat)
+        if all(M[y][J[x][a]] == J[M[y][x]][a] for a in _idx(lat) if lat.leq_i(a, y))
+    )
+
+
+def de_morgan_rows_loop(lat: FiniteLattice, perm):
+    """Per i, the rows over j of ¬(i∨j), ¬i∧¬j, ¬(i∧j), ¬i∨¬j."""
+    J, M = lat.join_table, lat.meet_table
+    return [
+        (
+            bytes(perm[J[i][j]] for j in _idx(lat)),
+            bytes(M[perm[i]][perm[j]] for j in _idx(lat)),
+            bytes(perm[M[i][j]] for j in _idx(lat)),
+            bytes(J[perm[i]][perm[j]] for j in _idx(lat)),
+        )
+        for i in _idx(lat)
+    ]
+
+
+def gate_loop(lat: FiniteLattice):
+    """Disjoint pairs that distribute with every z in both dual senses."""
+    J, M, bot = lat.join_table, lat.meet_table, lat.bottom_i
+    gated = set()
+    for i in _idx(lat):
+        for j in _idx(lat):
+            if M[i][j] != bot:
+                continue
+            if all(
+                M[z][J[i][j]] == J[M[z][i]][M[z][j]] and J[z][M[i][j]] == M[J[z][i]][J[z][j]]
+                for z in _idx(lat)
+            ):
+                gated.add((i, j))
+    return gated
+
+
+def metric_axiom_failure_loop(t):
+    """First metric axiom a square table breaks, checked in rationals."""
+    n = len(t)
+    for i in range(n):
+        if t[i][i] != 0:
+            return "metric must vanish on the diagonal"
+        for j in range(n):
+            if t[i][j] < 0:
+                return "metric must be non-negative"
+            if (t[i][j] == 0) != (i == j):
+                return "metric must be nondegenerate"
+            if t[i][j] != t[j][i]:
+                return "metric must be symmetric"
+            for k in range(n):
+                if t[i][j] > t[i][k] + t[k][j]:
+                    return "triangle inequality"
+    return None
+
+
+def lattice_tables_loop(poset):
+    """Join and meet by scanning for the least upper (greatest lower) bound."""
+    n = poset.n
+    up, down = poset.leq_rows, poset.geq_rows
+
+    def least(rows, common):
+        for m in range(n):
+            if common >> m & 1 and common & ~rows[m] == 0:
+                return m
+        return None
+
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m = least(up, up[i] & up[j])
+            if m is None:
+                return None, None, (poset.labels[i], poset.labels[j], "no LUB")
+            join[i][j] = join[j][i] = m
+            m = least(down, down[i] & down[j])
+            if m is None:
+                return None, None, (poset.labels[i], poset.labels[j], "no GLB")
+            meet[i][j] = meet[j][i] = m
+    return join, meet, None

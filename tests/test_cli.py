@@ -133,6 +133,36 @@ def test_probability_command_file_and_random(o6_file, capsys):
     assert "traditional: satisfied" in out
 
 
+@pytest.mark.parametrize("n", ["0", "9", "200"])
+def test_random_boolean_size_is_checked_first(n, capsys):
+    assert main(["probability", "--random-boolean", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --random-boolean needs 1 <= N <= 8, got {n}\n"
+
+
+def test_empty_lattice_file_leaves_stdout_empty(tmp_path, capsys):
+    path = tmp_path / "empty.lat"
+    path.write_text("lattice nothing\n")
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot classify the empty lattice\n"
+
+
+def test_more_than_256_elements_fail_with_one_line(tmp_path, capsys):
+    labels = [f"c{i}" for i in range(257)]
+    path = tmp_path / "chain257.lat"
+    path.write_text(
+        "elements " + " ".join(labels) + "\ncovers " + " ".join(f"{a}<{b}" for a, b in zip(labels, labels[1:])) + "\n"
+    )
+    for cmd in ("classify", "hasse"):
+        assert main([cmd, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 257 elements exceed the supported maximum of 256\n"
+
+
 def test_primorial_and_dposet_commands(capsys):
     assert main(["primorial", "--n", "3"]) == 0
     out = capsys.readouterr().out
