@@ -150,9 +150,8 @@ def cmd_metric(args, out):
 
 
 def cmd_reduce(args, out):
-    check_reduce_bound(args.n, args.best_effort)
-    top = boolean_carrier(args.n)
-    levels = reduce_boolean(top, best_effort=args.best_effort)
+    check_reduce_bound(args.n)
+    levels = reduce_boolean(boolean_carrier(args.n))
     for lvl in levels:
         print(format_carrier(lvl.carrier), file=out)
     _emit(out, "count", len(levels))
@@ -171,14 +170,14 @@ def _read_choices(path, n):
 
 def cmd_primorial(args, out):
     choices = _read_choices(args.choices, args.n) if args.choices else None
-    pl = generate_primorial(args.n, choices=choices, best_effort=args.best_effort)
+    pl = generate_primorial(args.n, choices=choices)
     for name in pl.member_names():
         print(f"{name}\t{format_carrier(pl.level(name).carrier)}", file=out)
     return 0
 
 
 def cmd_dposet(args, out):
-    pl = generate_primorial(args.n, best_effort=args.best_effort)
+    pl = generate_primorial(args.n)
     members, diff, leq = chain_dposet_members(pl)
     report = dposet_check(members, diff, leq)
     for law in ("axiom-1", "axiom-2", "axiom-3", "axiom-4",
@@ -189,7 +188,7 @@ def cmd_dposet(args, out):
 
 
 def cmd_project(args, out):
-    pl = generate_primorial(args.n, best_effort=args.best_effort)
+    pl = generate_primorial(args.n)
     with open(args.input, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     items = [parse_mask(tok, args.n) for tok in tokens]
@@ -285,6 +284,11 @@ def build_parser():
         prog="primlat", description="finite lattice computation engine"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--n", type=int, required=True)
+    family.add_argument(
+        "--best-effort", action="store_true", help="accepted and ignored: reduction is exact up to 2^6"
+    )
 
     p = sub.add_parser("classify", help="structural report for a lattice file")
     p.add_argument("file")
@@ -302,28 +306,20 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(fn=cmd_metric)
 
-    p = sub.add_parser("reduce", help="half-size Boolean sub-levels of a 2^n carrier")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--best-effort", action="store_true")
+    p = sub.add_parser("reduce", parents=[family], help="half-size Boolean sub-levels of a 2^n carrier")
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("primorial", help="emit the generated family's members")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("primorial", parents=[family], help="emit the generated family's members")
     p.add_argument("--choices", help="file of per-step carrier choices (subset literals)")
-    p.add_argument("--best-effort", action="store_true")
     p.set_defaults(fn=cmd_primorial)
 
-    p = sub.add_parser("dposet", help="check the difference axioms on the chain")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--best-effort", action="store_true")
+    p = sub.add_parser("dposet", parents=[family], help="check the difference axioms on the chain")
     p.set_defaults(fn=cmd_dposet)
 
-    p = sub.add_parser("project", help="project a sequence file onto a level")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("project", parents=[family], help="project a sequence file onto a level")
     p.add_argument("--level", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--best-effort", action="store_true")
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("probability", help="validate and compare a probability assignment")

@@ -17,8 +17,7 @@ from functools import cached_property
 from .core import FiniteLattice, FinitePoset, LatticeError, distributive_by_identity
 from .ortho import attach_ortho
 
-EXACT_REDUCE_BOUND = 5  # brute force over pair subsets up to 2^5-element levels
-BEST_EFFORT_REDUCE_BOUND = 6
+REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.2 s, 2^7 ~25 s
 
 
 def _inclusion_rows(masks):
@@ -140,92 +139,46 @@ def _check_reducible(level: Level):
     return m
 
 
-def _complement_pairs(level: Level):
-    pairs = []
-    for x in level.carrier:
-        y = level.complement(x)
-        if x < y and x != 0:
-            pairs.append((x, y))
-    return pairs
-
-
-def check_reduce_bound(m: int, best_effort: bool = False):
-    """Raise unless a 2^m Boolean level may be reduced under the flag.
+def check_reduce_bound(m: int):
+    """Raise unless a 2^m Boolean level may be reduced.
 
     Callers run it on the atom count before building a 2^m carrier, so an
     oversized request fails before anything of that size is allocated.
     """
-    if m > EXACT_REDUCE_BOUND:
-        if not best_effort:
-            raise LatticeError(
-                f"reduction of a 2^{m} level needs best_effort=True (exact bound is 2^{EXACT_REDUCE_BOUND})"
-            )
-        if m > BEST_EFFORT_REDUCE_BOUND:
-            raise LatticeError(f"reduction beyond 2^{BEST_EFFORT_REDUCE_BOUND} unsupported")
+    if m > REDUCE_BOUND:
+        raise LatticeError(f"reduction beyond 2^{REDUCE_BOUND} unsupported")
 
 
-def reduce_boolean(level: Level, best_effort: bool = False):
+def reduce_boolean(level: Level):
     """All half-size Boolean sub-levels preserving bounds and complement pairs.
 
-    Candidates are the unions of {0, 1} with 2^(m-2) - 1 complement pairs
-    (complement closure is forced by unique complementation); each candidate
-    is kept iff its induced order is Boolean.  Exact brute force runs up to
-    2^5-element levels; 2^6 uses the structural search behind the
-    best-effort flag.
+    A sub-level of a 2^m level is accepted iff it is 2^(m-1) distinct
+    parent masks holding 0 and the top, closed under complement, whose
+    induced inclusion order is Boolean (``is_reduction`` tests exactly this
+    on one carrier).  The search builds each accepted level B from its
+    atoms, and is complete because of two facts:
+
+    - B's atoms are pairwise-disjoint masks.  Within B, x and its set
+      complement have only 0 below both and only the top above both, so
+      they are complements; a Boolean lattice has unique complements, so
+      B's complement is the set complement.  Distinct atoms a, b meet in 0,
+      so a lies below b's complement: a & b == 0.
+    - Every element of B is the join j(S) in B of the set S of atoms below
+      it, and S -> j(S) is a monotone bijection from atom sets onto B with
+      j(S^c) the complement of j(S).  So j(S) contains the union of S and,
+      as the complement of j(S^c), is disjoint from the union of S^c.
+
+    The search takes every family of m-1 pairwise-disjoint non-bound masks
+    as atoms, then assigns j(S) for one S of each complementary pair from
+    the parent masks meeting both conditions, with j(S^c) its complement,
+    and prunes non-monotone assignments; every accepted B is reached
+    through its own atoms and join map.  A candidate is complement-closed
+    by construction and kept only if its 2^(m-1) masks are distinct and
+    pass the induced-order test, so nothing else is accepted.  Levels come
+    back sorted by carrier.
     """
     m = _check_reducible(level)
-    check_reduce_bound(m, best_effort)
-    if m > EXACT_REDUCE_BOUND:
-        return reduce_structural(level)
-    pairs = _complement_pairs(level)
-    want = (1 << (m - 2)) - 1
-    accepted = []
-    for chosen in itertools.combinations(pairs, want):
-        carrier = [0, level.full]
-        for x, y in chosen:
-            carrier.append(x)
-            carrier.append(y)
-        carrier.sort()
-        if _induced_boolean(carrier, m - 1):
-            accepted.append(tuple(carrier))
-    accepted.sort()
-    return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
-
-
-def is_reduction(level: Level, carrier, best_effort: bool = False) -> bool:
-    """Whether ``carrier`` is one of the levels ``reduce_boolean(level)`` returns.
-
-    Applies the brute force's own predicate to the one candidate: distinct
-    masks drawn from the parent carrier, holding 0 and the top, closed under
-    complement, 2^(m-1) of them (so the rest is 2^(m-2) - 1 complement
-    pairs), with a Boolean induced order.  The reduction bounds apply as in
-    ``reduce_boolean``.
-    """
-    m = _check_reducible(level)
-    check_reduce_bound(m, best_effort)
-    cand = tuple(sorted(carrier))
-    cset = frozenset(cand)
-    return (
-        len(cset) == len(cand) == 1 << (m - 1)
-        and cset <= level.carrier_set
-        and 0 in cset
-        and level.full in cset
-        and all(level.complement(x) in cset for x in cand)
-        and _induced_boolean(cand, m - 1)
-    )
-
-
-def reduce_structural(level: Level):
-    """Reduction via the structure of accepted levels.
-
-    Any accepted level has pairwise-disjoint atoms (a consequence of
-    complement closure), and is the image of its subset-of-atoms join map;
-    joins of complementary atom sets are top-level complements.  The search
-    picks the atom family, then assigns the join of each atom subset from
-    the viable carrier elements, orbit by orbit, checking monotonicity.
-    Results are re-verified with the induced-order test before acceptance.
-    """
-    m = _check_reducible(level)
+    check_reduce_bound(m)
     if m == 2:  # the half-size level is {0, 1}; its only atom is the top
         return (Level(None, level.top_n, (0, level.full), "boolean"),)
     k = m - 1
@@ -313,6 +266,28 @@ def reduce_structural(level: Level):
     return tuple(Level(None, level.top_n, c, "boolean") for c in uniq)
 
 
+def is_reduction(level: Level, carrier) -> bool:
+    """Whether ``carrier`` is one of the levels ``reduce_boolean(level)`` returns.
+
+    Applies the acceptance condition of ``reduce_boolean`` to the one
+    candidate: distinct masks drawn from the parent carrier, holding 0 and
+    the top, closed under complement, 2^(m-1) of them, with a Boolean
+    induced order.  The reduction bound applies as in ``reduce_boolean``.
+    """
+    m = _check_reducible(level)
+    check_reduce_bound(m)
+    cand = tuple(sorted(carrier))
+    cset = frozenset(cand)
+    return (
+        len(cset) == len(cand) == 1 << (m - 1)
+        and cset <= level.carrier_set
+        and 0 in cset
+        and level.full in cset
+        and all(level.complement(x) in cset for x in cand)
+        and _induced_boolean(cand, m - 1)
+    )
+
+
 def is_boolean_level_oracle(carrier, top_n) -> bool:
     """Generic induced-order oracle: tables plus bounded/complemented/distributive.
 
@@ -398,25 +373,25 @@ def _family_lattice(named_levels):
     return FiniteLattice(tuple(names), rows)
 
 
-def generate_primorial(n: int, choices=None, best_effort: bool = False) -> PrimorialLattice:
+def generate_primorial(n: int, choices=None) -> PrimorialLattice:
     """Build the family generated by the 2^n Boolean carrier.
 
     ``choices`` optionally fixes the reduction taken at each step, as a
     sequence of carriers (mask collections) for the levels below the top:
     first the 2^(n-1) level, then 2^(n-2), and so on down to 2^2.  Each
     supplied carrier is verified directly with ``is_reduction``, the
-    predicate the brute force applies to every candidate, so no step with a
-    choice enumerates the other reductions.  Without choices, and for the
-    last step to 2^1, the lexicographically least carrier of
-    ``reduce_boolean`` is taken.  The reduction bounds are checked on ``n``
-    before the top carrier is built.
+    acceptance condition of ``reduce_boolean``, so no step with a choice
+    enumerates the other reductions.  Without choices, and for the last
+    step to 2^1, the lexicographically least carrier of ``reduce_boolean``
+    is taken.  The reduction bound is checked on ``n`` before the top
+    carrier is built.
     Both family invariants are asserted: every difference level is
     orthocomplemented under inherited pairs, and the family order has the
     generated-chain shape.
     """
     if n < 2:
         raise LatticeError("generation needs at least 2 atoms")
-    check_reduce_bound(n, best_effort)
+    check_reduce_bound(n)
     top = boolean_carrier(n)
     chain = [top.renamed(f"L2^{n}")]
     wanted = list(choices) if choices is not None else None
@@ -427,11 +402,11 @@ def generate_primorial(n: int, choices=None, best_effort: bool = False) -> Primo
                 raise LatticeError("not enough reduction choices supplied")
             pick = tuple(sorted(wanted[step]))
             step += 1
-            if not is_reduction(chain[-1], pick, best_effort):
+            if not is_reduction(chain[-1], pick):
                 raise LatticeError(f"invalid reduction choice {pick!r}")
             nxt = Level(None, n, pick, "boolean")
         else:
-            nxt = reduce_boolean(chain[-1], best_effort=best_effort)[0]
+            nxt = reduce_boolean(chain[-1])[0]
         chain.append(nxt.renamed(f"L2^{m - 1}"))
     if wanted is not None and step != len(wanted):
         raise LatticeError("too many reduction choices supplied")

@@ -8,6 +8,7 @@ counterexample.
 import itertools
 
 from primlat.core import FiniteLattice, classify
+from primlat.primorial import Level, _induced_boolean
 
 
 def _idx(lat):
@@ -395,3 +396,32 @@ def lattice_tables_loop(poset):
                 return None, None, (poset.labels[i], poset.labels[j], "no GLB")
             meet[i][j] = meet[j][i] = m
     return join, meet, None
+
+
+# ---------------------------------------------------------------------------
+# reference loop for the structural reduction search
+
+
+def _complement_pairs(level: Level):
+    pairs = []
+    for x in level.carrier:
+        y = level.complement(x)
+        if x < y and x != 0:
+            pairs.append((x, y))
+    return pairs
+
+
+def half_size_candidates(level: Level):
+    """Every complement-closed half-size carrier holding both bounds: the
+    unions of {0, top} with 2^(m-2) - 1 complement pairs."""
+    m = len(level.carrier).bit_length() - 1
+    for chosen in itertools.combinations(_complement_pairs(level), (1 << (m - 2)) - 1):
+        yield tuple(sorted({0, level.full} | {x for pair in chosen for x in pair}))
+
+
+def reduce_boolean_loop(level: Level):
+    """``reduce_boolean`` by brute force: the candidates whose induced order is
+    Boolean, sorted by carrier."""
+    m = len(level.carrier).bit_length() - 1
+    accepted = sorted(c for c in half_size_candidates(level) if _induced_boolean(c, m - 1))
+    return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)

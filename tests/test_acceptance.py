@@ -23,7 +23,6 @@ from primlat.primorial import (
     is_primorial,
     reduce_boolean,
 )
-from primlat.primorial import _complement_pairs
 from primlat.probability import (
     DEFINITIONS,
     probability_report,
@@ -81,7 +80,7 @@ def test_criterion_02_reduction_counts():
         assert len(reduce_boolean(boolean_carrier(2))) == 1
         assert len(reduce_boolean(boolean_carrier(3))) == 3
         top4 = boolean_carrier(4)
-        assert math.comb(len(_complement_pairs(top4)), 3) == 35
+        assert math.comb(len(helpers._complement_pairs(top4)), 3) == 35
         assert len(reduce_boolean(top4)) == 10
 
         top5 = boolean_carrier(5)
@@ -92,7 +91,7 @@ def test_criterion_02_reduction_counts():
 
         # independent brute force: generic induced-order oracle over all
         # C(15,7) = 6435 pair selections
-        pairs = _complement_pairs(top5)
+        pairs = helpers._complement_pairs(top5)
         assert math.comb(len(pairs), 7) == 6435
         oracle_accepted = []
         for chosen in itertools.combinations(pairs, 7):

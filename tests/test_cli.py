@@ -39,25 +39,24 @@ def test_reduce_output_ends_with_count(capsys):
     assert len(out.rstrip().splitlines()) == 11
 
 
-NEEDS_FLAG = "error: reduction of a 2^{} level needs best_effort=True (exact bound is 2^5)\n"
 UNSUPPORTED = "error: reduction beyond 2^6 unsupported\n"
 
 
 def test_reduce_best_effort_flag(capsys):
-    assert main(["reduce", "--n", "6"]) == 1
-    assert capsys.readouterr().err == NEEDS_FLAG.format(6)
+    # --best-effort is accepted and ignored: 2^6 is exact either way
+    assert main(["reduce", "--n", "6"]) == 0
+    plain = capsys.readouterr().out
+    assert plain.rstrip().endswith("count: 471")
     assert main(["reduce", "--n", "6", "--best-effort"]) == 0
-    assert capsys.readouterr().out.rstrip().endswith("count: 471")
-    for command in ("reduce", "primorial", "dposet"):
-        assert main([command, "--n", "6"]) == 1
-        assert capsys.readouterr().err == NEEDS_FLAG.format(6)
-        assert main([command, "--n", "7"]) == 1
-        assert capsys.readouterr().err == NEEDS_FLAG.format(7)
-        assert main([command, "--n", "7", "--best-effort"]) == 1
-        assert capsys.readouterr().err == UNSUPPORTED
+    assert capsys.readouterr().out == plain
+    for command in ("primorial", "dposet"):
+        assert main([command, "--n", "6"]) == 0
+        plain = capsys.readouterr().out
+        assert main([command, "--n", "6", "--best-effort"]) == 0
+        assert capsys.readouterr().out == plain
 
 
-@pytest.mark.parametrize("n", ["40", "200"])
+@pytest.mark.parametrize("n", ["7", "40", "200"])
 def test_oversized_n_fails_before_allocating(n, tmp_path, capsys):
     # the bound is checked before the 2^n carrier is built, so none of
     # these may allocate 2^n masks or escape with a traceback
@@ -65,11 +64,11 @@ def test_oversized_n_fails_before_allocating(n, tmp_path, capsys):
     seq.write_text("{1}\n")
     project = ["project", "--level", "D3", "--method", "zero", "--input", str(seq)]
     for argv in (["reduce"], ["primorial"], ["dposet"], project):
-        for flag, err in (([], NEEDS_FLAG.format(n)), (["--best-effort"], UNSUPPORTED)):
+        for flag in ([], ["--best-effort"]):
             assert main(argv + ["--n", n] + flag) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == err
+            assert captured.err == UNSUPPORTED
 
 
 def test_enumerate_line(capsys):

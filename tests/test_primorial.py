@@ -9,6 +9,7 @@ from primlat.primorial import (
     Level,
     boolean_carrier,
     chain_dposet_members,
+    check_reduce_bound,
     difference,
     dposet_check,
     generate_primorial,
@@ -16,11 +17,15 @@ from primlat.primorial import (
     is_primorial,
     is_reduction,
     reduce_boolean,
-    reduce_structural,
 )
-from primlat.primorial import _complement_pairs
 
 from conftest import benzene, diamond
+from helpers import _complement_pairs, half_size_candidates, reduce_boolean_loop
+
+
+@pytest.fixture(scope="module")
+def levels6():
+    return reduce_boolean(boolean_carrier(6))
 
 
 def test_reduce_counts():
@@ -62,11 +67,85 @@ def test_reduce_structural_split_n4():
     assert closed == 6 and singleton_type == 4
 
 
-def test_reduce_agrees_with_structural_search():
-    for n in (2, 3, 4, 5):
-        brute = [lvl.carrier for lvl in reduce_boolean(boolean_carrier(n))]
-        structural = [lvl.carrier for lvl in reduce_structural(boolean_carrier(n))]
-        assert brute == structural
+def _carriers(levels):
+    return [lvl.carrier for lvl in levels]
+
+
+def test_reduce_agrees_with_brute_force_on_reduction_trees(levels6):
+    # every level of the 2^2..2^5 reduction trees, same levels in the same
+    # order: 1 + 4 + 41 + 2051 parents
+    stack = [boolean_carrier(n) for n in (2, 3, 4, 5)]
+    checked = 0
+    while stack:
+        parent = stack.pop()
+        levels = reduce_boolean(parent)
+        assert _carriers(levels) == _carriers(reduce_boolean_loop(parent))
+        checked += 1
+        if len(parent.carrier) > 4:
+            stack.extend(levels)
+    assert checked == 2097
+    # a strided sample of the 471 2^5 levels of 2^6
+    sample = levels6[::40]
+    assert len(sample) == 12
+    for parent in sample:
+        assert _carriers(reduce_boolean(parent)) == _carriers(reduce_boolean_loop(parent))
+
+
+def _permute_atoms(carrier, perm):
+    """The carrier's image under the atom permutation sending bit i to bit perm[i]."""
+    return tuple(sorted(sum(1 << perm[i] for i in range(6) if x >> i & 1) for x in carrier))
+
+
+def _transposition(i, j):
+    perm = list(range(6))
+    perm[i], perm[j] = j, i
+    return perm
+
+
+def test_reduce_six_atoms_is_certified_by_orbit_count(levels6):
+    # An independent count by orbit type of S_6 acting on the atoms.  The
+    # five atoms of a reduction are pairwise-disjoint nonempty masks, so
+    # either they split the six atoms into five blocks, or they are five
+    # singletons and one atom u is unused.  Each join of an atom set S
+    # contains S's union and misses the union of the other atoms.
+    full = 63
+    # Five blocks cover every atom, so each join is forced: one level per
+    # choice of the two-atom block.
+    partitions = set()
+    for a, b in itertools.combinations(range(6), 2):
+        blocks = [1 << a | 1 << b] + [1 << i for i in range(6) if i not in (a, b)]
+        carrier = tuple(sorted({sum(x for k, x in enumerate(blocks) if s >> k & 1) for s in range(32)}))
+        assert is_boolean_level_oracle(carrier, 6)
+        partitions.add(carrier)
+    assert len(partitions) == 15
+    # Five singletons, u = atom 6 unused: a join of S is S or S ∪ {u} and
+    # its complement takes the other, so one bit for each of the 10
+    # complementary 2|3 splits of the other atoms fixes a candidate.
+    u = 1 << 5
+    singles = [1 << i for i in range(5)]
+    base = {0, full} | {x for a in singles for x in (a, full ^ a)}
+    splits = [singles[i] | singles[j] for i, j in itertools.combinations(range(5), 2)]
+    assert len(splits) == 10
+    unused_u = set()
+    for bits in range(1 << len(splits)):
+        carrier = set(base)
+        for k, s in enumerate(splits):
+            x = s | u if bits >> k & 1 else s
+            carrier.update((x, full ^ x))
+        carrier = tuple(sorted(carrier))
+        if is_boolean_level_oracle(carrier, 6):
+            unused_u.add(carrier)
+    assert len(unused_u) == 76
+    # the orbit of the second type runs over the six choices of unused atom
+    expected = set(partitions)
+    for v in range(6):
+        expected |= {_permute_atoms(c, _transposition(v, 5)) for c in unused_u}
+    assert len(expected) == 15 + 6 * 76 == 471
+    found = set(_carriers(levels6))
+    assert found == expected
+    # closed under the adjacent transpositions, which generate S_6
+    for i in range(5):
+        assert {_permute_atoms(c, _transposition(i, i + 1)) for c in found} == found
 
 
 def test_reduce_members_verify_and_rejects_fail():
@@ -119,26 +198,18 @@ def test_boolean_tests_agree_on_random_carriers():
         assert _induced_boolean(carrier, exp) == is_boolean_level_oracle(carrier, n)
 
 
-def _half_size_candidates(level):
-    """Every complement-closed half-size carrier holding both bounds: the
-    brute force's candidate set."""
-    m = len(level.carrier).bit_length() - 1
-    for chosen in itertools.combinations(_complement_pairs(level), (1 << (m - 2)) - 1):
-        yield tuple(sorted({0, level.full} | {x for pair in chosen for x in pair}))
-
-
 def test_direct_choice_check_matches_brute_force():
     for n, total in ((3, 3), (4, 35), (5, 6435)):
         top = boolean_carrier(n)
         accepted = {lvl.carrier for lvl in reduce_boolean(top)}
-        candidates = list(_half_size_candidates(top))
+        candidates = list(half_size_candidates(top))
         assert len(candidates) == total
         for carrier in candidates:
             assert is_reduction(top, carrier) == (carrier in accepted)
     # below the top: the parent is itself a reduced level of 2^5
     for parent in reduce_boolean(boolean_carrier(5))[::7]:
         accepted = {lvl.carrier for lvl in reduce_boolean(parent)}
-        for carrier in _half_size_candidates(parent):
+        for carrier in half_size_candidates(parent):
             assert is_reduction(parent, carrier) == (carrier in accepted)
 
 
@@ -163,47 +234,47 @@ def test_direct_choice_check_rejects_malformed_carriers():
 
 
 def test_choices_reproduce_the_default_family():
-    for n, best_effort in ((3, False), (4, False), (5, False), (6, True)):
-        default = generate_primorial(n, best_effort=best_effort)
+    for n in (3, 4, 5, 6):
+        default = generate_primorial(n)
         picks = [lvl.carrier for lvl in reversed(default.chain[1:-1])]
-        chosen = generate_primorial(n, choices=picks, best_effort=best_effort)
+        chosen = generate_primorial(n, choices=picks)
         assert {k: v.carrier for k, v in chosen.members.items()} == {
             k: v.carrier for k, v in default.members.items()
         }
-    # valid choices above the exact bound still need the flag, and 2^7
-    # stays out of reach with it
-    needs = r"^reduction of a 2\^{} level needs best_effort=True \(exact bound is 2\^5\)$"
-    with pytest.raises(LatticeError, match=needs.format(6)):
-        generate_primorial(6, choices=picks)
+    # 2^7 stays out of reach, whatever choices come with it
     above = [tuple(range(64))] + picks
-    with pytest.raises(LatticeError, match=needs.format(7)):
+    with pytest.raises(LatticeError, match=r"^reduction beyond 2\^6 unsupported$"):
         generate_primorial(7, choices=above)
-    with pytest.raises(LatticeError, match=r"^reduction beyond 2\^6 unsupported$"):
-        generate_primorial(7, choices=above, best_effort=True)
 
 
-def test_reduce_needs_flag_above_exact_bound():
-    with pytest.raises(LatticeError, match="best_effort"):
-        reduce_boolean(boolean_carrier(6))
-    with pytest.raises(LatticeError, match=r"^reduction of a 2\^6 level needs best_effort=True"):
-        is_reduction(boolean_carrier(6), range(32))
-    with pytest.raises(LatticeError, match=r"^reduction beyond 2\^6 unsupported$"):
-        is_reduction(boolean_carrier(7), range(64), best_effort=True)
+def test_reduce_needs_flag_above_exact_bound(levels6):
+    # one bound, 2^6, on every entry point; no flag moves it
+    unsupported = r"^reduction beyond 2\^6 unsupported$"
+    check_reduce_bound(6)
+    for m in (7, 40, 200):
+        with pytest.raises(LatticeError, match=unsupported):
+            check_reduce_bound(m)
+    with pytest.raises(LatticeError, match=unsupported):
+        reduce_boolean(boolean_carrier(7))
+    with pytest.raises(LatticeError, match=unsupported):
+        is_reduction(boolean_carrier(7), range(64))
+    assert is_reduction(boolean_carrier(6), levels6[0].carrier)
+    assert not is_reduction(boolean_carrier(6), range(32))
 
 
-def test_reduce_best_effort_six_atoms():
-    levels = reduce_boolean(boolean_carrier(6), best_effort=True)
+def test_reduce_best_effort_six_atoms(levels6):
+    levels = levels6
     assert len(levels) == len({lvl.carrier for lvl in levels})
     for lvl in levels[::20]:
         assert is_boolean_level_oracle(lvl.carrier, 6)
     top = boolean_carrier(6)
     for lvl in levels:
-        assert is_reduction(top, lvl.carrier, best_effort=True)
+        assert is_reduction(top, lvl.carrier)
     # 15 full five-block partitions of the six atoms, plus six choices of
     # unused atom times the 76 pairwise-intersecting edge families of K5
     assert len(levels) == 471
     with pytest.raises(LatticeError, match="unsupported"):
-        reduce_boolean(boolean_carrier(7), best_effort=True)
+        reduce_boolean(boolean_carrier(7))
 
 
 def test_difference_of_powerset_levels_is_benzene():
