@@ -30,7 +30,7 @@ from .probability import (
     random_boolean_assignment,
     validate_probability,
 )
-from .projection import METHODS, project
+from .projection import METHODS, project_sequence
 from .seqproc import PRESETS, analyze, gsp_preset, load_fasta, pyramid_rows, summarize
 from .textio import (
     FormatError,
@@ -192,9 +192,10 @@ def cmd_project(args, out):
     with open(args.input, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     items = [parse_mask(tok, args.n) for tok in tokens]
+    pl.level(args.level)  # an unknown member fails even on an empty input
+    projected = project_sequence(pl, args.level, items, args.method)
     print("position\tinput\tprojected", file=out)
-    for k, x in enumerate(items):
-        y = project(pl, args.level, x, args.method)
+    for k, (x, y) in enumerate(zip(items, projected)):
         print(f"{k}\t{format_mask(x)}\t{format_mask(y)}", file=out)
     return 0
 

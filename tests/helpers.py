@@ -8,7 +8,7 @@ counterexample.
 import itertools
 
 from primlat.core import FiniteLattice, classify
-from primlat.primorial import Level, _induced_boolean
+from primlat.primorial import Level, boolean_carrier, reduce_boolean
 
 
 def _idx(lat):
@@ -419,9 +419,56 @@ def half_size_candidates(level: Level):
         yield tuple(sorted({0, level.full} | {x for pair in chosen for x in pair}))
 
 
+def atoms_loop(carrier):
+    """The minimal nonzero masks of a carrier, ascending."""
+    carrier = sorted(carrier)
+    return [x for i, x in enumerate(carrier) if x and not any(y and y & x == y for y in carrier[:i])]
+
+
+def induced_boolean_loop(carrier, size_exp):
+    """``_induced_boolean`` with each least upper bound found by popcount:
+    the smallest carrier superset of an atom union, which must then lie
+    below every other superset."""
+    atoms = atoms_loop(carrier)
+    if len(atoms) != size_exp:
+        return False
+    seen = set()
+    for s in range(1 << size_exp):
+        u = 0
+        for k, a in enumerate(atoms):
+            if s >> k & 1:
+                u |= a
+        best = None
+        for c in carrier:
+            if u & ~c == 0:
+                if best is None or bin(c).count("1") < bin(best).count("1"):
+                    best = c
+        if best is None:
+            return False
+        for c in carrier:
+            if u & ~c == 0 and best & ~c != 0:
+                return False  # upper bounds have no least element
+        for k, a in enumerate(atoms):
+            if (a & ~best == 0) != bool(s >> k & 1):
+                return False
+        if best in seen:
+            return False
+        seen.add(best)
+    return True
+
+
 def reduce_boolean_loop(level: Level):
     """``reduce_boolean`` by brute force: the candidates whose induced order is
     Boolean, sorted by carrier."""
     m = len(level.carrier).bit_length() - 1
-    accepted = sorted(c for c in half_size_candidates(level) if _induced_boolean(c, m - 1))
+    accepted = sorted(c for c in half_size_candidates(level) if induced_boolean_loop(c, m - 1))
     return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
+
+
+def default_chain_loop(n):
+    """The default chain's carriers, top first, each step the first level of
+    the full enumeration ``reduce_boolean``."""
+    chain = [boolean_carrier(n)]
+    while len(chain[-1].carrier) > 2:
+        chain.append(reduce_boolean(chain[-1])[0])
+    return [lvl.carrier for lvl in chain]

@@ -194,6 +194,19 @@ def test_project_command(tmp_path, capsys):
     assert out[3] == "2\t{1,2,3}\t{1,2,3}"
 
 
+@pytest.mark.parametrize("text", ["{1} {} {1,2,3}\n", ""])
+def test_project_unknown_level_writes_no_stdout(text, tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(text)
+    assert main([
+        "project", "--n", "4", "--level", "L2^9", "--method", "zero",
+        "--input", str(seq),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown family member 'L2^9'\n"
+
+
 def test_analyze_command(tmp_path, capsys):
     fasta = tmp_path / "g.fa"
     fasta.write_text(">r\nACGTACGT\n")

@@ -7,6 +7,7 @@ from primlat.core import FiniteLattice, LatticeError, classify, is_isomorphic
 from primlat.ortho import attach_ortho, find_orthocomplement
 from primlat.primorial import (
     Level,
+    _induced_boolean,
     boolean_carrier,
     chain_dposet_members,
     check_reduce_bound,
@@ -16,16 +17,39 @@ from primlat.primorial import (
     is_boolean_level_oracle,
     is_primorial,
     is_reduction,
+    least_reduction,
     reduce_boolean,
 )
 
 from conftest import benzene, diamond
-from helpers import _complement_pairs, half_size_candidates, reduce_boolean_loop
+from helpers import (
+    _complement_pairs,
+    atoms_loop,
+    default_chain_loop,
+    half_size_candidates,
+    induced_boolean_loop,
+    reduce_boolean_loop,
+)
 
 
 @pytest.fixture(scope="module")
 def levels6():
     return reduce_boolean(boolean_carrier(6))
+
+
+@pytest.fixture(scope="module")
+def reduction_tree():
+    """(parent, reduce_boolean(parent)) for every level of the 2^2..2^5
+    reduction trees that has at least 4 elements: 1 + 4 + 41 + 2051 parents."""
+    stack = [boolean_carrier(n) for n in (2, 3, 4, 5)]
+    tree = []
+    while stack:
+        parent = stack.pop()
+        levels = reduce_boolean(parent)
+        tree.append((parent, levels))
+        if len(parent.carrier) > 4:
+            stack.extend(levels)
+    return tree
 
 
 def test_reduce_counts():
@@ -71,24 +95,69 @@ def _carriers(levels):
     return [lvl.carrier for lvl in levels]
 
 
-def test_reduce_agrees_with_brute_force_on_reduction_trees(levels6):
+def test_reduce_agrees_with_brute_force_on_reduction_trees(levels6, reduction_tree):
     # every level of the 2^2..2^5 reduction trees, same levels in the same
-    # order: 1 + 4 + 41 + 2051 parents
-    stack = [boolean_carrier(n) for n in (2, 3, 4, 5)]
-    checked = 0
-    while stack:
-        parent = stack.pop()
-        levels = reduce_boolean(parent)
+    # order
+    for parent, levels in reduction_tree:
         assert _carriers(levels) == _carriers(reduce_boolean_loop(parent))
-        checked += 1
-        if len(parent.carrier) > 4:
-            stack.extend(levels)
-    assert checked == 2097
+    assert len(reduction_tree) == 2097
     # a strided sample of the 471 2^5 levels of 2^6
     sample = levels6[::40]
     assert len(sample) == 12
     for parent in sample:
         assert _carriers(reduce_boolean(parent)) == _carriers(reduce_boolean_loop(parent))
+
+
+def _atoms_partition_top(level):
+    cover = 0
+    for a in atoms_loop(level.carrier):
+        cover |= a
+    return cover == level.full
+
+
+def test_least_reduction_is_the_first_reduction_on_partition_levels(levels6, reduction_tree):
+    # the merge rule holds exactly where the atoms partition the top; on
+    # every other level it refuses instead of guessing
+    partition = other = 0
+    for parent, levels in reduction_tree:
+        if _atoms_partition_top(parent):
+            assert least_reduction(parent).carrier == levels[0].carrier
+            partition += 1
+        else:
+            with pytest.raises(LatticeError, match="atoms partition the top"):
+                least_reduction(parent)
+            other += 1
+    assert (partition, other) == (1733, 364)
+    partition = other = 0
+    for child in levels6:
+        if _atoms_partition_top(child):
+            assert least_reduction(child).carrier == reduce_boolean(child)[0].carrier
+            partition += 1
+        else:
+            with pytest.raises(LatticeError, match="atoms partition the top"):
+                least_reduction(child)
+            other += 1
+    assert (partition, other) == (15, 456)
+
+
+def test_default_chain_matches_full_enumeration():
+    for n in (2, 3, 4, 5, 6):
+        chain = [lvl.carrier for lvl in reversed(generate_primorial(n).chain)]
+        assert chain == default_chain_loop(n)
+
+
+def test_induced_boolean_matches_popcount_loop(levels6):
+    for n, total in ((3, 3), (4, 35), (5, 6435)):
+        candidates = list(half_size_candidates(boolean_carrier(n)))
+        assert len(candidates) == total
+        for carrier in candidates:
+            verdict = _induced_boolean(carrier, n - 1)
+            assert verdict == induced_boolean_loop(carrier, n - 1)
+            if n < 5:
+                assert verdict == is_boolean_level_oracle(carrier, n)
+    assert len(levels6) == 471
+    for lvl in levels6:
+        assert _induced_boolean(lvl.carrier, 5) and induced_boolean_loop(lvl.carrier, 5)
 
 
 def _permute_atoms(carrier, perm):
@@ -193,8 +262,6 @@ def test_boolean_tests_agree_on_random_carriers():
         if len(carrier) != 1 << exp:
             continue
         checked += 1
-        from primlat.primorial import _induced_boolean
-
         assert _induced_boolean(carrier, exp) == is_boolean_level_oracle(carrier, n)
 
 
