@@ -2,14 +2,16 @@
 
 Machine-readable output (TSV with a header row, key-value report lines)
 goes to stdout; human summaries go to stderr.  Exit codes: 0 success, 1
-validation failure, 2 usage error.  Identical inputs and flags produce
-byte-identical output; nothing here computes anything the library does not
-already expose.
+validation failure, 2 usage error.  A command's stdout is written only
+once it returns, so an error leaves stdout empty.  Identical inputs and
+flags produce byte-identical output; nothing here computes anything the
+library does not already expose.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import random
 import sys
 from fractions import Fraction
@@ -280,83 +282,87 @@ def cmd_hasse(args, out):
     return 0
 
 
-def build_parser():
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+FILE = (_arg("file"),)
+# the --n / --best-effort pair shared by the four family commands
+FAMILY = (
+    _arg("--n", type=int, required=True),
+    _arg("--best-effort", action="store_true", help="accepted and ignored: reduction is exact up to 2^6"),
+)
+
+# The one declaration of every subcommand: name -> (handler, help, arguments).
+COMMANDS = {
+    "classify": (cmd_classify, "structural report for a lattice file", FILE),
+    "ortho": (cmd_ortho, "validate the ortho stanza and report classes", FILE),
+    "negation": (cmd_negation, "classify the negation stanza", FILE),
+    "metric": (cmd_metric, "validate a valuation and print its metric", FILE),
+    "reduce": (cmd_reduce, "half-size Boolean sub-levels of a 2^n carrier", FAMILY),
+    "primorial": (cmd_primorial, "emit the generated family's members", FAMILY + (
+        _arg("--choices", help="file of per-step carrier choices (subset literals)"),
+    )),
+    "dposet": (cmd_dposet, "check the difference axioms on the chain", FAMILY),
+    "project": (cmd_project, "project a sequence file onto a level", FAMILY + (
+        _arg("--level", required=True),
+        _arg("--method", choices=METHODS, required=True),
+        _arg("--input", required=True),
+    )),
+    "probability": (cmd_probability, "validate and compare a probability assignment", (
+        _arg("file", nargs="?"),
+        _arg("--random-boolean", type=int, metavar="N"),
+        _arg("--seed", type=int, default=0),
+    )),
+    "analyze": (cmd_analyze, "project a FASTA file onto every level", (
+        _arg("--preset", choices=PRESETS, required=True),
+        _arg("--fasta", required=True),
+        _arg("--method", choices=METHODS, default="ceiling"),
+        _arg("--window", type=int),
+    )),
+    "enumerate": (cmd_enumerate, "count unlabeled lattices", (
+        _arg("--n", type=int, required=True),
+        _arg("--show", action="store_true"),
+    )),
+    "hasse": (cmd_hasse, "emit a DOT Hasse diagram", FILE + (_arg("-o", "--output"),)),
+}
+
+
+def build_parser(only=None):
+    """The ``primlat`` parser built from COMMANDS; with ``only``, it holds
+    just that subcommand, so a call pays for one subparser, not twelve."""
     parser = argparse.ArgumentParser(
         prog="primlat", description="finite lattice computation engine"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--n", type=int, required=True)
-    family.add_argument(
-        "--best-effort", action="store_true", help="accepted and ignored: reduction is exact up to 2^6"
-    )
-
-    p = sub.add_parser("classify", help="structural report for a lattice file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("ortho", help="validate the ortho stanza and report classes")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_ortho)
-
-    p = sub.add_parser("negation", help="classify the negation stanza")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_negation)
-
-    p = sub.add_parser("metric", help="validate a valuation and print its metric")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_metric)
-
-    p = sub.add_parser("reduce", parents=[family], help="half-size Boolean sub-levels of a 2^n carrier")
-    p.set_defaults(fn=cmd_reduce)
-
-    p = sub.add_parser("primorial", parents=[family], help="emit the generated family's members")
-    p.add_argument("--choices", help="file of per-step carrier choices (subset literals)")
-    p.set_defaults(fn=cmd_primorial)
-
-    p = sub.add_parser("dposet", parents=[family], help="check the difference axioms on the chain")
-    p.set_defaults(fn=cmd_dposet)
-
-    p = sub.add_parser("project", parents=[family], help="project a sequence file onto a level")
-    p.add_argument("--level", required=True)
-    p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("probability", help="validate and compare a probability assignment")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--random-boolean", type=int, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_probability)
-
-    p = sub.add_parser("analyze", help="project a FASTA file onto every level")
-    p.add_argument("--preset", choices=PRESETS, required=True)
-    p.add_argument("--fasta", required=True)
-    p.add_argument("--method", choices=METHODS, default="ceiling")
-    p.add_argument("--window", type=int)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("enumerate", help="count unlabeled lattices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--show", action="store_true")
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("hasse", help="emit a DOT Hasse diagram")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_hasse)
-
+    for name in (only,) if only else COMMANDS:
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _parse_args(argv):
+    if argv and argv[0] in COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    # help, usage errors and leftover arguments report the full usage line
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    out = io.StringIO()  # written only once the command returns
     try:
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, out)
     except (LatticeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def entry():

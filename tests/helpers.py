@@ -5,10 +5,29 @@ naming the first failure; the callers assert on None so failures show the
 counterexample.
 """
 
+import argparse
+import contextlib
+import io
 import itertools
 
+from primlat.cli import (
+    cmd_analyze,
+    cmd_classify,
+    cmd_dposet,
+    cmd_enumerate,
+    cmd_hasse,
+    cmd_metric,
+    cmd_negation,
+    cmd_ortho,
+    cmd_primorial,
+    cmd_probability,
+    cmd_project,
+    cmd_reduce,
+)
 from primlat.core import FiniteLattice, classify
 from primlat.primorial import Level, boolean_carrier, reduce_boolean
+from primlat.projection import METHODS
+from primlat.seqproc import PRESETS
 
 
 def _idx(lat):
@@ -472,3 +491,111 @@ def default_chain_loop(n):
     while len(chain[-1].carrier) > 2:
         chain.append(reduce_boolean(chain[-1])[0])
     return [lvl.carrier for lvl in chain]
+
+
+def build_parser_reference():
+    """The CLI parser as one hand-written block per subcommand, all twelve
+    built on every call: the reference for the command table's help and
+    usage-error output."""
+    parser = argparse.ArgumentParser(
+        prog="primlat", description="finite lattice computation engine"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--n", type=int, required=True)
+    family.add_argument(
+        "--best-effort", action="store_true", help="accepted and ignored: reduction is exact up to 2^6"
+    )
+
+    p = sub.add_parser("classify", help="structural report for a lattice file")
+    p.add_argument("file")
+    p.set_defaults(fn=cmd_classify)
+
+    p = sub.add_parser("ortho", help="validate the ortho stanza and report classes")
+    p.add_argument("file")
+    p.set_defaults(fn=cmd_ortho)
+
+    p = sub.add_parser("negation", help="classify the negation stanza")
+    p.add_argument("file")
+    p.set_defaults(fn=cmd_negation)
+
+    p = sub.add_parser("metric", help="validate a valuation and print its metric")
+    p.add_argument("file")
+    p.set_defaults(fn=cmd_metric)
+
+    p = sub.add_parser("reduce", parents=[family], help="half-size Boolean sub-levels of a 2^n carrier")
+    p.set_defaults(fn=cmd_reduce)
+
+    p = sub.add_parser("primorial", parents=[family], help="emit the generated family's members")
+    p.add_argument("--choices", help="file of per-step carrier choices (subset literals)")
+    p.set_defaults(fn=cmd_primorial)
+
+    p = sub.add_parser("dposet", parents=[family], help="check the difference axioms on the chain")
+    p.set_defaults(fn=cmd_dposet)
+
+    p = sub.add_parser("project", parents=[family], help="project a sequence file onto a level")
+    p.add_argument("--level", required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
+    p.add_argument("--input", required=True)
+    p.set_defaults(fn=cmd_project)
+
+    p = sub.add_parser("probability", help="validate and compare a probability assignment")
+    p.add_argument("file", nargs="?")
+    p.add_argument("--random-boolean", type=int, metavar="N")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=cmd_probability)
+
+    p = sub.add_parser("analyze", help="project a FASTA file onto every level")
+    p.add_argument("--preset", choices=PRESETS, required=True)
+    p.add_argument("--fasta", required=True)
+    p.add_argument("--method", choices=METHODS, default="ceiling")
+    p.add_argument("--window", type=int)
+    p.set_defaults(fn=cmd_analyze)
+
+    p = sub.add_parser("enumerate", help="count unlabeled lattices")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--show", action="store_true")
+    p.set_defaults(fn=cmd_enumerate)
+
+    p = sub.add_parser("hasse", help="emit a DOT Hasse diagram")
+    p.add_argument("file")
+    p.add_argument("-o", "--output")
+    p.set_defaults(fn=cmd_hasse)
+
+    return parser
+
+
+def parse_reference(argv):
+    return build_parser_reference().parse_args(argv)
+
+
+CLI_COMMANDS = (
+    "classify", "ortho", "negation", "metric", "reduce", "primorial",
+    "dposet", "project", "probability", "analyze", "enumerate", "hasse",
+)
+
+# argument vectors on which argparse exits: help texts and usage errors
+PARSER_EXITS = (
+    [], ["-h"], ["--help"], ["no-such-command"], ["--n", "3"],
+    *([cmd, "-h"] for cmd in CLI_COMMANDS),
+    ["reduce"],
+    ["project", "--n", "3"],
+    ["project", "--n", "3", "--level", "D3", "--method", "nope", "--input", "seq.txt"],
+    ["analyze", "--preset", "zz", "--fasta", "g.fa"],
+    ["reduce", "--n", "x"],
+    ["probability", "--seed"],
+    ["classify", "a", "b"],
+    ["enumerate", "--n", "3", "extra"],
+    ["reduce", "--n", "3", "--bogus"],
+)
+
+
+def exit_outcome(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} parsed without exiting")

@@ -1,6 +1,11 @@
+import argparse
+
 import pytest
 
+from helpers import PARSER_EXITS, exit_outcome, parse_reference
+from primlat import cli, valuation
 from primlat.cli import main
+from primlat.core import LatticeError
 
 N5_TEXT = """\
 lattice N5
@@ -241,3 +246,64 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_match_reference(argv):
+    assert exit_outcome(main, argv) == exit_outcome(parse_reference, argv)
+
+
+def test_only_the_named_subcommand_is_built(n5_file, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for argv in (["classify", n5_file], ["enumerate", "--n", "3"]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == [argv[0]]
+    # help and usage errors build the full parser; leftover arguments after
+    # a command first build the narrow one, then the full one for the message
+    for argv, code, count in (([], 2, 12), (["-h"], 0, 12), (["no-such-command"], 2, 12), (["classify", "a", "b"], 2, 13)):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert len(built) == count
+
+
+SQ_TEXT = """\
+lattice SQ
+elements 0 a b 1
+covers 0<a 0<b a<1 b<1
+ortho 0:1 a:b
+valuation 0=0 a=1 b=1 1=2
+prob 0=0 a=1/2 b=1/2 1=1
+"""
+
+
+@pytest.mark.parametrize("module, name, command", [
+    (cli, "relations_of", "ortho"),
+    (cli, "relations", "negation"),
+    (valuation, "metric_from_valuation", "metric"),
+    (cli, "probability_report", "probability"),
+])
+def test_error_after_output_leaves_stdout_empty(module, name, command, tmp_path, monkeypatch, capsys):
+    # each command prints report lines before this call, which then fails
+    path = tmp_path / "sq.lat"
+    path.write_text(SQ_TEXT)
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out
+
+    def fail(*args, **kwargs):
+        raise LatticeError("boom")
+
+    monkeypatch.setattr(module, name, fail)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
