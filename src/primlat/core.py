@@ -1,10 +1,13 @@
 """Finite posets and lattices over opaque element labels.
 
 Order relations are stored densely: row ``i`` of ``leq`` is an integer
-bitmask whose bit ``j`` says ``elements[i] <= elements[j]``.  Lattice
-operations are index tables, also kept as ``bytes`` rows so that an identity
-over every third element runs as C-level ``bytes.translate`` calls.  One
-byte per element index caps lattices at ``MAX_ELEMENTS``.
+bitmask whose bit ``j`` says ``elements[i] <= elements[j]``.  Every index map
+(the join and meet rows of a lattice, a negation) is one padded byte row: a
+256-entry ``bytes`` whose entry ``k`` is the image of element ``k`` for
+``k < n`` and ``k`` itself beyond.  Such a row is a ``bytes.translate``
+table, so an identity over every third element runs as C-level calls, and a
+chain of translations keeps the padding fixed.  One byte per element index
+caps lattices at ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from functools import cached_property
 from operator import eq, getitem
 
 MAX_ELEMENTS = 256
+IDENTITY_ROW = bytes(range(MAX_ELEMENTS))  # the padded row of the identity map
 
 
 class LatticeError(ValueError):
@@ -172,7 +176,7 @@ class FinitePoset:
         return FinitePoset(sub_labels, rows)
 
     def lattice_tables(self):
-        """(join, meet) index tables, or None with a witness pair if absent.
+        """(join, meet) padded byte rows, or None with a witness pair if absent.
 
         m is the least upper bound of i and j iff its up-set is exactly
         their common up-set (dually for the greatest lower bound), so each
@@ -186,8 +190,8 @@ class FinitePoset:
         up, down = self.leq_rows, self.geq_rows
         lub = {row: m for m, row in enumerate(up)}
         glb = {row: m for m, row in enumerate(down)}
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
+        join = [bytearray(IDENTITY_ROW) for _ in range(n)]
+        meet = [bytearray(IDENTITY_ROW) for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 m = lub.get(up[i] & up[j])
@@ -198,7 +202,7 @@ class FinitePoset:
                 if m is None:
                     return None, None, (self.labels[i], self.labels[j], "no GLB")
                 meet[i][j] = meet[j][i] = m
-        return join, meet, None
+        return tuple(map(bytes, join)), tuple(map(bytes, meet)), None
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.labels)!r}, covers={list(self.covers)!r})"
@@ -215,7 +219,11 @@ class FinitePoset:
 
 
 class FiniteLattice(FinitePoset):
-    """FinitePoset in which every pair has a unique LUB and GLB."""
+    """FinitePoset in which every pair has a unique LUB and GLB.
+
+    ``join_table[x]`` maps z to x ∨ z and ``meet_table[x]`` maps z to x ∧ z,
+    each a padded byte row from ``lattice_tables``.
+    """
 
     is_lattice = True
 
@@ -226,40 +234,20 @@ class FiniteLattice(FinitePoset):
             if witness is not None:
                 raise LatticeError(f"not a lattice: {witness[0]!r}, {witness[1]!r} have {witness[2]}")
             tables = (join, meet)
-        self.join_table = tuple(tuple(r) for r in tables[0])
-        self.meet_table = tuple(tuple(r) for r in tables[1])
+        self.join_table, self.meet_table = tables
 
     @classmethod
     def from_covers(cls, labels, covers):
         poset = FinitePoset.from_covers(labels, covers)
         return cls(poset.labels, poset.leq_rows)
 
-    def translate_table(self, values):
-        """Element indices, one per element, as a 256-entry ``bytes.translate`` table.
-
-        Entries past n map to themselves, so a chain of translations keeps
-        that padding fixed: two results are equal exactly when they agree
-        on the carrier.
-        """
-        return bytes(values) + bytes(range(self.n, 256))
-
-    @cached_property
-    def join_bytes(self):
-        """Row x maps z to x ∨ z, as a translate table."""
-        return tuple(map(self.translate_table, self.join_table))
-
-    @cached_property
-    def meet_bytes(self):
-        """Row x maps z to x ∧ z, as a translate table."""
-        return tuple(map(self.translate_table, self.meet_table))
-
-    def pairwise(self, op_bytes, xs, ys):
+    def pairwise(self, table, xs, ys):
         """``op(xs[k], ys[k])`` for every element k, as bytes.
 
-        ``op_bytes`` is ``join_bytes`` or ``meet_bytes``; this is the one
-        place two rows are combined elementwise.
+        ``table`` is ``join_table`` or ``meet_table``; this is the one place
+        two rows are combined elementwise.
         """
-        return bytes(map(getitem, map(op_bytes.__getitem__, xs[: self.n]), ys[: self.n]))
+        return bytes(map(getitem, map(table.__getitem__, xs[: self.n]), ys[: self.n]))
 
     def join_i(self, i, j):
         return self.join_table[i][j]
@@ -443,7 +431,7 @@ class PropertyReport:
         comparison of translated rows.
         """
         lat = self.lattice
-        jn, mt = lat.join_bytes, lat.meet_bytes
+        jn, mt = lat.join_table, lat.meet_table
         pairs = set()
         for x in range(lat.n):
             for y in range(lat.n):
@@ -455,7 +443,7 @@ class PropertyReport:
     @cached_property
     def distributive_triples(self):
         lat = self.lattice
-        jn, mt, L = lat.join_bytes, lat.meet_bytes, lat.labels
+        jn, mt, L = lat.join_table, lat.meet_table, lat.labels
         out = set()
         for x in range(lat.n):
             mx = mt[x]
@@ -468,7 +456,7 @@ class PropertyReport:
 
 def modular_by_identity(lat: FiniteLattice) -> bool:
     """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y)."""
-    jn, mt = lat.join_bytes, lat.meet_bytes
+    jn, mt = lat.join_table, lat.meet_table
     for x in range(lat.n):
         jx = jn[x]
         for y in bits(lat.leq_rows[x]):
@@ -479,7 +467,7 @@ def modular_by_identity(lat: FiniteLattice) -> bool:
 
 def distributive_by_identity(lat: FiniteLattice) -> bool:
     """x ∧ (y ∨ z) == (x ∧ y) ∨ (x ∧ z), one row comparison per (x, y)."""
-    jn, mt = lat.join_bytes, lat.meet_bytes
+    jn, mt = lat.join_table, lat.meet_table
     for x in range(lat.n):
         mx = mt[x]
         for y in range(lat.n):
@@ -490,9 +478,9 @@ def distributive_by_identity(lat: FiniteLattice) -> bool:
 
 def complements_i(lat: FiniteLattice):
     """Per element, the indices of its complements."""
-    b, t = lat.bottom_i, lat.top_i
+    n, b, t = lat.n, lat.bottom_i, lat.top_i
     return [
-        [j for j, (m, u) in enumerate(zip(meets, joins)) if m == b and u == t]
+        [j for j, (m, u) in enumerate(zip(meets[:n], joins[:n])) if m == b and u == t]
         for meets, joins in zip(lat.meet_table, lat.join_table)
     ]
 

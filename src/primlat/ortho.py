@@ -5,7 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, LatticeError, bits, distributive_by_identity, modular_by_identity
+from .core import (
+    IDENTITY_ROW,
+    FiniteLattice,
+    LatticeError,
+    bits,
+    distributive_by_identity,
+    modular_by_identity,
+)
 
 
 class OrthoError(LatticeError):
@@ -18,26 +25,26 @@ class OrthoError(LatticeError):
 
 
 def _perm(lat: FiniteLattice, neg_map):
-    """The index map of a label map, after checking it names every element."""
+    """The padded byte row of a label map, after checking it names every element."""
     for lab in lat.labels:
         if lab not in neg_map:
             raise OrthoError("totality", lab)
-    return tuple(lat.index(neg_map[lab]) for lab in lat.labels)
+    return bytes(lat.index(neg_map[lab]) for lab in lat.labels) + IDENTITY_ROW[lat.n :]
 
 
-def _de_morgan_rows(lat: FiniteLattice, perm):
+def _de_morgan_rows(lat: FiniteLattice, neg):
     """Per i, four rows over j: ¬(i∨j), ¬i∧¬j, ¬(i∧j), ¬i∨¬j.
 
-    Each row is one ``bytes.translate`` call on the lattice's operation rows.
+    ``neg`` is a padded byte row; each result row is one ``bytes.translate``
+    call on the lattice's operation rows.
     """
-    neg = lat.translate_table(perm)
-    jn, mt = lat.join_bytes, lat.meet_bytes
+    jn, mt = lat.join_table, lat.meet_table
     for i in range(lat.n):
         yield (
             jn[i].translate(neg),
-            neg.translate(mt[perm[i]]),
+            neg.translate(mt[neg[i]]),
             mt[i].translate(neg),
-            neg.translate(jn[perm[i]]),
+            neg.translate(jn[neg[i]]),
         )
 
 
@@ -198,7 +205,7 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     if "intuitionistic" in cls:
         assert perm[t] == b and perm[b] == t and "fuzzy" in cls
     if "minimal" in cls:
-        mt = lat.meet_bytes
+        mt = lat.meet_table
         for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
             # a <= b elementwise iff a ∧ b == a
             assert lat.pairwise(mt, join_neg, neg_meet) == join_neg[:n]

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteLattice, FinitePoset, LatticeError, distributive_by_identity
+from .core import FiniteLattice, LatticeError
 from .ortho import attach_ortho
 
 REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.1 s, 2^7 ~11 s (Python 3.11)
@@ -331,29 +331,6 @@ def least_reduction(level: Level) -> Level:
     if not is_reduction(level, carrier):
         raise LatticeError(f"merged atoms give no reduction of {level!r}")
     return Level(None, level.top_n, carrier, "boolean")
-
-
-def is_boolean_level_oracle(carrier, top_n) -> bool:
-    """Generic induced-order oracle: tables plus bounded/complemented/distributive.
-
-    Independent of the subset-bijection test in `_induced_boolean`; used to
-    cross-check reduction results the long way.
-    """
-    masks = tuple(sorted(carrier))
-    n = len(masks)
-    rows = _inclusion_rows(masks)
-    p = FinitePoset(masks, rows)
-    join, meet, witness = p.lattice_tables()
-    if witness is not None:
-        return False
-    bot = masks.index(min(masks))
-    top = masks.index(max(masks))
-    if rows[bot] != (1 << n) - 1 or p.geq_rows[top] != (1 << n) - 1:
-        return False
-    for i in range(n):
-        if not any(meet[i][jj] == bot and join[i][jj] == top for jj in range(n)):
-            return False
-    return distributive_by_identity(FiniteLattice(masks, rows, tables=(join, meet)))
 
 
 # ---------------------------------------------------------------------------

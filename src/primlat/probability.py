@@ -39,7 +39,7 @@ def _gate(lat: FiniteLattice):
     symmetry.
     """
     n, bot = lat.n, lat.bottom_i
-    jn, mt = lat.join_bytes, lat.meet_bytes
+    jn, mt = lat.join_table, lat.meet_table
     gated = set()
     for i in range(n):
         for j in range(n):
@@ -147,7 +147,8 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
     ]
     base = _basic(pi, bot, top, L)
 
-    v = base or pair_additivity(disjoint)
+    traditional = base or pair_additivity(disjoint)
+    v = traditional
     if v is None:
         for i, j, k in itertools.combinations(range(lat.n), 3):
             if (
@@ -161,8 +162,7 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
                     v = DefinitionVerdict(False, ("additive", (L[i], L[j], L[k]), lhs, rhs))
                     break
     verdicts["measure-theoretic"] = v or DefinitionVerdict(True, None)
-
-    verdicts["traditional"] = base or pair_additivity(disjoint) or DefinitionVerdict(True, None)
+    verdicts["traditional"] = traditional or DefinitionVerdict(True, None)
 
     v = base
     if v is None:

@@ -15,9 +15,6 @@ from .primorial import Level, PrimorialLattice
 from .valuation import closed_ball, height_valuation, metric_from_valuation
 
 
-METHODS = ("zero", "sasaki", "metric", "ceiling")
-
-
 def _check_element(pl: PrimorialLattice, x):
     top = pl.chain[-1]
     if x not in top.carrier_set:
@@ -98,6 +95,7 @@ _PROJECTORS = {
     "metric": proj_metric,
     "ceiling": proj_ceiling,
 }
+METHODS = tuple(_PROJECTORS)
 
 _metric_cache = {}
 

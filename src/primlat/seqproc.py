@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import LatticeError
 from .primorial import PrimorialLattice, generate_primorial
-from .projection import METHODS, project_sequence
+from .projection import _projector, project_sequence
 from .textio import format_mask
 
 
@@ -114,8 +114,7 @@ def analyze(
     pl: PrimorialLattice, alphabet: SymbolAlphabet, tokens, method: str
 ) -> AnalysisPyramid:
     """Encode and project onto every resolution and frequency level."""
-    if method not in METHODS:
-        raise SequenceError(f"unknown method {method!r}")
+    _projector(method)  # an unknown method fails before anything is encoded
     if alphabet.top_n != pl.top_n:
         raise SequenceError(
             f"alphabet has {alphabet.top_n} symbols but the family was generated from {pl.top_n}"

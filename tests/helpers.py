@@ -24,8 +24,8 @@ from primlat.cli import (
     cmd_project,
     cmd_reduce,
 )
-from primlat.core import FiniteLattice, classify
-from primlat.primorial import Level, boolean_carrier, reduce_boolean
+from primlat.core import FiniteLattice, FinitePoset, classify, distributive_by_identity
+from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
 from primlat.projection import METHODS
 from primlat.seqproc import PRESETS
 
@@ -392,7 +392,8 @@ def metric_axiom_failure_loop(t):
 
 
 def lattice_tables_loop(poset):
-    """Join and meet by scanning for the least upper (greatest lower) bound."""
+    """Join and meet by scanning for the least upper (greatest lower) bound,
+    as padded byte rows: entry k >= n of each row is k."""
     n = poset.n
     up, down = poset.leq_rows, poset.geq_rows
 
@@ -402,8 +403,8 @@ def lattice_tables_loop(poset):
                 return m
         return None
 
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    join = [list(range(256)) for _ in range(n)]
+    meet = [list(range(256)) for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             m = least(up, up[i] & up[j])
@@ -414,7 +415,7 @@ def lattice_tables_loop(poset):
             if m is None:
                 return None, None, (poset.labels[i], poset.labels[j], "no GLB")
             meet[i][j] = meet[j][i] = m
-    return join, meet, None
+    return tuple(map(bytes, join)), tuple(map(bytes, meet)), None
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +475,29 @@ def induced_boolean_loop(carrier, size_exp):
             return False
         seen.add(best)
     return True
+
+
+def is_boolean_level_oracle(carrier, top_n) -> bool:
+    """Generic induced-order oracle: tables plus bounded/complemented/distributive.
+
+    Independent of the subset-bijection test in ``_induced_boolean``: the
+    reference the reduction results are cross-checked against the long way.
+    """
+    masks = tuple(sorted(carrier))
+    n = len(masks)
+    rows = _inclusion_rows(masks)
+    p = FinitePoset(masks, rows)
+    join, meet, witness = p.lattice_tables()
+    if witness is not None:
+        return False
+    bot = masks.index(min(masks))
+    top = masks.index(max(masks))
+    if rows[bot] != (1 << n) - 1 or p.geq_rows[top] != (1 << n) - 1:
+        return False
+    for i in range(n):
+        if not any(meet[i][jj] == bot and join[i][jj] == top for jj in range(n)):
+            return False
+    return distributive_by_identity(FiniteLattice(masks, rows, tables=(join, meet)))
 
 
 def reduce_boolean_loop(level: Level):

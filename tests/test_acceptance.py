@@ -19,7 +19,6 @@ from primlat.primorial import (
     chain_dposet_members,
     dposet_check,
     generate_primorial,
-    is_boolean_level_oracle,
     is_primorial,
     reduce_boolean,
 )
@@ -96,7 +95,7 @@ def test_criterion_02_reduction_counts():
         oracle_accepted = []
         for chosen in itertools.combinations(pairs, 7):
             carrier = tuple(sorted({0, 31} | {x for pair in chosen for x in pair}))
-            if is_boolean_level_oracle(carrier, 5):
+            if helpers.is_boolean_level_oracle(carrier, 5):
                 oracle_accepted.append(carrier)
         assert sorted(lvl.carrier for lvl in fast) == sorted(oracle_accepted)
         assert len(fast) == 50

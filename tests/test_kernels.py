@@ -15,13 +15,15 @@ from primlat.core import (
     FiniteLattice,
     FinitePoset,
     LatticeError,
+    build_lattice,
     classify,
     compose,
     distributive_by_identity,
     enumerate_lattices,
     modular_by_identity,
 )
-from primlat.ortho import _de_morgan_rows, find_orthocomplement
+from primlat.ortho import _de_morgan_rows, _perm, find_orthocomplement, interval_sublattice
+from primlat.primorial import boolean_carrier, generate_primorial
 from primlat.probability import _gate
 from primlat.valuation import _metric_axiom_failure, metric_from_valuation
 
@@ -66,11 +68,51 @@ def test_the_small_lattices_are_all_78():
     assert len(SMALL) == 78
 
 
+def _constructed():
+    """One or more lattices from every construction path, 0 to 256 elements."""
+    built = build_lattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    product = compose(chain(3), chain(4), "direct-product")
+    return [
+        ("build_lattice", built),
+        ("FiniteLattice(labels, leq)", FiniteLattice(product.labels, product.leq_rows)),
+        ("from_covers", pentagon()),
+        *((f"enumerate_lattices({n})", lat) for n in (0, 1, 2, 5) for lat in enumerate_lattices(n)),
+        ("boolean Level.lattice", boolean_carrier(3).lattice),
+        ("difference Level.lattice", generate_primorial(4).level("D3").lattice),
+        ("interval_sublattice", interval_sublattice(powerset(4), 0b0001, 0b1101)),
+        ("0 elements", FiniteLattice((), ())),
+        ("1 element", FiniteLattice(("x",), (1,))),
+        ("256 elements", powerset(8)),
+    ]
+
+
+def _assert_padded(row, n):
+    assert type(row) is bytes and len(row) == 256
+    assert row[n:] == bytes(range(n, 256))
+
+
+def test_every_index_map_is_one_padded_byte_row():
+    for how, lat in _constructed():
+        n = lat.n
+        assert len(lat.join_table) == len(lat.meet_table) == n, how
+        for i in range(n):
+            _assert_padded(lat.join_table[i], n)
+            _assert_padded(lat.meet_table[i], n)
+            for j in range(n):
+                assert lat.join_i(i, j) == lat.join_table[i][j], how
+                assert lat.meet_i(i, j) == lat.meet_table[i][j], how
+        reversal = dict(zip(lat.labels, reversed(lat.labels)))
+        perm = _perm(lat, reversal)
+        _assert_padded(perm, n)
+        assert list(perm[:n]) == list(reversed(range(n))), how
+
+
 def _index_maps(lat):
-    """Index maps to run the De Morgan rows on: a rotation, the reversal, a
-    constant, and an orthocomplement where one is known."""
+    """Index maps to run the De Morgan rows on, as padded byte rows: a
+    rotation, the reversal, a constant, and an orthocomplement where one is
+    known."""
     n = lat.n
-    maps = [tuple((i + 1) % n for i in range(n)), tuple(reversed(range(n))), (0,) * n]
+    maps = [[(i + 1) % n for i in range(n)], list(reversed(range(n))), [0] * n]
     if lat is B7:
         ortho = powerset_complement(7)
     elif n <= 7:
@@ -78,8 +120,8 @@ def _index_maps(lat):
     else:
         ortho = None
     if ortho:
-        maps.append(tuple(lat.index(ortho[lab]) for lab in lat.labels))
-    return maps
+        maps.append([lat.index(ortho[lab]) for lab in lat.labels])
+    return [bytes(m) + bytes(range(n, 256)) for m in maps]
 
 
 @pytest.mark.parametrize("lat", SMALL + PRODUCTS + [B7], ids=_ids(SMALL + PRODUCTS + [B7]))

@@ -14,7 +14,6 @@ from primlat.primorial import (
     difference,
     dposet_check,
     generate_primorial,
-    is_boolean_level_oracle,
     is_primorial,
     is_reduction,
     least_reduction,
@@ -28,6 +27,7 @@ from helpers import (
     default_chain_loop,
     half_size_candidates,
     induced_boolean_loop,
+    is_boolean_level_oracle,
     reduce_boolean_loop,
 )
 

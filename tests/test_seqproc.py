@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from primlat.core import LatticeError
 from primlat.projection import METHODS, project
 from primlat.seqproc import (
     AnalysisPyramid,
@@ -120,6 +121,13 @@ def test_preset_chain_shapes():
     for name in px.primorial.member_names():
         y = proj_zero(px.primorial, name, px.alphabet.atom("X"))
         assert y in px.primorial.level(name).carrier_set
+
+
+def test_analyze_refuses_an_unknown_method_with_the_projection_error(preset):
+    # the same error as project and project_sequence, raised before the
+    # tokens (here with a symbol outside the alphabet) are encoded
+    with pytest.raises(LatticeError, match="^unknown projection method 'nonsense'$"):
+        analyze(preset.primorial, preset.alphabet, ("A", "Z"), "nonsense")
 
 
 def test_unknown_preset():
