@@ -6,8 +6,9 @@ bitmask whose bit ``j`` says ``elements[i] <= elements[j]``.  Every index map
 256-entry ``bytes`` whose entry ``k`` is the image of element ``k`` for
 ``k < n`` and ``k`` itself beyond.  Such a row is a ``bytes.translate``
 table, so an identity over every third element runs as C-level calls, and a
-chain of translations keeps the padding fixed.  One byte per element index
-caps lattices at ``MAX_ELEMENTS``.
+chain of translations keeps the padding fixed.  Translated through a
+``mark_table``, a row becomes an int bitset of the elements whose image is
+marked.  One byte per element index caps lattices at ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -538,40 +539,76 @@ def _chain_partition(lat):
     return chains, antichain
 
 
+def mark_table(mask: int) -> bytes:
+    """The ``bytes.translate`` table sending element k to ``b"1"`` when bit k
+    of ``mask`` is set and to ``b"0"`` otherwise."""
+    return format(mask, "0256b")[::-1].encode()
+
+
+def marked(row, n: int, table: bytes) -> int:
+    """The bitset of the k < n whose image ``row[k]`` ``table`` marks.
+
+    ``row`` is a padded byte row, ``table`` a ``mark_table`` and n >= 1;
+    the translated row, read backwards, is the bitset's binary numeral.
+    """
+    return int(row[n - 1 :: -1].translate(table), 2)
+
+
 def _find_pentagon(lat):
     """Complete N5-sublattice search.
 
     A pentagon exists iff some a < b and p satisfy a∧p == b∧p and
-    a∨p == b∨p with all five elements distinct; the five are then closed
-    under the lattice operations and order-isomorphic to N5.
+    a∨p == b∨p.  As a∧p <= b∧p and a∨p <= b∨p always hold, the two
+    equations say b∧p <= a and a∨p >= b; such a p is incomparable with a
+    and b, so a∧p < a < b < a∨p and p are five distinct elements, closed
+    under the lattice operations and order-isomorphic to N5.  The p for one
+    pair are b's meet row marked by the down-set of a, intersected with a's
+    join row marked by the up-set of b; the least p of the first pair
+    (a, b) is the witness.
     """
-    for a in range(lat.n):
-        for b in bits(lat.leq_rows[a] & ~(1 << a)):
-            for p in range(lat.n):
-                m = lat.meet_i(a, p)
-                if m != lat.meet_i(b, p):
-                    continue
-                j = lat.join_i(a, p)
-                if j != lat.join_i(b, p):
-                    continue
-                if len({m, a, b, p, j}) == 5:
-                    L = lat.labels
-                    return (L[m], L[a], L[b], L[p], L[j])
+    n, up, down = lat.n, lat.leq_rows, lat.geq_rows
+    jn, mt = lat.join_table, lat.meet_table
+    above = [mark_table(row) for row in up]
+    for a in range(n):
+        below_a, ja = mark_table(down[a]), jn[a]
+        for b in bits(up[a] & ~(1 << a)):
+            ps = marked(mt[b], n, below_a) & marked(ja, n, above[b])
+            if ps:
+                p = (ps & -ps).bit_length() - 1
+                L = lat.labels
+                return (L[mt[a][p]], L[a], L[b], L[p], L[ja[p]])
     return None
 
 
+def _level_sets(rows, n):
+    """Per element x, ``{v: bitset of the z with rows[x][z] == v}``."""
+    eq = [mark_table(1 << v) for v in range(n)]
+    return [{v: marked(row, n, eq[v]) for v in set(row[:n])} for row in rows]
+
+
 def _find_diamond(lat):
-    """Complete M3-sublattice search over unordered middle triples."""
-    for p, q, r in itertools.combinations(range(lat.n), 3):
-        m = lat.meet_i(p, q)
-        if lat.meet_i(p, r) != m or lat.meet_i(q, r) != m:
-            continue
-        j = lat.join_i(p, q)
-        if lat.join_i(p, r) != j or lat.join_i(q, r) != j:
-            continue
-        if len({m, p, q, r, j}) == 5:
-            L = lat.labels
-            return (L[m], L[p], L[q], L[r], L[j])
+    """Complete M3-sublattice search over unordered middle triples.
+
+    Indices p < q < r span a diamond iff their pairwise meets are one
+    element m and their pairwise joins one element j.  Then p and q are
+    incomparable (p <= q gives m == p and j == q, so r <= q and
+    r == q∧r == p), and m, p, q, r, j are distinct.  So only incomparable
+    pairs p < q are visited, and their r are one intersection of four level
+    sets; the least r above q of the first pair is the witness.
+    """
+    n, up, down = lat.n, lat.leq_rows, lat.geq_rows
+    jn, mt = lat.join_table, lat.meet_table
+    meets, joins = _level_sets(mt, n), _level_sets(jn, n)
+    full = (1 << n) - 1
+    for p in range(n):
+        mp, jp, meets_p, joins_p = mt[p], jn[p], meets[p], joins[p]
+        for q in bits((full ^ (up[p] | down[p])) >> p << p):
+            m, j = mp[q], jp[q]
+            rs = (meets_p[m] & meets[q][m] & joins_p[j] & joins[q][j]) >> q + 1
+            if rs:
+                r = (rs & -rs).bit_length() + q
+                L = lat.labels
+                return (L[m], L[p], L[q], L[r], L[j])
     return None
 
 

@@ -3,12 +3,21 @@ comparison against the classical probability definitions."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le
 
-from .core import FiniteLattice, LatticeError, complements_i, distributive_by_identity
+from .core import (
+    FiniteLattice,
+    LatticeError,
+    bits,
+    complements_i,
+    distributive_by_identity,
+    mark_table,
+    marked,
+)
 from .ortho import _perm, classify_negation
+from .valuation import common_scale, first_mismatch
 
 
 class ProbabilityError(LatticeError):
@@ -36,23 +45,23 @@ def _gate(lat: FiniteLattice):
     pair of the hexagon while leaving its mirror-image atom pair ungated
     (the meet form cannot see joins), breaking the motivating example on a
     self-dual lattice; the two dual triple relations together restore the
-    symmetry.
+    symmetry.  Both conditions are symmetric in i and j, so each unordered
+    pair is tested once; the set is filled in row order.
     """
     n, bot = lat.n, lat.bottom_i
     jn, mt = lat.join_table, lat.meet_table
-    gated = set()
+    zero = mark_table(1 << bot)
+    partners = [0] * n
     for i in range(n):
-        for j in range(n):
-            met = mt[i][j]
-            if met != bot:
-                continue
+        for j in bits(marked(mt[i], n, zero) >> i << i):
             # over z: z ∧ (i ∨ j) == (z ∧ i) ∨ (z ∧ j) and z ∨ (i ∧ j) == (z ∨ i) ∧ (z ∨ j)
             if (
                 mt[jn[i][j]][:n] == lat.pairwise(jn, mt[i], mt[j])
-                and jn[met][:n] == lat.pairwise(mt, jn[i], jn[j])
+                and jn[bot][:n] == lat.pairwise(mt, jn[i], jn[j])
             ):
-                gated.add((i, j))
-    return gated
+                partners[i] |= 1 << j
+                partners[j] |= 1 << i
+    return {(i, j) for i in range(n) for j in bits(partners[i])}
 
 
 def validate_probability(lattice: FiniteLattice, neg_map, values) -> ProbabilityAssignment:
@@ -62,7 +71,8 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     0 <= p <= 1 follows from the axioms and is asserted; the complement
     identity p(x) = 1 - p(¬x) does not follow on every ortho base (the
     additivity gate can leave complement pairs unconstrained), so on ortho
-    bases it is enforced as a fifth validation condition.
+    bases it is enforced as a fifth validation condition.  The checks run
+    on the values as integers over their common denominator.
     """
     nm = classify_negation(lattice, neg_map)
     if "minimal" not in nm.classification:
@@ -73,24 +83,25 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
         if lab not in values:
             raise ProbabilityError("totality", lab)
         p[lab] = Fraction(values[lab])
-    pi = [p[lab] for lab in lat.labels]
+    pi, one = common_scale([p[lab] for lab in lat.labels])
     if pi[lat.bottom_i] != 0:
         raise ProbabilityError("nondegenerate", lat.bottom)
-    if pi[lat.top_i] != 1:
+    if pi[lat.top_i] != one:
         raise ProbabilityError("normalized", lat.top)
     for i in range(lat.n):
-        for j in range(lat.n):
-            if lat.leq_i(i, j) and pi[i] > pi[j]:
+        for j in bits(lat.leq_rows[i]):
+            if pi[i] > pi[j]:
                 raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
+    jn = lat.join_table
     for i, j in _gate(lat):
-        if pi[lat.join_i(i, j)] != pi[i] + pi[j]:
+        if pi[jn[i][j]] != pi[i] + pi[j]:
             raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     for v in pi:
-        assert 0 <= v <= 1
+        assert 0 <= v <= one
     if "ortho" in nm.classification:
         perm = _perm(lat, neg_map)
         for i in range(lat.n):
-            if pi[i] != 1 - pi[perm[i]]:
+            if pi[i] != one - pi[perm[i]]:
                 raise ProbabilityError(
                     "complement-identity", (lat.labels[i], lat.labels[perm[i]])
                 )
@@ -124,80 +135,81 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
     Sigma-additivity is read as pairwise-disjoint additivity, which on a
     finite carrier reduces to the traditional definition plus disjoint
     triples.  On Boolean bases, inclusion-exclusion and union subadditivity
-    are asserted outright.
+    are asserted outright.  The values are compared as integers over their
+    common denominator D; a witness reports its two sides as fractions.
+    Disjoint and orthogonal partners are one bitset per element, so the
+    disjoint triples i < j < k are the k in ``disjoint[i] & disjoint[j]``.
     """
     lat = pa.lattice
-    pi = [pa.p[lab] for lab in lat.labels]
+    n, bot, top, L = lat.n, lat.bottom_i, lat.top_i, lat.labels
+    jn, mt = lat.join_table, lat.meet_table
+    pi, one = common_scale([pa.p[lab] for lab in L])
     perm = _perm(lat, pa.neg)
-    bot, top = lat.bottom_i, lat.top_i
-    L = lat.labels
 
-    def pair_additivity(pairs):
-        for i, j in pairs:
-            lhs = pi[lat.join_i(i, j)]
-            rhs = pi[i] + pi[j]
-            if lhs != rhs:
-                return DefinitionVerdict(False, ("additive", (L[i], L[j]), lhs, rhs))
+    def violated(what, elems, lhs, rhs):
+        return DefinitionVerdict(
+            False, (what, tuple(L[k] for k in elems), Fraction(lhs, one), Fraction(rhs, one))
+        )
+
+    def pair_additivity(partners):
+        for i in range(n):
+            for j in bits(partners[i]):
+                if pi[jn[i][j]] != pi[i] + pi[j]:
+                    return violated("additive", (i, j), pi[jn[i][j]], pi[i] + pi[j])
         return None
 
     verdicts = {}
-
-    disjoint = [
-        (i, j) for i in range(lat.n) for j in range(lat.n) if lat.meet_i(i, j) == bot
-    ]
-    base = _basic(pi, bot, top, L)
+    zero = mark_table(1 << bot)
+    disjoint = [marked(row, n, zero) for row in mt]
+    if pi[top] != one:
+        base = violated("normalized", (top,), pi[top], one)
+    elif any(v < 0 for v in pi):
+        k = next(i for i, v in enumerate(pi) if v < 0)
+        base = violated("nonnegative", (k,), pi[k], 0)
+    else:
+        base = None
 
     traditional = base or pair_additivity(disjoint)
     v = traditional
     if v is None:
-        for i, j, k in itertools.combinations(range(lat.n), 3):
-            if (
-                lat.meet_i(i, j) == bot
-                and lat.meet_i(i, k) == bot
-                and lat.meet_i(j, k) == bot
-            ):
-                lhs = pi[lat.join_i(lat.join_i(i, j), k)]
-                rhs = pi[i] + pi[j] + pi[k]
-                if lhs != rhs:
-                    v = DefinitionVerdict(False, ("additive", (L[i], L[j], L[k]), lhs, rhs))
-                    break
+        v = _disjoint_triple_failure(pi, jn, disjoint, violated)
     verdicts["measure-theoretic"] = v or DefinitionVerdict(True, None)
     verdicts["traditional"] = traditional or DefinitionVerdict(True, None)
 
     v = base
     if v is None:
-        for i in range(lat.n):
-            for j in range(lat.n):
-                lhs = pi[lat.join_i(i, j)]
-                rhs = pi[i] + pi[j] - pi[lat.meet_i(i, j)]
-                if lhs != rhs:
-                    v = DefinitionVerdict(False, ("inclusion-exclusion", (L[i], L[j]), lhs, rhs))
-                    break
-            if v:
+        for i in range(n):
+            # pi[i ∨ j] + pi[i ∧ j] against pi[i] + pi[j], over j
+            lhs = map(add, map(pi.__getitem__, jn[i][:n]), map(pi.__getitem__, mt[i][:n]))
+            j = first_mismatch(lhs, map(pi[i].__add__, pi))
+            if j is not None:
+                rhs = pi[i] + pi[j] - pi[mt[i][j]]
+                v = violated("inclusion-exclusion", (i, j), pi[jn[i][j]], rhs)
                 break
     verdicts["generalized"] = v or DefinitionVerdict(True, None)
 
-    orthogonal = [
-        (i, j) for i in range(lat.n) for j in range(lat.n) if lat.leq_i(i, perm[j])
-    ]
+    orthogonal = [marked(perm, n, mark_table(row)) for row in lat.leq_rows]
     verdicts["quantum"] = base or pair_additivity(orthogonal) or DefinitionVerdict(True, None)
 
     verdicts["gated"] = DefinitionVerdict(True, None)  # established by validation
 
     if distributive_by_identity(lat) and all(complements_i(lat)):
-        for i in range(lat.n):
-            for j in range(lat.n):
-                assert pi[lat.join_i(i, j)] == pi[i] + pi[j] - pi[lat.meet_i(i, j)]
-                assert pi[lat.join_i(i, j)] <= pi[i] + pi[j]
+        for i in range(n):
+            joined = list(map(pi.__getitem__, jn[i][:n]))
+            sums = list(map(pi[i].__add__, pi))
+            assert list(map(add, joined, map(pi.__getitem__, mt[i][:n]))) == sums
+            assert all(map(le, joined, sums))
     return ProbabilityReport(verdicts)
 
 
-def _basic(pi, bot, top, labels):
-    if pi[top] != 1:
-        return DefinitionVerdict(False, ("normalized", (labels[top],), pi[top], Fraction(1)))
-    if any(v < 0 for v in pi):
-        k = next(i for i, v in enumerate(pi) if v < 0)
-        return DefinitionVerdict(False, ("nonnegative", (labels[k],), pi[k], Fraction(0)))
+def _disjoint_triple_failure(pi, jn, disjoint, violated):
+    """The first pairwise-disjoint i < j < k with pi[i ∨ j ∨ k] != pi[i] + pi[j] + pi[k]."""
+    for i, di in enumerate(disjoint):
+        for j in bits(di >> i + 1 << i + 1):
+            ij = jn[i][j]
+            for k in bits((di & disjoint[j]) >> j + 1 << j + 1):
+                if pi[jn[ij][k]] != pi[i] + pi[j] + pi[k]:
+                    return violated("additive", (i, j, k), pi[jn[ij][k]], pi[i] + pi[j] + pi[k])
     return None
 
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
-from operator import add
+from operator import add, ne
 
 from .core import FiniteLattice, LatticeError, bits
 
@@ -19,6 +20,21 @@ class ValuationError(LatticeError):
         super().__init__(f"{reason} at {witness!r}")
         self.reason = reason
         self.witness = witness
+
+
+def common_scale(values):
+    """``(ints, D)``: the rationals ``values`` as integers over their least
+    common denominator D, so ``values[k] == Fraction(ints[k], D)``.
+
+    Sums and comparisons of the integers are exact and cost no gcd.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def first_mismatch(xs, ys):
+    """The first position where two sequences differ, or None."""
+    return next(compress(count(), map(ne, xs, ys)), None)
 
 
 def _as_fraction_map(lat, values):
@@ -38,23 +54,23 @@ class ValuationCheck:
 
 
 def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
-    """Test v(x∨y) + v(x∧y) == v(x) + v(y) and isotonicity, with witness."""
+    """Test v(x∨y) + v(x∧y) == v(x) + v(y) and isotonicity, with witness.
+
+    The witness is the first failing pair (x, y >= x) in element order; each
+    row of pairs is one comparison of integer lists.
+    """
     v = _as_fraction_map(lat, values)
-    vi = [v[lab] for lab in lat.labels]
+    n = lat.n
+    vi, _ = common_scale([v[lab] for lab in lat.labels])
     witness = None
-    is_val = True
-    for i in range(lat.n):
-        for j in range(i, lat.n):
-            if vi[lat.join_i(i, j)] + vi[lat.meet_i(i, j)] != vi[i] + vi[j]:
-                is_val = False
-                witness = (lat.labels[i], lat.labels[j])
-                break
-        if not is_val:
+    for i, (jrow, mrow) in enumerate(zip(lat.join_table, lat.meet_table)):
+        lhs = map(add, map(vi.__getitem__, jrow[i:n]), map(vi.__getitem__, mrow[i:n]))
+        j = first_mismatch(lhs, map(vi[i].__add__, vi[i:]))
+        if j is not None:
+            witness = (lat.labels[i], lat.labels[i + j])
             break
-    isotone = all(
-        vi[i] <= vi[j] for i in range(lat.n) for j in bits(lat.leq_rows[i])
-    )
-    return ValuationCheck(is_val, isotone, witness)
+    isotone = all(vi[i] <= vi[j] for i in range(n) for j in bits(lat.leq_rows[i]))
+    return ValuationCheck(witness is None, isotone, witness)
 
 
 def height_valuation(lat: FiniteLattice):
@@ -92,8 +108,9 @@ def _metric_axiom_failure(table):
     distances are integers, so the triangle inequality over every k is one
     C-level ``min`` per pair.
     """
-    scale = lcm(*(d.denominator for row in table for d in row))
-    t = [[d.numerator * (scale // d.denominator) for d in row] for row in table]
+    n = len(table)
+    flat, _ = common_scale([d for row in table for d in row])
+    t = [flat[k : k + n] for k in range(0, n * n, n)]
     cols = list(zip(*t))
     for i, row in enumerate(t):
         if row[i] != 0:

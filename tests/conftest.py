@@ -36,6 +36,31 @@ def benzene():
     return lat, omap
 
 
+def mo2():
+    """The six-element orthomodular MO2: two complement pairs under 0 and 1."""
+    lat = FiniteLattice.from_covers(
+        ["0", "a", "A", "b", "B", "1"],
+        [("0", x) for x in "aAbB"] + [(x, "1") for x in "aAbB"],
+    )
+    omap = {"0": "1", "1": "0", "a": "A", "A": "a", "b": "B", "B": "b"}
+    return lat, omap
+
+
+def hs3():
+    """The horizontal sum of two 2^3 blocks glued at 0 and 1, with its
+    orthocomplement."""
+    labels, covers, omap = ["0", "1"], [], {"0": "1", "1": "0"}
+    for block in "xy":
+        atoms = [f"{block}{i}" for i in range(3)]
+        coatoms = [f"{block}{i}{j}" for i, j in ((1, 2), (0, 2), (0, 1))]
+        labels += atoms + coatoms
+        for i, a in enumerate(atoms):
+            covers += [("0", a), (coatoms[i], "1")]
+            covers += [(a, c) for j, c in enumerate(coatoms) if i != j]
+            omap[a], omap[coatoms[i]] = coatoms[i], a
+    return FiniteLattice.from_covers(labels, covers), omap
+
+
 def powerset(n):
     labels = list(range(1 << n))
     covers = [(a, a | (1 << b)) for a in labels for b in range(n) if not a >> b & 1]

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import io
 import itertools
+from fractions import Fraction
 
 from primlat.cli import (
     cmd_analyze,
@@ -24,9 +25,12 @@ from primlat.cli import (
     cmd_project,
     cmd_reduce,
 )
-from primlat.core import FiniteLattice, FinitePoset, classify, distributive_by_identity
+from primlat.core import FiniteLattice, FinitePoset, bits, classify, complements_i, distributive_by_identity
+from primlat.ortho import _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
+from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
 from primlat.projection import METHODS
+from primlat.valuation import ValuationCheck
 from primlat.seqproc import PRESETS
 
 
@@ -370,6 +374,148 @@ def gate_loop(lat: FiniteLattice):
             ):
                 gated.add((i, j))
     return gated
+
+
+def find_pentagon_loop(lat):
+    """First N5 (m, a, b, p, j) over a < b, then p, by element-wise meets and joins."""
+    for a in range(lat.n):
+        for b in bits(lat.leq_rows[a] & ~(1 << a)):
+            for p in range(lat.n):
+                m = lat.meet_i(a, p)
+                if m != lat.meet_i(b, p):
+                    continue
+                j = lat.join_i(a, p)
+                if j != lat.join_i(b, p):
+                    continue
+                if len({m, a, b, p, j}) == 5:
+                    L = lat.labels
+                    return (L[m], L[a], L[b], L[p], L[j])
+    return None
+
+
+def find_diamond_loop(lat):
+    """First M3 (m, p, q, r, j) over index triples p < q < r."""
+    for p, q, r in itertools.combinations(range(lat.n), 3):
+        m = lat.meet_i(p, q)
+        if lat.meet_i(p, r) != m or lat.meet_i(q, r) != m:
+            continue
+        j = lat.join_i(p, q)
+        if lat.join_i(p, r) != j or lat.join_i(q, r) != j:
+            continue
+        if len({m, p, q, r, j}) == 5:
+            L = lat.labels
+            return (L[m], L[p], L[q], L[r], L[j])
+    return None
+
+
+def check_valuation_loop(lat: FiniteLattice, values):
+    """The valuation check in rationals, pair by pair."""
+    vi = [Fraction(values[lab]) for lab in lat.labels]
+    witness = None
+    for i in range(lat.n):
+        for j in range(i, lat.n):
+            if vi[lat.join_i(i, j)] + vi[lat.meet_i(i, j)] != vi[i] + vi[j]:
+                witness = (lat.labels[i], lat.labels[j])
+                break
+        if witness:
+            break
+    isotone = all(vi[i] <= vi[j] for i in range(lat.n) for j in range(lat.n) if lat.leq_i(i, j))
+    return ValuationCheck(witness is None, isotone, witness)
+
+
+def validate_probability_loop(lat: FiniteLattice, neg_map, values):
+    """The axiom checks in rationals over every ordered pair; returns the
+    values as Fractions or raises the first ProbabilityError."""
+    if "minimal" not in classify_negation(lat, neg_map).classification:
+        raise ProbabilityError("negation-not-minimal", None)
+    for lab in lat.labels:
+        if lab not in values:
+            raise ProbabilityError("totality", lab)
+    pi = [Fraction(values[lab]) for lab in lat.labels]
+    if pi[lat.bottom_i] != 0:
+        raise ProbabilityError("nondegenerate", lat.bottom)
+    if pi[lat.top_i] != 1:
+        raise ProbabilityError("normalized", lat.top)
+    for i in range(lat.n):
+        for j in range(lat.n):
+            if lat.leq_i(i, j) and pi[i] > pi[j]:
+                raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
+    for i, j in gate_loop(lat):
+        if pi[lat.join_i(i, j)] != pi[i] + pi[j]:
+            raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
+    if "ortho" in classify_negation(lat, neg_map).classification:
+        perm = _perm(lat, neg_map)
+        for i in range(lat.n):
+            if pi[i] != 1 - pi[perm[i]]:
+                raise ProbabilityError("complement-identity", (lat.labels[i], lat.labels[perm[i]]))
+    return dict(zip(lat.labels, pi))
+
+
+def _basic_loop(pi, bot, top, labels):
+    if pi[top] != 1:
+        return DefinitionVerdict(False, ("normalized", (labels[top],), pi[top], Fraction(1)))
+    if any(v < 0 for v in pi):
+        k = next(i for i, v in enumerate(pi) if v < 0)
+        return DefinitionVerdict(False, ("nonnegative", (labels[k],), pi[k], Fraction(0)))
+    return None
+
+
+def probability_report_loop(pa):
+    """The comparison report in rationals, pair by pair and triple by triple."""
+    lat = pa.lattice
+    pi = [pa.p[lab] for lab in lat.labels]
+    perm = _perm(lat, pa.neg)
+    bot, top = lat.bottom_i, lat.top_i
+    L = lat.labels
+
+    def pair_additivity(pairs):
+        for i, j in pairs:
+            lhs = pi[lat.join_i(i, j)]
+            rhs = pi[i] + pi[j]
+            if lhs != rhs:
+                return DefinitionVerdict(False, ("additive", (L[i], L[j]), lhs, rhs))
+        return None
+
+    verdicts = {}
+    disjoint = [(i, j) for i in range(lat.n) for j in range(lat.n) if lat.meet_i(i, j) == bot]
+    base = _basic_loop(pi, bot, top, L)
+
+    traditional = base or pair_additivity(disjoint)
+    v = traditional
+    if v is None:
+        for i, j, k in itertools.combinations(range(lat.n), 3):
+            if lat.meet_i(i, j) == bot and lat.meet_i(i, k) == bot and lat.meet_i(j, k) == bot:
+                lhs = pi[lat.join_i(lat.join_i(i, j), k)]
+                rhs = pi[i] + pi[j] + pi[k]
+                if lhs != rhs:
+                    v = DefinitionVerdict(False, ("additive", (L[i], L[j], L[k]), lhs, rhs))
+                    break
+    verdicts["measure-theoretic"] = v or DefinitionVerdict(True, None)
+    verdicts["traditional"] = traditional or DefinitionVerdict(True, None)
+
+    v = base
+    if v is None:
+        for i in range(lat.n):
+            for j in range(lat.n):
+                lhs = pi[lat.join_i(i, j)]
+                rhs = pi[i] + pi[j] - pi[lat.meet_i(i, j)]
+                if lhs != rhs:
+                    v = DefinitionVerdict(False, ("inclusion-exclusion", (L[i], L[j]), lhs, rhs))
+                    break
+            if v:
+                break
+    verdicts["generalized"] = v or DefinitionVerdict(True, None)
+
+    orthogonal = [(i, j) for i in range(lat.n) for j in range(lat.n) if lat.leq_i(i, perm[j])]
+    verdicts["quantum"] = base or pair_additivity(orthogonal) or DefinitionVerdict(True, None)
+    verdicts["gated"] = DefinitionVerdict(True, None)
+
+    if distributive_by_identity(lat) and all(complements_i(lat)):
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert pi[lat.join_i(i, j)] == pi[i] + pi[j] - pi[lat.meet_i(i, j)]
+                assert pi[lat.join_i(i, j)] <= pi[i] + pi[j]
+    return ProbabilityReport(verdicts)
 
 
 def metric_axiom_failure_loop(t):
