@@ -206,6 +206,8 @@ RANDOM_BOOLEAN_MAX = MAX_ELEMENTS.bit_length() - 1  # the largest 2^N the tables
 
 
 def cmd_probability(args, out):
+    if args.random_boolean is not None and args.file is not None:
+        raise LatticeError("probability takes a lattice file or --random-boolean N, not both")
     if args.random_boolean is not None:
         if not 1 <= args.random_boolean <= RANDOM_BOOLEAN_MAX:
             raise LatticeError(
@@ -240,6 +242,8 @@ def cmd_probability(args, out):
 
 
 def cmd_analyze(args, out):
+    if args.window is not None and args.window < 1:
+        raise LatticeError(f"--window needs N >= 1, got {args.window}")
     preset = gsp_preset(args.preset)
     for line in preset.describe():
         print(line, file=sys.stderr)

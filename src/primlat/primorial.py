@@ -17,7 +17,7 @@ from functools import cached_property
 from .core import FiniteLattice, LatticeError
 from .ortho import attach_ortho
 
-REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.1 s, 2^7 ~11 s (Python 3.11)
+REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.07 s, 2^7 ~9 s (Python 3.11, 2 vCPU)
 
 
 def _inclusion_rows(masks):
@@ -137,6 +137,9 @@ def _check_reducible(level: Level):
     m = size.bit_length() - 1
     if size != 1 << m or not level.is_boolean or m < 2:
         raise LatticeError("reduction needs a Boolean level with at least 4 elements")
+    cs = level.carrier_set
+    if 0 not in cs or level.full not in cs or any(level.complement(x) not in cs for x in cs):
+        raise LatticeError("reduction needs a level holding 0 and the top, closed under complement")
     return m
 
 
@@ -150,121 +153,89 @@ def check_reduce_bound(m: int):
         raise LatticeError(f"reduction beyond 2^{REDUCE_BOUND} unsupported")
 
 
+def monotone_self_dual(k: int):
+    """Truth tables of the monotone self-dual Boolean functions of k >= 1
+    variables: bit s of a yielded int is f(s), for s a k-bit variable set.
+
+    Self-dual means f(~s) = 1 - f(s), so f(0) = 0, f(~0) = 1, and the search
+    assigns one representative s of each complementary pair {s, ~s} (the
+    smaller half, the one holding variable 0 at half size), smallest sets
+    first, trying both values and giving ~s the other.  A value is kept only
+    if it leaves the assignment monotone: f(s) = 1 needs no superset of s
+    already at 0, and f(s) = 0 no subset of s already at 1.  The partial
+    assignment is self-dual throughout, so that one test also covers ~s.
+    There are 1, 2, 4, 12 and 81 such functions for k = 1..5 (OEIS A001206).
+    """
+    full = (1 << k) - 1
+    reps = [s for s in range(1, full) if s.bit_count() * 2 < k or (s.bit_count() * 2 == k and s & 1)]
+    reps.sort(key=int.bit_count)
+    up = {s: sum(1 << t for t in range(1 << k) if s & ~t == 0) for s in reps}
+    down = {s: sum(1 << t for t in range(1 << k) if t & ~s == 0) for s in reps}
+
+    def rec(idx, ones, zeros):
+        if idx == len(reps):
+            yield ones
+            return
+        s = reps[idx]
+        bit, mirror = 1 << s, 1 << (full ^ s)
+        if zeros & up[s] == 0:
+            yield from rec(idx + 1, ones | bit, zeros | mirror)
+        if ones & down[s] == 0:
+            yield from rec(idx + 1, ones | mirror, zeros | bit)
+
+    yield from rec(0, 1 << full, 1)
+
+
 def reduce_boolean(level: Level):
     """All half-size Boolean sub-levels preserving bounds and complement pairs.
 
     A sub-level of a 2^m level is accepted iff it is 2^(m-1) distinct
     parent masks holding 0 and the top, closed under complement, whose
     induced inclusion order is Boolean (``is_reduction`` tests exactly this
-    on one carrier).  The search builds each accepted level B from its
-    atoms, and is complete because of two facts:
+    on one carrier).  Through its m atoms the level is the cube of atom
+    index sets: phi sends T to the element above exactly the atoms in T,
+    inclusion matches inclusion, and set complement matches ~T (x and its
+    complement have only 0 below both and only the top above both).  So an
+    accepted level B is a complement-closed Boolean family of index sets,
+    and it is exactly one atom r plus a monotone self-dual function f on
+    the other m-1 atoms:
 
-    - B's atoms are pairwise-disjoint masks.  Within B, x and its set
-      complement have only 0 below both and only the top above both, so
-      they are complements; a Boolean lattice has unique complements, so
-      B's complement is the set complement.  Distinct atoms a, b meet in 0,
-      so a lies below b's complement: a & b == 0.
-    - Every element of B is the join j(S) in B of the set S of atoms below
-      it, and S -> j(S) is a monotone bijection from atom sets onto B with
-      j(S^c) the complement of j(S).  So j(S) contains the union of S and,
-      as the complement of j(S^c), is disjoint from the union of S^c.
+    - B's complement is the set complement (unique complements), so B's
+      m-1 atoms are pairwise-disjoint nonempty index sets; they cover all
+      but one index or hold one pair, so some index r leaves each of them
+      a singleton, and the singletons are the other m-1 indices.
+    - Every element of B is the join j(S) of the set S of B's atoms below
+      it; it contains their union and, as the complement of j(~S), misses
+      the union of the others.  So j(S) is S, plus r exactly when f(S) = 1.
+    - f is monotone because j is, and self-dual because j(~S) is the
+      complement of j(S).
+    - Conversely, for each r and f the sets S + (r if f(S)) are 2^(m-1)
+      distinct index sets ordered as the cube of S, holding the empty set
+      and every index, and closed under complement: a reduction.
 
-    The search takes every family of m-1 pairwise-disjoint non-bound masks
-    as atoms, then assigns j(S) for one S of each complementary pair from
-    the parent masks meeting both conditions, with j(S^c) its complement,
-    and prunes non-monotone assignments; every accepted B is reached
-    through its own atoms and join map.  A candidate is complement-closed
-    by construction and kept only if its 2^(m-1) masks are distinct and
-    pass the induced-order test, so nothing else is accepted.  Levels come
+    Each (r, f) is mapped through phi; a merge of two atoms into one arises
+    from both of them (f a projection), so duplicates are dropped, which
+    leaves m * A(m-1) - C(m, 2) levels, A the count of ``monotone_self_dual``.
+    Every carrier is still checked by the induced-order test.  Levels come
     back sorted by carrier.
     """
     m = _check_reducible(level)
     check_reduce_bound(m)
-    if m == 2:  # the half-size level is {0, 1}; its only atom is the top
-        return (Level(None, level.top_n, (0, level.full), "boolean"),)
     k = m - 1
-    carrier = level.carrier
-    elements = [x for x in carrier if x != 0 and x != level.full]
-
-    accepted = []
-
-    def pick_atoms(start, acc, used_mask):
-        if len(acc) == k:
-            assign_joins(tuple(acc))
-            return
-        for i in range(start, len(elements)):
-            x = elements[i]
-            if x & used_mask == 0:
-                acc.append(x)
-                pick_atoms(i + 1, acc, used_mask | x)
-                acc.pop()
-
-    def assign_joins(atoms):
-        subsets = list(range(1 << k))
-        union = [0] * (1 << k)
-        for s in subsets:
-            if s:
-                low = s & -s
-                union[s] = union[s ^ low] | atoms[low.bit_length() - 1]
-        fullset = (1 << k) - 1
-        j = {0: 0, fullset: level.full}
-        for i in range(k):
-            j[1 << i] = atoms[i]
-            j[fullset ^ (1 << i)] = level.complement(atoms[i])
-            if j[fullset ^ (1 << i)] not in level.carrier_set:
-                return
-        reps = [
-            s
-            for s in subsets
-            if 2 <= bin(s).count("1") <= k - 2 and (bin(s).count("1") * 2 < k or (bin(s).count("1") * 2 == k and s & 1))
-        ]
-        reps.sort(key=lambda s: bin(s).count("1"))
-
-        def viable(s):
-            out = []
-            blocked = union[fullset ^ s]
-            for c in carrier:
-                if union[s] & ~c == 0 and c & blocked == 0 and c != 0 and c != level.full:
-                    out.append(c)
-            return out
-
-        def monotone_ok(s, value):
-            for t, v in j.items():
-                if t == s:
-                    continue
-                if t & s == t and v & ~value != 0:
-                    return False
-                if t & s == s and value & ~v != 0:
-                    return False
-            return True
-
-        def rec(idx):
-            if idx == len(reps):
-                values = set(j.values())
-                if len(values) != 1 << k:
-                    return
-                cand = tuple(sorted(values))
-                if _induced_boolean(cand, k):
-                    accepted.append(cand)
-                return
-            s = reps[idx]
-            mirror = fullset ^ s
-            for c in viable(s):
-                cm = level.complement(c)
-                if cm not in level.carrier_set:
-                    continue
-                if not monotone_ok(s, c) or not monotone_ok(mirror, cm):
-                    continue
-                j[s] = c
-                j[mirror] = cm
-                rec(idx + 1)
-                del j[s], j[mirror]
-
-        rec(0)
-
-    pick_atoms(0, [], 0)
-    uniq = sorted(set(accepted))
-    return tuple(Level(None, level.top_n, c, "boolean") for c in uniq)
+    atoms = _atoms_of_carrier(level.carrier)
+    phi = {sum(1 << i for i, a in enumerate(atoms) if a & ~x == 0): x for x in level.carrier}
+    if len(atoms) != m or len(phi) != len(level.carrier):
+        raise LatticeError(f"{level!r} is not Boolean under inclusion")
+    functions = list(monotone_self_dual(k))
+    carriers = set()
+    for r in range(m):
+        rbit = 1 << r
+        # variable set s -> index set without r: bits from r on move up one
+        spread = [(s & rbit - 1) | (s >> r << r + 1) for s in range(1 << k)]
+        for f in functions:
+            carriers.add(tuple(sorted(phi[t | rbit if f >> s & 1 else t] for s, t in enumerate(spread))))
+    accepted = sorted(c for c in carriers if _induced_boolean(c, k))
+    return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
 
 
 def is_reduction(level: Level, carrier) -> bool:

@@ -646,6 +646,22 @@ def is_boolean_level_oracle(carrier, top_n) -> bool:
     return distributive_by_identity(FiniteLattice(masks, rows, tables=(join, meet)))
 
 
+def is_monotone_self_dual(f, k):
+    """Whether the truth table f (bit s is f(s)) on k variables is monotone
+    and self-dual."""
+    full = (1 << k) - 1
+    value = [f >> s & 1 for s in range(1 << k)]
+    return all(value[full ^ s] != value[s] for s in range(1 << k)) and all(
+        value[s] <= value[t] for s in range(1 << k) for t in range(1 << k) if s & ~t == 0
+    )
+
+
+def monotone_self_dual_loop(k):
+    """``monotone_self_dual`` by brute force: the monotone self-dual truth
+    tables among all 2^(2^k) on k variables, ascending."""
+    return [f for f in range(1 << (1 << k)) if is_monotone_self_dual(f, k)]
+
+
 def reduce_boolean_loop(level: Level):
     """``reduce_boolean`` by brute force: the candidates whose induced order is
     Boolean, sorted by carrier."""

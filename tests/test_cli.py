@@ -145,6 +145,13 @@ def test_random_boolean_size_is_checked_first(n, capsys):
     assert captured.err == f"error: --random-boolean needs 1 <= N <= 8, got {n}\n"
 
 
+def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
+    assert main(["probability", o6_file, "--random-boolean", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: probability takes a lattice file or --random-boolean N, not both\n"
+
+
 def test_empty_lattice_file_leaves_stdout_empty(tmp_path, capsys):
     path = tmp_path / "empty.lat"
     path.write_text("lattice nothing\n")
@@ -220,6 +227,16 @@ def test_analyze_command(tmp_path, capsys):
     assert captured.out.startswith("# record r")
     assert "position\tinput" in captured.out
     assert "fraction" in captured.err
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_analyze_window_below_one_fails_before_output(window, tmp_path, capsys):
+    fasta = tmp_path / "g.fa"
+    fasta.write_text(">r\nACGTACGT\n")
+    assert main(["analyze", "--preset", "acgt-atcg", "--fasta", str(fasta), "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --window needs N >= 1, got {window}\n"
 
 
 def test_hasse_command(n5_file, tmp_path, capsys):

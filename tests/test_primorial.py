@@ -17,6 +17,7 @@ from primlat.primorial import (
     is_primorial,
     is_reduction,
     least_reduction,
+    monotone_self_dual,
     reduce_boolean,
 )
 
@@ -28,6 +29,8 @@ from helpers import (
     half_size_candidates,
     induced_boolean_loop,
     is_boolean_level_oracle,
+    is_monotone_self_dual,
+    monotone_self_dual_loop,
     reduce_boolean_loop,
 )
 
@@ -56,6 +59,44 @@ def test_reduce_counts():
     assert len(reduce_boolean(boolean_carrier(2))) == 1
     assert len(reduce_boolean(boolean_carrier(3))) == 3
     assert len(reduce_boolean(boolean_carrier(4))) == 10
+
+
+def test_monotone_self_dual_counts():
+    # OEIS A001206
+    for k, count in zip(range(1, 6), (1, 2, 4, 12, 81)):
+        functions = list(monotone_self_dual(k))
+        assert len(set(functions)) == len(functions) == count
+        assert all(is_monotone_self_dual(f, k) for f in functions)
+
+
+def test_monotone_self_dual_matches_brute_force():
+    for k in (1, 2, 3):
+        assert sorted(monotone_self_dual(k)) == monotone_self_dual_loop(k)
+    # k = 3: the three projections and the majority
+    assert sorted(monotone_self_dual(3)) == [0b10101010, 0b11001100, 0b11101000, 0b11110000]
+
+
+def test_reduce_count_is_atoms_times_functions_less_pair_merges(levels6):
+    counts = {k: len(list(monotone_self_dual(k))) for k in range(1, 6)}
+    for m in range(2, 7):
+        levels = levels6 if m == 6 else reduce_boolean(boolean_carrier(m))
+        assert len(levels) == m * counts[m - 1] - math.comb(m, 2)
+
+
+def test_reduce_needs_bounds_and_complement_pairs_in_the_level():
+    # the level below holds neither the top 7 nor its complement pairs
+    broken = Level(None, 3, (0, 1, 2, 3), "boolean")
+    refused = "^reduction needs a level holding 0 and the top, closed under complement$"
+    for call in (reduce_boolean, least_reduction, lambda lvl: is_reduction(lvl, (0, 7))):
+        with pytest.raises(LatticeError, match=refused):
+            call(broken)
+    (only,) = reduce_boolean(Level(None, 3, (0, 1, 6, 7), "boolean"))
+    assert only.carrier == (0, 7)
+    # bounds and complement pairs, but two chains 1 < 3 < 7 and 8 < 12 < 14
+    # with two atoms: not Boolean under inclusion
+    chains = Level(None, 4, (0, 1, 3, 7, 8, 12, 14, 15), "boolean")
+    with pytest.raises(LatticeError, match="is not Boolean under inclusion$"):
+        reduce_boolean(chains)
 
 
 def test_reduce_of_two_atom_carrier_is_bounds_only():
