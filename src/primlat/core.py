@@ -753,34 +753,39 @@ def is_isomorphic(p: FinitePoset, q: FinitePoset):
 # enumeration of unlabeled lattices
 
 
-ENUM_CAP = 7
+ENUM_CAP = 10
 
 
-def _strict_orders(k):
-    """All transitive antisymmetric strict orders on range(k), as bit rows."""
-    if k == 0:
-        return [()]
-    pairs = list(itertools.combinations(range(k), 2))
-    out = []
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rows = [0] * k
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                rows[i] |= 1 << j
-            elif c == 2:
-                rows[j] |= 1 << i
-        ok = True
-        for a in range(k):
-            reach = rows[a]
-            for b in bits(rows[a]):
-                if rows[b] & ~reach:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(rows))
-    return out
+def _atom_upsets(rows):
+    """The middle sets U such that a new atom below exactly U and the top
+    leaves a lattice.
+
+    ``rows[i]`` is the bit set of the middles strictly above middle ``i``.
+    U (with the top) must be an up-set closed under every meet that is not
+    the bottom.  Middles are decided top-down, so when middle ``z`` comes
+    up everything above it is settled: it may join U only if all of that
+    is in U, and it must join U if it is the meet of the members above it.
+    """
+    k = len(rows)
+    downs = [1 << z for z in range(k)]  # the middles at or below z
+    for i in range(k):
+        for j in bits(rows[i]):
+            downs[j] |= 1 << i
+    ups = [0]
+    for z in sorted(range(k), key=lambda z: bin(rows[z]).count("1")):
+        above_z = rows[z]
+        grown = []
+        for u in ups:
+            above = u & above_z
+            if above == above_z:
+                grown.append(u | 1 << z)
+            common = -1
+            for x in bits(above):
+                common &= downs[x]
+            if not above or common != downs[z]:
+                grown.append(u)
+        ups = grown
+    return ups
 
 
 def _canonical_key(rows, k):
@@ -807,13 +812,76 @@ def _canonical_key(rows, k):
     return (tuple(sorted(prof)), best)
 
 
+def _representative(rows):
+    """Relabel a middles' strict order to its least choice tuple.
+
+    The choice tuple lists, for each pair (i, j) with i < j in
+    ``itertools.combinations`` order, 0 if i and j are incomparable, 1 if
+    i < j and 2 if j < i.  Position 0 takes a middle whose sorted relation
+    row is least; the other middles then fall into cells by their relation
+    to it (0 < 1 < 2), and each later position takes a middle from the
+    first cell and refines every cell by its relation to that middle.
+    Ties branch, except between twins (middles with the same elements
+    above and below, which an automorphism swaps), and a prefix greater
+    than the best found so far is pruned.
+    """
+    k = len(rows)
+    cols = [0] * k
+    for i in range(k):
+        for j in bits(rows[i]):
+            cols[j] |= 1 << i
+    twin = {}
+    twin_of = [twin.setdefault((rows[x], cols[x]), x) for x in range(k)]
+    best, best_order = None, ()
+
+    def search(cells, prefix, order):
+        nonlocal best, best_order
+        if not cells:
+            if best is None or prefix < best:
+                best, best_order = prefix, order
+            return
+        head, tail = cells[0], cells[1:]
+        tried, children = set(), []
+        for x in head:
+            if twin_of[x] in tried:
+                continue
+            tried.add(twin_of[x])
+            up, down = rows[x], cols[x]
+            row, refined = [], []
+            for cell in ([y for y in head if y != x], *tail):
+                parts = ([], [], [])
+                for y in cell:
+                    parts[1 if up >> y & 1 else 2 if down >> y & 1 else 0].append(y)
+                for value, part in enumerate(parts):
+                    if part:
+                        refined.append(part)
+                        row += [value] * len(part)
+            children.append((tuple(row), x, refined))
+        least = min(row for row, _, _ in children)
+        for row, x, refined in children:
+            if row == least and (best is None or prefix + row <= best[: len(prefix) + len(row)]):
+                search(refined, prefix + row, order + (x,))
+
+    search([list(range(k))] if k else [], (), ())
+    pos = {x: p for p, x in enumerate(best_order)}
+    return tuple(sum(1 << pos[y] for y in bits(rows[x])) for x in best_order)
+
+
 def enumerate_lattices(n: int, cap: int = ENUM_CAP):
     """One canonical FiniteLattice per isomorphism class on n elements.
 
-    Every lattice with n >= 2 elements has distinct bottom and top; the
-    induced strict order on the n-2 middle elements determines it, so the
-    search runs over labeled strict orders on the middles with a canonical
-    key for deduplication.  Output order follows the sorted canonical keys.
+    A lattice with n >= 2 elements is determined by the strict order on its
+    n - 2 middles, between bottom ``x0`` and top ``x{n-1}``.  Classes are
+    grown from the 2-chain one atom at a time.  Every lattice with at least
+    3 elements has an atom a below the top, and removing a leaves a
+    lattice: no join of two other elements is a, and a meet that was a
+    becomes the bottom.  Conversely, a new atom below exactly U, for U a
+    nonempty up-set of L minus its bottom that is closed under every meet
+    that is not the bottom, extends a lattice L to a lattice
+    (``_atom_upsets``).  Candidates are deduplicated by ``_canonical_key``
+    and output follows the sorted keys.  Each class is shown by its least
+    choice tuple (``_representative``), which is the first strict order of
+    the class in ``itertools.product`` order over the pairs.
     """
     if n < 0 or n > cap:
         raise LatticeError(f"element count {n} outside supported range 0..{cap}")
@@ -821,24 +889,20 @@ def enumerate_lattices(n: int, cap: int = ENUM_CAP):
         return (FiniteLattice((), ()),)
     if n == 1:
         return (FiniteLattice(("x0",), (1,)),)
-    k = n - 2
-    seen = {}
-    for rows in _strict_orders(k):
-        # adjoin bottom (index 0) and top (index n-1) around the middles
-        leq = [0] * n
-        full = (1 << n) - 1
-        leq[0] = full
-        leq[n - 1] = 1 << (n - 1)
-        for i in range(k):
-            row = 1 << (i + 1) | 1 << (n - 1)
-            for j in bits(rows[i]):
-                row |= 1 << (j + 1)
-            leq[i + 1] = row
-        poset = FinitePoset(tuple(f"x{i}" for i in range(n)), leq)
-        join, meet, witness = poset.lattice_tables()
-        if witness is not None:
-            continue
-        key = _canonical_key(rows, k)
-        if key not in seen:
-            seen[key] = FiniteLattice(poset.labels, leq, tables=(join, meet))
-    return tuple(lat for _, lat in sorted(seen.items(), key=lambda kv: kv[0]))
+    level = {_canonical_key((), 0): ()}
+    for k in range(1, n - 1):
+        grown = {}
+        for rows in level.values():
+            for up in _atom_upsets(rows):
+                child = rows + (up,)
+                grown.setdefault(_canonical_key(child, k), child)
+        level = grown
+    labels = tuple(f"x{i}" for i in range(n))
+    top = 1 << (n - 1)
+    out = []
+    for key in sorted(level):
+        rows = _representative(level[key])
+        leq = [(1 << n) - 1] + [r << 1 | 1 << (i + 1) | top for i, r in enumerate(rows)] + [top]
+        join, meet, _ = FinitePoset(labels, leq).lattice_tables()
+        out.append(FiniteLattice(labels, leq, tables=(join, meet)))
+    return tuple(out)

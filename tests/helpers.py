@@ -7,6 +7,7 @@ counterexample.
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 from fractions import Fraction
@@ -25,7 +26,15 @@ from primlat.cli import (
     cmd_project,
     cmd_reduce,
 )
-from primlat.core import FiniteLattice, FinitePoset, bits, classify, complements_i, distributive_by_identity
+from primlat.core import (
+    FiniteLattice,
+    FinitePoset,
+    _canonical_key,
+    bits,
+    classify,
+    complements_i,
+    distributive_by_identity,
+)
 from primlat.ortho import _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
 from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
@@ -677,6 +686,97 @@ def default_chain_loop(n):
     while len(chain[-1].carrier) > 2:
         chain.append(reduce_boolean(chain[-1])[0])
     return [lvl.carrier for lvl in chain]
+
+
+# ---------------------------------------------------------------------------
+# reference loop for lattice enumeration: every labelled strict order
+
+
+def _strict_orders(k):
+    """All transitive antisymmetric strict orders on range(k), as bit rows."""
+    if k == 0:
+        return [()]
+    pairs = list(itertools.combinations(range(k), 2))
+    out = []
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [0] * k
+        for (i, j), c in zip(pairs, choice):
+            if c == 1:
+                rows[i] |= 1 << j
+            elif c == 2:
+                rows[j] |= 1 << i
+        ok = True
+        for a in range(k):
+            reach = rows[a]
+            for b in bits(rows[a]):
+                if rows[b] & ~reach:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(rows))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_lattices_loop(n):
+    """``enumerate_lattices`` as a walk over every labelled strict order on
+    the n - 2 middles, keeping the first lattice of each canonical key.
+    Cached: n = 7 walks 3^10 relations, and several tests compare with it."""
+    if n == 0:
+        return (FiniteLattice((), ()),)
+    if n == 1:
+        return (FiniteLattice(("x0",), (1,)),)
+    k = n - 2
+    seen = {}
+    for rows in _strict_orders(k):
+        # adjoin bottom (index 0) and top (index n-1) around the middles
+        leq = [0] * n
+        full = (1 << n) - 1
+        leq[0] = full
+        leq[n - 1] = 1 << (n - 1)
+        for i in range(k):
+            row = 1 << (i + 1) | 1 << (n - 1)
+            for j in bits(rows[i]):
+                row |= 1 << (j + 1)
+            leq[i + 1] = row
+        poset = FinitePoset(tuple(f"x{i}" for i in range(n)), leq)
+        join, meet, witness = poset.lattice_tables()
+        if witness is not None:
+            continue
+        key = _canonical_key(rows, k)
+        if key not in seen:
+            seen[key] = FiniteLattice(poset.labels, leq, tables=(join, meet))
+    return tuple(lat for _, lat in sorted(seen.items(), key=lambda kv: kv[0]))
+
+
+def middle_rows(lat):
+    """The strict order on the middles x1..x{n-2} of an enumerated lattice:
+    bit j of row i says x{i+1} < x{j+1}."""
+    k = lat.n - 2
+    return [lat.leq_rows[i + 1] >> 1 & ((1 << k) - 1) & ~(1 << i) for i in range(k)]
+
+
+def choice_tuple(rows):
+    """Per pair (i, j), i < j: 0 incomparable, 1 if i < j, 2 if j < i."""
+    return tuple(
+        1 if rows[i] >> j & 1 else 2 if rows[j] >> i & 1 else 0
+        for i, j in itertools.combinations(range(len(rows)), 2)
+    )
+
+
+def least_choice_brute(rows):
+    """The least choice tuple over all k! relabellings of a strict order."""
+    k = len(rows)
+    best = None
+    for perm in itertools.permutations(range(k)):
+        pos = {x: p for p, x in enumerate(perm)}
+        relabelled = [sum(1 << pos[y] for y in bits(rows[x])) for x in perm]
+        t = choice_tuple(relabelled)
+        if best is None or t < best:
+            best = t
+    return best
 
 
 def build_parser_reference():

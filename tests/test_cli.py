@@ -2,7 +2,7 @@ import argparse
 
 import pytest
 
-from helpers import PARSER_EXITS, exit_outcome, parse_reference
+from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference
 from primlat import cli, valuation
 from primlat.cli import main
 from primlat.core import LatticeError
@@ -80,6 +80,37 @@ def test_enumerate_line(capsys):
     assert main(["enumerate", "--n", "6"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "lattices: 15 modular: 8 distributive: 5"
+
+
+# OEIS A006966, A006981 and A006982: all, modular and distributive lattices
+OEIS_COUNTS = ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1, 1), (2, 2, 2), (5, 4, 3),
+               (15, 8, 5), (53, 16, 8), (222, 34, 15), (1078, 72, 26))
+
+
+@pytest.mark.parametrize("n", range(len(OEIS_COUNTS)))
+def test_enumerate_counts_match_oeis(n, capsys):
+    assert main(["enumerate", "--n", str(n)]) == 0
+    want = "lattices: {} modular: {} distributive: {}\n".format(*OEIS_COUNTS[n])
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("show", [[], ["--show"]])
+@pytest.mark.parametrize("n", range(8))
+def test_enumerate_output_matches_labelled_walk(n, show, monkeypatch, capsys):
+    argv = ["enumerate", "--n", str(n), *show]
+    assert main(argv) == 0
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "enumerate_lattices", enumerate_lattices_loop)
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+
+
+def test_enumerate_beyond_cap_fails_with_one_line(capsys):
+    assert main(["enumerate", "--n", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element count 11 outside supported range 0..10\n"
 
 
 def test_classify_reports_modularity_witness(n5_file, capsys):

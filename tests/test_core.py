@@ -7,6 +7,8 @@ from primlat.core import (
     FiniteLattice,
     FinitePoset,
     LatticeError,
+    _representative,
+    bits,
     build_lattice,
     classify,
     compose,
@@ -16,6 +18,7 @@ from primlat.core import (
 )
 
 from conftest import chain, diamond, pentagon, powerset
+from helpers import choice_tuple, enumerate_lattices_loop, least_choice_brute, middle_rows
 
 
 def test_build_pentagon_is_lattice():
@@ -266,10 +269,53 @@ def test_enumeration_is_deterministic_and_canonical():
 
 
 def test_enumeration_rejects_out_of_range():
+    assert len(enumerate_lattices(8)) == 222
     with pytest.raises(LatticeError):
-        enumerate_lattices(8)
+        enumerate_lattices(11)
     with pytest.raises(LatticeError):
         enumerate_lattices(-1)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumeration_matches_labelled_walk(n):
+    # atom addition finds the same classes, in the same order, each shown
+    # by the first strict order of its class in the labelled walk
+    got, want = enumerate_lattices(n), enumerate_lattices_loop(n)
+    assert [lat.labels for lat in got] == [lat.labels for lat in want]
+    assert [lat.leq_rows for lat in got] == [lat.leq_rows for lat in want]
+    assert [lat.covers for lat in got] == [lat.covers for lat in want]
+    assert [lat.join_table for lat in got] == [lat.join_table for lat in want]
+    assert [lat.meet_table for lat in got] == [lat.meet_table for lat in want]
+
+
+def test_small_lattices_fixture_is_unchanged(small_lattices):
+    want = [lat for n in range(1, 7) for lat in enumerate_lattices_loop(n)]
+    assert small_lattices == want
+
+
+def test_eight_element_classes_are_pairwise_non_isomorphic():
+    lats = enumerate_lattices(8)
+    assert len(lats) == 222
+    for a, b in itertools.combinations(lats, 2):
+        assert is_isomorphic(a, b) is None
+
+
+def test_representative_is_least_choice_tuple():
+    # the refinement search against every k! relabelling, on a shuffled
+    # copy of each class with at most 6 middles
+    rng = random.Random(11)
+    for n in range(2, 9):
+        for lat in enumerate_lattices(n):
+            rows = middle_rows(lat)
+            assert choice_tuple(_representative(tuple(rows))) == choice_tuple(rows)
+            perm = list(range(n - 2))
+            rng.shuffle(perm)
+            shuffled = [0] * (n - 2)
+            for x, row in enumerate(rows):
+                shuffled[perm[x]] = sum(1 << perm[y] for y in bits(row))
+            least = least_choice_brute(shuffled)
+            assert least == choice_tuple(rows)
+            assert choice_tuple(_representative(tuple(shuffled))) == least
 
 
 def test_seven_element_complementation_census():
