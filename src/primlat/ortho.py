@@ -48,6 +48,18 @@ def _de_morgan_rows(lat: FiniteLattice, neg):
         )
 
 
+def _antitone_failure(lat: FiniteLattice, perm):
+    """The first pair (i, j) with i <= j but not ¬j <= ¬i, or None.
+
+    ``perm`` maps indices to indices: a padded byte row or an index dict.
+    """
+    for i in range(lat.n):
+        for j in bits(lat.leq_rows[i]):
+            if not lat.leq_i(perm[j], perm[i]):
+                return i, j
+    return None
+
+
 class OrthoLattice:
     """Bounded lattice with a validated orthocomplement involution."""
 
@@ -80,10 +92,9 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
             raise OrthoError("involution", lat.labels[i])
         if lat.meet_i(i, perm[i]) != lat.bottom_i:
             raise OrthoError("non-contradiction", lat.labels[i])
-    for i in range(lat.n):
-        for j in bits(lat.leq_rows[i]):
-            if not lat.leq_i(perm[j], perm[i]):
-                raise OrthoError("antitone", (lat.labels[i], lat.labels[j]))
+    failure = _antitone_failure(lat, perm)
+    if failure is not None:
+        raise OrthoError("antitone", (lat.labels[failure[0]], lat.labels[failure[1]]))
     # derived consequences of a valid orthocomplement
     assert perm[lat.bottom_i] == lat.top_i
     assert perm[lat.top_i] == lat.bottom_i
@@ -169,9 +180,7 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     perm = _perm(lat, neg_map)
     n, b, t = lat.n, lat.bottom_i, lat.top_i
 
-    antitone = all(
-        lat.leq_i(perm[j], perm[i]) for i in range(n) for j in bits(lat.leq_rows[i])
-    )
+    antitone = _antitone_failure(lat, perm) is None
     weak_dn = all(lat.leq_i(i, perm[perm[i]]) for i in range(n))
     non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(n))
     involutive = all(perm[perm[i]] == i for i in range(n))
@@ -298,16 +307,8 @@ def all_orthocomplements(lattice: FiniteLattice):
         return
     b = lat.bottom_i
     for perm in involutions(lat.n):
-        ok = all(lat.meet_i(i, perm[i]) == b for i in range(lat.n))
-        if ok:
-            for i in range(lat.n):
-                for j in bits(lat.leq_rows[i]):
-                    if not lat.leq_i(perm[j], perm[i]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
+        non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(lat.n))
+        if non_contra and _antitone_failure(lat, perm) is None:
             yield {lat.labels[i]: lat.labels[perm[i]] for i in range(lat.n)}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .core import LatticeError
 from .primorial import Level, PrimorialLattice
-from .valuation import closed_ball, height_valuation, metric_from_valuation
 
 
 def _check_element(pl: PrimorialLattice, x):
@@ -30,11 +29,9 @@ def _enclosing_chain_level(pl: PrimorialLattice, x, target: Level) -> Level:
 
 
 def proj_zero(pl: PrimorialLattice, level_name, x):
-    """x when the level carries it, else 0 (as a join inside the level)."""
+    """x when the level carries it, else 0."""
     _check_element(pl, x)
-    target = pl.level(level_name)
-    hits = sorted({x, 0} & target.carrier_set)
-    return target.lattice.join_all(hits)
+    return x if x in pl.level(level_name).carrier_set else 0
 
 
 def proj_sasaki(pl: PrimorialLattice, level_name, x):
@@ -63,22 +60,22 @@ def proj_sasaki(pl: PrimorialLattice, level_name, x):
 
 
 def proj_metric(pl: PrimorialLattice, level_name, x):
-    """Meet over the level of the smallest metric ball around x that
-    reaches the carrier.
+    """Meet over the level of the carrier elements nearest to x.
 
-    The metric is the height metric of the enclosing Boolean level; the
-    radius grows until the closed ball intersects the carrier.
+    The distance is the height metric d(x, y) = h(x∨y) − h(x∧y) of the
+    enclosing Boolean level, read as integers from that level's heights and
+    operation rows.  The target lies inside that level, so the nearest
+    elements are the carrier's part of the smallest closed ball around x
+    that meets the carrier.
     """
     _check_element(pl, x)
     target = pl.level(level_name)
-    outer = _enclosing_chain_level(pl, x, target)
-    metric = _height_metric(outer)
-    max_r = outer.lattice.heights[outer.lattice.top_i]
-    for r in range(max_r + 1):
-        ball = set(closed_ball(metric, x, r)) & target.carrier_set
-        if ball:
-            return target.lattice.meet_all(sorted(ball))
-    raise AssertionError("the level's top always lies in some ball")
+    lat = _enclosing_chain_level(pl, x, target).lattice
+    h, i = lat.heights, lat.index(x)
+    jrow, mrow = lat.join_table[i], lat.meet_table[i]
+    dist = [h[jrow[j]] - h[mrow[j]] for j in map(lat.index, target.carrier)]
+    near = min(dist)
+    return target.lattice.meet_all([y for y, d in zip(target.carrier, dist) if d == near])
 
 
 def proj_ceiling(pl: PrimorialLattice, level_name, x):
@@ -96,16 +93,6 @@ _PROJECTORS = {
     "ceiling": proj_ceiling,
 }
 METHODS = tuple(_PROJECTORS)
-
-_metric_cache = {}
-
-
-def _height_metric(level: Level):
-    key = (level.top_n, level.carrier)
-    if key not in _metric_cache:
-        lat = level.lattice
-        _metric_cache[key] = metric_from_valuation(lat, height_valuation(lat))
-    return _metric_cache[key]
 
 
 def _projector(method: str):

@@ -1,7 +1,8 @@
 """Valuations on lattices, the induced metric, and closed balls.
 
 All arithmetic is exact rational (fractions.Fraction); equality tests are
-exact, never epsilon-based.
+exact, never epsilon-based.  A metric table holds integers over the
+valuation's common denominator.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
-from operator import add, ne
+from operator import add, le, lt, ne, sub
 
 from .core import FiniteLattice, LatticeError, bits
 
@@ -79,7 +80,11 @@ def height_valuation(lat: FiniteLattice):
 
 
 class LatticeMetric:
-    """d(x, y) = v(x∨y) − v(x∧y) for an isotone valuation v."""
+    """d(x, y) = v(x∨y) − v(x∧y) for a strictly isotone valuation v.
+
+    ``table[i][j]`` is d(i, j) as an integer over ``scale``, the least common
+    denominator of v, so ``d`` returns ``Fraction(table[i][j], scale)``.
+    """
 
     def __init__(self, lat: FiniteLattice, values):
         check = check_valuation(lat, values)
@@ -87,32 +92,31 @@ class LatticeMetric:
             raise ValuationError("not a valuation", check.witness)
         if not check.is_isotone:
             raise ValuationError("valuation not isotone", None)
+        vi, self.scale = common_scale([Fraction(values[lab]) for lab in lat.labels])
+        labels, n = lat.labels, lat.n
+        for i, j in lat.covers_i:
+            if vi[i] == vi[j]:
+                raise ValuationError("valuation not strictly isotone", (labels[i], labels[j]))
         self.lattice = lat
-        self.v = _as_fraction_map(lat, values)
-        vi = [self.v[lab] for lab in lat.labels]
         self.table = tuple(
-            tuple(vi[lat.join_i(i, j)] - vi[lat.meet_i(i, j)] for j in range(lat.n))
-            for i in range(lat.n)
+            tuple(map(sub, map(vi.__getitem__, jrow[:n]), map(vi.__getitem__, mrow[:n])))
+            for jrow, mrow in zip(lat.join_table, lat.meet_table)
         )
         failure = _metric_axiom_failure(self.table)
         assert failure is None, failure
 
     def d(self, a, b) -> Fraction:
-        return self.table[self.lattice.index(a)][self.lattice.index(b)]
+        return Fraction(self.table[self.lattice.index(a)][self.lattice.index(b)], self.scale)
 
 
 def _metric_axiom_failure(table):
     """The first metric axiom a square table of rationals breaks, or None.
 
-    Pairs are checked row by row.  Scaled by their common denominator the
-    distances are integers, so the triangle inequality over every k is one
-    C-level ``min`` per pair.
+    Pairs are checked row by row; the triangle inequality over every k is
+    one C-level ``min`` per pair.
     """
-    n = len(table)
-    flat, _ = common_scale([d for row in table for d in row])
-    t = [flat[k : k + n] for k in range(0, n * n, n)]
-    cols = list(zip(*t))
-    for i, row in enumerate(t):
+    cols = list(zip(*table))
+    for i, row in enumerate(table):
         if row[i] != 0:
             return "metric must vanish on the diagonal"
         for j, col in enumerate(cols):
@@ -120,7 +124,7 @@ def _metric_axiom_failure(table):
                 return "metric must be non-negative"
             if (row[j] == 0) != (i == j):
                 return "metric must be nondegenerate"
-            if row[j] != t[j][i]:
+            if row[j] != table[j][i]:
                 return "metric must be symmetric"
             if row[j] > min(map(add, row, col)):
                 return "triangle inequality"
@@ -131,20 +135,21 @@ def metric_from_valuation(lat: FiniteLattice, values) -> LatticeMetric:
     return LatticeMetric(lat, values)
 
 
-def closed_ball(metric: LatticeMetric, center, radius) -> tuple:
-    """{y : d(center, y) <= radius}, in declared element order."""
+def _ball(metric: LatticeMetric, center, radius, inside) -> tuple:
     r = Fraction(radius)
     if r < 0:
         raise ValuationError("radius must be non-negative", radius)
+    bound = r * metric.scale
     lat = metric.lattice
-    i = lat.index(center)
-    return tuple(lat.labels[j] for j in range(lat.n) if metric.table[i][j] <= r)
+    row = metric.table[lat.index(center)]
+    return tuple(lab for lab, t in zip(lat.labels, row) if inside(t, bound))
+
+
+def closed_ball(metric: LatticeMetric, center, radius) -> tuple:
+    """{y : d(center, y) <= radius}, in declared element order."""
+    return _ball(metric, center, radius, le)
 
 
 def open_ball(metric: LatticeMetric, center, radius) -> tuple:
-    r = Fraction(radius)
-    if r < 0:
-        raise ValuationError("radius must be non-negative", radius)
-    lat = metric.lattice
-    i = lat.index(center)
-    return tuple(lat.labels[j] for j in range(lat.n) if metric.table[i][j] < r)
+    """{y : d(center, y) < radius}, in declared element order."""
+    return _ball(metric, center, radius, lt)

@@ -39,7 +39,7 @@ from primlat.ortho import _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
 from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
 from primlat.projection import METHODS
-from primlat.valuation import ValuationCheck
+from primlat.valuation import ValuationCheck, closed_ball, height_valuation, metric_from_valuation
 from primlat.seqproc import PRESETS
 
 
@@ -544,6 +544,28 @@ def metric_axiom_failure_loop(t):
                 if t[i][j] > t[i][k] + t[k][j]:
                     return "triangle inequality"
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _height_metric(level: Level):
+    lat = level.lattice
+    return metric_from_valuation(lat, height_valuation(lat))
+
+
+def proj_metric_loop(pl, level_name, x):
+    """The metric projection through a ``LatticeMetric``: the meet of the
+    smallest closed height-metric ball around x, in the least chain level
+    holding x and the target, that reaches the target's carrier."""
+    target = pl.level(level_name)
+    outer = next(
+        lvl for lvl in pl.chain if x in lvl.carrier_set and target.carrier_set <= lvl.carrier_set
+    )
+    metric = _height_metric(outer)
+    for r in range(outer.lattice.heights[outer.lattice.top_i] + 1):
+        ball = set(closed_ball(metric, x, r)) & target.carrier_set
+        if ball:
+            return target.lattice.meet_all(sorted(ball))
+    raise AssertionError("the level's top always lies in some ball")
 
 
 def lattice_tables_loop(poset):

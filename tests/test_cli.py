@@ -155,6 +155,16 @@ def test_metric_command_accepts_and_rejects(o6_file, tmp_path, capsys):
     assert "a\tb\t2" in out
 
 
+def test_metric_command_rejects_a_flat_valuation(tmp_path, capsys):
+    # valuation and isotone both hold, but d(a, b) would be 0
+    path = tmp_path / "flat.lat"
+    path.write_text("lattice F\nelements a b\ncovers a<b\nvaluation a=0 b=0\n")
+    assert main(["metric", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: valuation not strictly isotone at ('a', 'b')\n"
+
+
 def test_probability_command_file_and_random(o6_file, capsys):
     assert main(["probability", o6_file]) == 0
     out = capsys.readouterr().out

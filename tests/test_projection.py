@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from helpers import proj_metric_loop
+from primlat import valuation
 from primlat.core import LatticeError
-from primlat.primorial import generate_primorial
+from primlat.primorial import boolean_carrier, generate_primorial, reduce_boolean
 from primlat.projection import (
     METHODS,
     project,
@@ -53,6 +55,42 @@ def test_metric_projection_radius_zero_on_carrier(family3):
     for name in family3.member_names():
         for x in family3.level(name).carrier:
             assert proj_metric(family3, name, x) == x
+
+
+def _seeded_choices(n, rng):
+    """A random reduction at every step from 2^n down to 2^2."""
+    level, picks = boolean_carrier(n), []
+    for _ in range(n - 2):
+        level = rng.choice(reduce_boolean(level))
+        picks.append(level.carrier)
+    return picks
+
+
+def test_metric_projection_matches_ball_route():
+    rng = random.Random(12)
+    families = [generate_primorial(n) for n in range(2, 7)]
+    families += [gsp_preset(kind).primorial for kind in ("acgt-atcg", "acgt-plus-x")]
+    families += [generate_primorial(n, choices=_seeded_choices(n, rng)) for n in (3, 4, 5) for _ in range(3)]
+    checked = 0
+    for pl in families:
+        for name in pl.member_names() + ("D2",):
+            for x in pl.chain[-1].carrier:
+                assert proj_metric(pl, name, x) == proj_metric_loop(pl, name, x), (pl.top_n, name, x)
+                checked += 1
+    assert checked == 1556 + 1320  # defaults and presets, then the seeded chains
+
+
+def test_metric_projection_builds_no_lattice_metric(family4, monkeypatch):
+    items = family4.chain[-1].carrier
+    expected = {name: tuple(proj_metric_loop(family4, name, x) for x in items) for name in family4.member_names()}
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("a LatticeMetric was built")
+
+    monkeypatch.setattr(valuation, "metric_from_valuation", fail)
+    monkeypatch.setattr(valuation, "LatticeMetric", fail)
+    for name, want in expected.items():
+        assert project_sequence(family4, name, items, "metric") == want
 
 
 def test_projection_methods_return_level_members(family5):

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from primlat.core import classify
 from primlat.valuation import (
+    ValuationCheck,
     ValuationError,
     check_valuation,
     closed_ball,
@@ -89,6 +90,53 @@ def test_metric_requires_isotone_valuation():
     lat2 = chain(2)
     with pytest.raises(ValuationError, match="isotone"):
         metric_from_valuation(lat2, {"c0": 1, "c1": 0})
+
+
+def test_metric_rejects_a_flat_valuation():
+    # isotone but equal across a cover: d would vanish off the diagonal
+    with pytest.raises(ValuationError, match=r"^valuation not strictly isotone at \('c0', 'c1'\)$") as exc:
+        metric_from_valuation(chain(2), {"c0": 0, "c1": 0})
+    assert exc.value.witness == ("c0", "c1")
+    # weight 0 on atom 1 flattens the covers 0 < 1 and 2 < 3; the first
+    # cover in index order is the witness
+    lat = powerset(2)
+    values = {0: 0, 1: 0, 2: 1, 3: 1}
+    assert check_valuation(lat, values) == ValuationCheck(True, True, None)
+    with pytest.raises(ValuationError) as exc:
+        metric_from_valuation(lat, values)
+    assert exc.value.witness == (0, 1)
+
+
+def test_balls_compare_radius_against_scaled_table():
+    # v = (0, 1/3): the table holds 1 over scale 3, so radius 1/2 reaches c1
+    metric = metric_from_valuation(chain(2), {"c0": 0, "c1": Fraction(1, 3)})
+    assert metric.scale == 3 and metric.table == ((0, 1), (1, 0))
+    assert metric.d("c0", "c1") == Fraction(1, 3)
+    assert closed_ball(metric, "c0", Fraction(1, 2)) == ("c0", "c1")
+    assert closed_ball(metric, "c0", Fraction(1, 3)) == ("c0", "c1")
+    assert closed_ball(metric, "c0", Fraction(1, 4)) == ("c0",)
+    assert open_ball(metric, "c0", Fraction(1, 3)) == ("c0",)
+    assert open_ball(metric, "c0", Fraction(1, 2)) == ("c0", "c1")
+
+
+_weights = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=12)
+_radii = st.lists(st.fractions(min_value=0, max_value=8, max_denominator=6), min_size=1, max_size=4)
+
+
+@example([Fraction(1, 3)] * 3, Fraction(0), [Fraction(1, 2)])
+@given(st.lists(_weights, min_size=3, max_size=3), rationals, _radii)
+def test_lattice_metric_matches_fraction_oracle(weights, base, radii):
+    # a modular valuation on 2^3: a base value plus one positive weight per atom
+    lat = powerset(3)
+    v = {x: base + sum((w for a, w in enumerate(weights) if x >> a & 1), Fraction(0)) for x in lat.labels}
+    metric = metric_from_valuation(lat, v)
+    labels = lat.labels
+    for a in labels:
+        oracle = [v[lat.join(a, b)] - v[lat.meet(a, b)] for b in labels]
+        assert [metric.d(a, b) for b in labels] == oracle
+        for r in radii + oracle:
+            assert closed_ball(metric, a, r) == tuple(b for b, d in zip(labels, oracle) if d <= r)
+            assert open_ball(metric, a, r) == tuple(b for b, d in zip(labels, oracle) if d < r)
 
 
 def test_height_valuation_characterizes_modularity(small_lattices):
