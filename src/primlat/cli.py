@@ -40,6 +40,7 @@ from .textio import (
     format_mask,
     load_lattice_file,
     parse_mask,
+    read_text,
     to_dot,
 )
 
@@ -162,11 +163,10 @@ def cmd_reduce(args, out):
 
 def _read_choices(path, n):
     choices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                choices.append(tuple(parse_mask(tok, n) for tok in line.split()))
+    for line in read_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            choices.append(tuple(parse_mask(tok, n) for tok in line.split()))
     return choices
 
 
@@ -191,8 +191,7 @@ def cmd_dposet(args, out):
 
 def cmd_project(args, out):
     pl = generate_primorial(args.n)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    tokens = read_text(args.input).split()
     items = [parse_mask(tok, args.n) for tok in tokens]
     pl.level(args.level)  # an unknown member fails even on an empty input
     projected = project_sequence(pl, args.level, items, args.method)
@@ -247,15 +246,13 @@ def cmd_analyze(args, out):
     preset = gsp_preset(args.preset)
     for line in preset.describe():
         print(line, file=sys.stderr)
-    with open(args.fasta, "r", encoding="utf-8") as fh:
-        records = load_fasta(fh, preset.alphabet)
+    records = load_fasta(read_text(args.fasta).split("\n"), preset.alphabet)
     for name, tokens in records:
         pyramid = analyze(preset.primorial, preset.alphabet, tokens, args.method)
-        print(f"# record {name}", file=out)
-        for row in pyramid_rows(pyramid, preset.alphabet):
-            print("\t".join(row), file=out)
-        for line in summarize(pyramid, preset.alphabet, preset.coarse_atoms, args.window):
-            print(f"{name}: {line}", file=sys.stderr)
+        out.write(f"# record {name}\n")
+        out.writelines(f"{row}\n" for row in map("\t".join, pyramid_rows(pyramid, preset.alphabet)))
+        summary = summarize(pyramid, preset.alphabet, preset.coarse_atoms, args.window)
+        sys.stderr.write("".join(f"{name}: {line}\n" for line in summary))
     return 0
 
 

@@ -10,7 +10,7 @@ least chain level containing both the element and the target carrier.
 
 from __future__ import annotations
 
-from .core import LatticeError
+from .core import IDENTITY_ROW, MAX_ELEMENTS, LatticeError
 from .primorial import Level, PrimorialLattice
 
 
@@ -106,18 +106,26 @@ def project(pl: PrimorialLattice, level_name, x, method: str):
     return _projector(method)(pl, level_name, x)
 
 
-def project_sequence(pl: PrimorialLattice, level_name, items, method: str):
-    """Pointwise projection; the output has the input's length.
+SEQUENCE_MAX_N = MAX_ELEMENTS.bit_length() - 1  # one element of 2^N per byte
+
+
+def project_sequence(pl: PrimorialLattice, level_name, items, method: str) -> bytes:
+    """Pointwise projection as ``bytes``, one element per byte; the output
+    has the input's length.
 
     Each distinct element is projected once, through the same checked
     ``proj_*`` function as ``project``, in order of first occurrence (so an
-    error names the first bad element of the input), and the sequence is
-    mapped through that table.
+    error names the first bad element of the input).  The results fill a
+    padded 256-byte row, and the sequence is translated through it.
     """
     fn = _projector(method)
-    items = tuple(items)
-    table = {}
-    for x in items:
-        if x not in table:
-            table[x] = fn(pl, level_name, x)
-    return tuple(map(table.__getitem__, items))
+    if pl.top_n > SEQUENCE_MAX_N:
+        raise LatticeError(
+            f"sequences hold elements of 2^N for N <= {SEQUENCE_MAX_N}, not of 2^{pl.top_n}"
+        )
+    if not isinstance(items, bytes):
+        items = tuple(items)
+    row = bytearray(IDENTITY_ROW)
+    for x in dict.fromkeys(items):
+        row[x] = fn(pl, level_name, x)
+    return bytes(items).translate(row)

@@ -3,7 +3,9 @@
 Symbols map bijectively onto the atoms of the top Boolean carrier; a
 sequence is then projected pointwise onto every lower-resolution level and
 every difference level, giving a pyramid of coarser views.  Synthesis is
-the pointwise join back in the top lattice.
+the pointwise join back in the top lattice.  A sequence is one ``bytes``
+object holding one element mask per byte, so every level of a pyramid is a
+``bytes.translate`` of its input.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import LatticeError
 from .primorial import PrimorialLattice, generate_primorial
-from .projection import _projector, project_sequence
+from .projection import SEQUENCE_MAX_N, _projector, project_sequence
 from .textio import format_mask
 
 
@@ -48,7 +50,7 @@ class SymbolAlphabet:
 
 @dataclass(frozen=True)
 class SymbolSequence:
-    items: tuple  # top-carrier masks
+    items: bytes  # top-carrier masks, one per byte
     name: str | None = None
 
     def __len__(self):
@@ -65,12 +67,15 @@ class AnalysisPyramid:
     levels: dict  # member name -> SymbolSequence
 
     def __post_init__(self):
-        for seq in self.levels.values():
-            assert len(seq) == len(self.source), "projection must preserve length"
+        for name, seq in self.levels.items():
+            if len(seq) != len(self.source):
+                raise SequenceError(f"level {name!r} does not have the input's length")
 
 
 def encode(alphabet: SymbolAlphabet, tokens, name=None) -> SymbolSequence:
-    return SymbolSequence(tuple(alphabet.atom(t) for t in tokens), name)
+    if alphabet.top_n > SEQUENCE_MAX_N:
+        raise SequenceError(f"sequences hold at most {SEQUENCE_MAX_N} symbols, not {alphabet.top_n}")
+    return SymbolSequence(bytes(map(alphabet.atom, tokens)), name)
 
 
 def load_fasta(stream, alphabet: SymbolAlphabet):
@@ -120,11 +125,11 @@ def analyze(
             f"alphabet has {alphabet.top_n} symbols but the family was generated from {pl.top_n}"
         )
     source = encode(alphabet, tokens)
+    codes = bytes(dict.fromkeys(source.items))  # each distinct input code once
     levels = {}
     for name in [lvl.name for lvl in pl.chain] + [f"D{m}" for m in range(2, pl.top_n + 1)]:
-        levels[name] = SymbolSequence(
-            project_sequence(pl, name, source.items, method), name
-        )
+        table = bytes.maketrans(codes, project_sequence(pl, name, codes, method))
+        levels[name] = SymbolSequence(source.items.translate(table), name)
     return AnalysisPyramid(method, source, levels)
 
 
@@ -136,31 +141,27 @@ def synthesize(*seqs: SymbolSequence) -> SymbolSequence:
     for s in seqs:
         if len(s) != length:
             raise SequenceError("length mismatch in synthesis")
-    items = tuple(
-        _or_all(s.items[k] for s in seqs) for k in range(length)
-    )
-    return SymbolSequence(items)
-
-
-def _or_all(masks):
+    # one byte per element, so the bytewise OR is the OR of the big integers
     acc = 0
-    for m in masks:
-        acc |= m
-    return acc
+    for s in seqs:
+        acc |= int.from_bytes(s.items, "big")
+    return SymbolSequence(acc.to_bytes(length, "big"))
 
 
 def pyramid_rows(pyramid: AnalysisPyramid, alphabet: SymbolAlphabet | None = None):
     """TSV-ready rows: position, input element, one column per level.
 
-    Each distinct mask is rendered once.
+    The cells after the position are rendered once per distinct tuple of
+    column values.
     """
     render = alphabet.render if alphabet else format_mask
     names = list(pyramid.levels)
     columns = [pyramid.source.items] + [pyramid.levels[n].items for n in names]
-    shown = {x: render(x) for x in set().union(*columns)}
+    tails = {}
     yield ["position", "input"] + names
     for k, row in enumerate(zip(*columns)):
-        yield [str(k)] + [shown[x] for x in row]
+        tail = tails.get(row) or tails.setdefault(row, [render(x) for x in row])
+        yield [str(k)] + tail
 
 
 def summarize(
@@ -176,27 +177,22 @@ def summarize(
     """
     lines = [f"length: {len(pyramid.source)}", f"method: {pyramid.method}"]
     for name, seq in pyramid.levels.items():
-        counts = {}
-        for x in seq.items:
-            counts[x] = counts.get(x, 0) + 1
-        shown = " ".join(
-            f"{alphabet.render(x)}={c}" for x, c in sorted(counts.items())
-        )
+        items = seq.items
+        shown = " ".join(f"{alphabet.render(x)}={items.count(x)}" for x in sorted(set(items)))
         lines.append(f"level {name}: {shown}")
     if coarse_atoms and "L2^2" in pyramid.levels:
         seq = pyramid.levels["L2^2"].items
         total = len(seq) or 1
         for mask in coarse_atoms:
-            frac = sum(1 for x in seq if x == mask) / total
-            lines.append(f"{alphabet.render(mask)} fraction: {frac:.4f}")
+            lines.append(f"{alphabet.render(mask)} fraction: {seq.count(mask) / total:.4f}")
         if window:
+            labels = [alphabet.render(mask) for mask in coarse_atoms]
             for start in range(0, len(seq), window):
                 chunk = seq[start : start + window]
-                parts = []
-                for mask in coarse_atoms:
-                    frac = sum(1 for x in chunk if x == mask) / (len(chunk) or 1)
-                    parts.append(f"{alphabet.render(mask)}={frac:.4f}")
-                lines.append(f"window [{start},{start + len(chunk)}): " + " ".join(parts))
+                parts = " ".join(
+                    f"{s}={chunk.count(mask) / len(chunk):.4f}" for s, mask in zip(labels, coarse_atoms)
+                )
+                lines.append(f"window [{start},{start + len(chunk)}): {parts}")
     return lines
 
 

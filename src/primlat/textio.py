@@ -92,9 +92,17 @@ def parse_lattice_text(text: str) -> LatticeDocument:
     return doc
 
 
-def load_lattice_file(path) -> LatticeDocument:
+def read_text(path) -> str:
+    """The whole file as text; a file that is not UTF-8 raises FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_lattice_file(path) -> LatticeDocument:
+    return parse_lattice_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ from primlat.core import (
 from primlat.ortho import _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
 from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
-from primlat.projection import METHODS
+from primlat.projection import METHODS, _projector
 from primlat.valuation import ValuationCheck, closed_ball, height_valuation, metric_from_valuation
 from primlat.seqproc import PRESETS
+from primlat.textio import format_mask
 
 
 def _idx(lat):
@@ -566,6 +567,56 @@ def proj_metric_loop(pl, level_name, x):
         if ball:
             return target.lattice.meet_all(sorted(ball))
     raise AssertionError("the level's top always lies in some ball")
+
+
+def project_sequence_loop(pl, level_name, items, method):
+    """Pointwise projection as a tuple, through a dict of the distinct
+    elements projected in order of first occurrence."""
+    fn = _projector(method)
+    items = tuple(items)
+    table = {}
+    for x in items:
+        if x not in table:
+            table[x] = fn(pl, level_name, x)
+    return tuple(map(table.__getitem__, items))
+
+
+def pyramid_rows_loop(pyramid, alphabet=None):
+    """The analysis rows with every column read at every position."""
+    render = alphabet.render if alphabet else format_mask
+    names = list(pyramid.levels)
+    columns = [pyramid.source.items] + [pyramid.levels[n].items for n in names]
+    shown = {x: render(x) for x in set().union(*columns)}
+    yield ["position", "input"] + names
+    for k, row in enumerate(zip(*columns)):
+        yield [str(k)] + [shown[x] for x in row]
+
+
+def summarize_loop(pyramid, alphabet, coarse_atoms=(), window=None):
+    """The summary lines with histograms and fractions counted element by
+    element."""
+    lines = [f"length: {len(pyramid.source)}", f"method: {pyramid.method}"]
+    for name, seq in pyramid.levels.items():
+        counts = {}
+        for x in seq.items:
+            counts[x] = counts.get(x, 0) + 1
+        shown = " ".join(f"{alphabet.render(x)}={c}" for x, c in sorted(counts.items()))
+        lines.append(f"level {name}: {shown}")
+    if coarse_atoms and "L2^2" in pyramid.levels:
+        seq = pyramid.levels["L2^2"].items
+        total = len(seq) or 1
+        for mask in coarse_atoms:
+            frac = sum(1 for x in seq if x == mask) / total
+            lines.append(f"{alphabet.render(mask)} fraction: {frac:.4f}")
+        if window:
+            for start in range(0, len(seq), window):
+                chunk = seq[start : start + window]
+                parts = []
+                for mask in coarse_atoms:
+                    frac = sum(1 for x in chunk if x == mask) / (len(chunk) or 1)
+                    parts.append(f"{alphabet.render(mask)}={frac:.4f}")
+                lines.append(f"window [{start},{start + len(chunk)}): " + " ".join(parts))
+    return lines
 
 
 def lattice_tables_loop(poset):

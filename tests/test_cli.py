@@ -280,6 +280,43 @@ def test_analyze_window_below_one_fails_before_output(window, tmp_path, capsys):
     assert captured.err == f"error: --window needs N >= 1, got {window}\n"
 
 
+def test_analyze_accepts_crlf_line_endings(tmp_path, capsys):
+    outputs = []
+    for newline in ("\n", "\r\n"):
+        fasta = tmp_path / "g.fa"
+        fasta.write_bytes(newline.join([">r one", "ACGTX", "ttgca", ">s", "XA", ""]).encode())
+        assert main(["analyze", "--preset", "acgt-plus-x", "--fasta", str(fasta), "--window", "3"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+NOT_UTF8 = (
+    ("classify", b"lattice x\nelements a \xff\n", 21),
+    ("project", b"{1} \xff\n", 4),
+    ("primorial", b"{} {1} \xc3\x28 {1,2,3}\n", 7),
+    ("analyze", b">r\nAC\nG\xffT\n", 7),
+)
+
+
+@pytest.mark.parametrize("command, data, offset", NOT_UTF8)
+def test_input_that_is_not_utf8_fails_with_one_line(command, data, offset, tmp_path, capsys):
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    argv = {
+        "classify": ["classify", str(path)],
+        "project": ["project", "--n", "3", "--level", "D3", "--method", "zero", "--input", str(path)],
+        "primorial": ["primorial", "--n", "3", "--choices", str(path)],
+        "analyze": ["analyze", "--preset", "acgt-atcg", "--fasta", str(path)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "invalid continuation byte" if b"\xc3" in data else "invalid start byte"
+    last = f"error: {path}: not UTF-8 text ({reason} at byte {offset})"
+    assert captured.err.splitlines()[-1] == last
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+
+
 def test_hasse_command(n5_file, tmp_path, capsys):
     assert main(["hasse", n5_file]) == 0
     assert "digraph N5" in capsys.readouterr().out

@@ -1,13 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from helpers import proj_metric_loop
+from helpers import proj_metric_loop, project_sequence_loop
 from primlat import valuation
+from primlat.cli import RANDOM_BOOLEAN_MAX
 from primlat.core import LatticeError
 from primlat.primorial import boolean_carrier, generate_primorial, reduce_boolean
 from primlat.projection import (
     METHODS,
+    SEQUENCE_MAX_N,
     project,
     project_sequence,
     proj_ceiling,
@@ -90,7 +93,7 @@ def test_metric_projection_builds_no_lattice_metric(family4, monkeypatch):
     monkeypatch.setattr(valuation, "metric_from_valuation", fail)
     monkeypatch.setattr(valuation, "LatticeMetric", fail)
     for name, want in expected.items():
-        assert project_sequence(family4, name, items, "metric") == want
+        assert project_sequence(family4, name, items, "metric") == bytes(want)
 
 
 def test_projection_methods_return_level_members(family5):
@@ -166,9 +169,9 @@ def test_top_level_projection_is_identity(family5):
 
 
 def test_project_sequence_shapes(family3, family4, family5):
-    assert project_sequence(family3, "D3", (), "zero") == ()
+    assert project_sequence(family3, "D3", (), "zero") == b""
     top = family3.chain[-1].full
-    assert project_sequence(family3, "D3", (top, top), "metric") == (top, top)
+    assert project_sequence(family3, "D3", (top, top), "metric") == bytes((top, top))
     seq = project_sequence(family3, "L2^2", (1, 2, 4), "ceiling")
     assert len(seq) == 3
     # the distinct-element table agrees with per-element projection on a
@@ -181,7 +184,7 @@ def test_project_sequence_shapes(family3, family4, family5):
         rng.shuffle(items)
         for name in pl.member_names():
             for method in METHODS:
-                expected = tuple(project(pl, name, x, method) for x in items)
+                expected = bytes(project(pl, name, x, method) for x in items)
                 assert project_sequence(pl, name, iter(items), method) == expected
 
 
@@ -199,3 +202,48 @@ def test_unknown_method_and_foreign_element(family3):
         proj_zero(family3, "D3", 99)
     with pytest.raises(LatticeError):
         family3.level("D9")
+
+
+def _members(pl):
+    return pl.member_names() + ("D2",)
+
+
+@pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
+def test_project_sequence_equals_the_dict_loop(source):
+    # both presets and the default families, every member with D2, every
+    # method, on every top element in a seeded order with repeats
+    pl = gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
+    rng = random.Random(13)
+    elements = list(pl.chain[-1].carrier)
+    items = elements + rng.choices(elements, k=2 * len(elements))
+    rng.shuffle(items)
+    for name in _members(pl):
+        for method in METHODS:
+            want = project_sequence_loop(pl, name, items, method)
+            got = project_sequence(pl, name, items, method)
+            assert isinstance(got, bytes)
+            assert tuple(got) == want
+            assert project_sequence(pl, name, bytes(items), method) == got
+
+
+def test_project_sequence_names_the_first_bad_element_like_the_loop(family3):
+    cases = [((1, 3, 99, 1, 64, 99), 99), ((64, 99), 64), ((0, 7, 8), 8), ((-1,), -1),
+             ((1, 300), 300), ((2, "a", 9), "a")]
+    for items, bad in cases:
+        for method in METHODS:
+            with pytest.raises(LatticeError) as want:
+                project_sequence_loop(family3, "D3", items, method)
+            with pytest.raises(LatticeError) as got:
+                project_sequence(family3, "D3", iter(items), method)
+            assert str(got.value) == str(want.value) == f"element {bad!r} outside the top carrier"
+            if all(isinstance(x, int) and 0 <= x < 256 for x in items):
+                with pytest.raises(LatticeError, match=f"^element {bad} outside"):
+                    project_sequence(family3, "D3", bytes(items), method)
+
+
+def test_project_sequence_refuses_more_than_one_byte_per_element(family3):
+    assert SEQUENCE_MAX_N == RANDOM_BOOLEAN_MAX == 8
+    wide = dataclasses.replace(family3, top_n=9)
+    for items in ((), (1, 2)):
+        with pytest.raises(LatticeError, match=r"^sequences hold elements of 2\^N for N <= 8, not of 2\^9$"):
+            project_sequence(wide, "D3", items, "zero")

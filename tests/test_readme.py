@@ -13,7 +13,7 @@ CLAIMS = {
     """pl.sasaki(ol, "p", "q'")""": "p",
     "pl.ortho_class(ol)": {"orthocomplemented"},
     'pl.probability_report(pa)["traditional"].satisfied': False,
-    'pyramid.levels["L2^2"].items': (9, 6, 6, 9),
+    'pyramid.levels["L2^2"].items': bytes((9, 6, 6, 9)),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import pyramid_rows_loop, summarize_loop
 from primlat.core import LatticeError
 from primlat.projection import METHODS, project
 from primlat.seqproc import (
@@ -71,13 +72,13 @@ def test_analyze_top_level_is_unchanged(preset):
 def test_analyze_ceiling_onto_coarse_level(preset):
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "ceiling")
     at, cg = preset.coarse_atoms
-    assert pyramid.levels["L2^2"].items == (at, cg, cg, at)
+    assert pyramid.levels["L2^2"].items == bytes((at, cg, cg, at))
 
 
 def test_analyze_zero_on_level_missing_both_atoms(preset):
     # the 4-element level contains neither single nucleobase atom
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C"), "zero")
-    assert pyramid.levels["D2"].items == (0, 0)
+    assert pyramid.levels["D2"].items == bytes((0, 0))
     carrier = preset.primorial.level("D2").carrier_set
     assert preset.alphabet.atom("A") not in carrier
     assert preset.alphabet.atom("C") not in carrier
@@ -86,9 +87,9 @@ def test_analyze_zero_on_level_missing_both_atoms(preset):
 def test_synthesize_examples(preset):
     al = preset.alphabet
     joined = synthesize(encode(al, ("A",)), encode(al, ("T",)))
-    assert joined.items == (al.atom("A") | al.atom("T"),)
+    assert joined.items == bytes((al.atom("A") | al.atom("T"),))
     seq = encode(al, ("A", "C", "G"))
-    zeros = type(seq)((0, 0, 0))
+    zeros = type(seq)(bytes((0, 0, 0)))
     assert synthesize(seq, zeros).items == seq.items
     assert synthesize(seq, seq).items == seq.items
     with pytest.raises(SequenceError, match="length"):
@@ -98,12 +99,12 @@ def test_synthesize_examples(preset):
 def test_filtering_is_pointwise_join_of_projections(preset):
     al, pl = preset.alphabet, preset.primorial
     source = encode(al, ("A", "C", "G", "T", "A"))
-    a = tuple(proj_zero(pl, "L2^2", x) for x in source.items)
-    b = tuple(proj_zero(pl, "D3", x) for x in source.items)
+    a = bytes(proj_zero(pl, "L2^2", x) for x in source.items)
+    b = bytes(proj_zero(pl, "D3", x) for x in source.items)
     joined = synthesize(
         type(source)(a), type(source)(b)
     )
-    assert joined.items == tuple(x | y for x, y in zip(a, b))
+    assert joined.items == bytes(x | y for x, y in zip(a, b))
 
 
 def test_preset_chain_shapes():
@@ -173,13 +174,13 @@ def test_preset_description_audits_carriers():
        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=40))
 def test_synthesis_laws_on_random_mask_sequences(xs, ys):
     n = min(len(xs), len(ys))
-    a = SymbolSequence(tuple(xs[:n]))
-    b = SymbolSequence(tuple(ys[:n]))
+    a = SymbolSequence(bytes(xs[:n]))
+    b = SymbolSequence(bytes(ys[:n]))
     joined = synthesize(a, b)
-    assert joined.items == tuple(x | y for x, y in zip(a.items, b.items))
+    assert joined.items == bytes(x | y for x, y in zip(a.items, b.items))
     assert synthesize(a, a).items == a.items  # idempotent
     assert synthesize(a, b).items == synthesize(b, a).items  # commutative
-    zeros = SymbolSequence((0,) * n)
+    zeros = SymbolSequence(bytes((0,) * n))
     assert synthesize(a, zeros).items == a.items  # join identity
 
 
@@ -214,7 +215,7 @@ def test_pyramid_rows_and_summary(preset):
         for method in METHODS:
             pyramid = analyze(pl, al, tokens, method)
             levels = {
-                name: SymbolSequence(tuple(project(pl, name, x, method) for x in source), name)
+                name: SymbolSequence(bytes(project(pl, name, x, method) for x in source), name)
                 for name in pyramid.levels
             }
             reference = AnalysisPyramid(method, source, levels)
@@ -228,3 +229,71 @@ def test_pyramid_rows_and_summary(preset):
                 assert summarize(pyramid, al, pre.coarse_atoms, window) == summarize(
                     reference, al, pre.coarse_atoms, window
                 )
+
+
+@pytest.mark.parametrize("kind", ["acgt-atcg", "acgt-plus-x"])
+def test_rows_and_summary_equal_the_per_position_loops(kind):
+    pre = gsp_preset(kind)
+    al, pl = pre.alphabet, pre.primorial
+    rng = random.Random(5)
+    records = [(), (al.symbols[-1],), tuple(rng.choices(al.symbols, k=150))]
+    for tokens in records:
+        for method in METHODS:
+            pyramid = analyze(pl, al, tokens, method)
+            for alphabet in (al, None):
+                assert list(pyramid_rows(pyramid, alphabet)) == list(pyramid_rows_loop(pyramid, alphabet))
+            for window in (None, 1, 7, len(tokens) + 1, 10 * len(tokens) + 10):
+                assert summarize(pyramid, al, pre.coarse_atoms, window) == summarize_loop(
+                    pyramid, al, pre.coarse_atoms, window
+                )
+
+
+def test_sequences_are_bytes(preset):
+    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "T", "T"), "sasaki")
+    assert pyramid.source.items == bytes(preset.alphabet.atom(s) for s in "ATT")
+    assert all(type(seq.items) is bytes for seq in pyramid.levels.values())
+    with pytest.raises(SequenceError, match="^symbol 'Z' not in alphabet$"):
+        encode(preset.alphabet, ("A", "Z"))
+    with pytest.raises(SequenceError, match="^sequences hold at most 8 symbols, not 9$"):
+        encode(SymbolAlphabet(tuple("ABCDEFGHI")), ("A",))
+
+
+def test_pyramid_levels_keep_the_input_length(preset):
+    source = encode(preset.alphabet, ("A", "C", "A"))
+    for items in (bytes((9, 6)), bytes((9, 6, 9, 9))):
+        with pytest.raises(SequenceError, match="^level 'L2\\^2' does not have the input's length$"):
+            AnalysisPyramid("zero", source, {"L2^2": SymbolSequence(items, "L2^2")})
+
+
+def test_rows_of_a_pyramid_that_is_not_pointwise(preset):
+    # the same input code maps to different cells at different positions
+    source = encode(preset.alphabet, ("A", "C", "A", "A"))
+    levels = {"L2^2": SymbolSequence(bytes((9, 6, 6, 9)), "L2^2"), "D2": SymbolSequence(bytes(4), "D2")}
+    pyramid = AnalysisPyramid("zero", source, levels)
+    for alphabet in (preset.alphabet, None):
+        assert list(pyramid_rows(pyramid, alphabet)) == list(pyramid_rows_loop(pyramid, alphabet))
+    assert [row[2] for row in pyramid_rows(pyramid, preset.alphabet)][1:] == ["{A,T}", "{C,G}", "{C,G}", "{A,T}"]
+
+
+def test_fasta_position_counts_bases_across_folded_lines(preset):
+    # whitespace and line breaks are not counted; the bad base is the 7th
+    with pytest.raises(SequenceError, match="^record 'r 1' position 7: symbol 'N' outside alphabet$"):
+        load_fasta(io.StringIO(">r 1\nAC GT\n\tA\n\nCNA\n"), preset.alphabet)
+
+
+def test_fasta_reports_a_lowercase_foreign_symbol_as_written(preset):
+    with pytest.raises(SequenceError, match="^record 'x' position 3: symbol 'n' outside alphabet$"):
+        load_fasta(io.StringIO(">x\nacnt\n"), preset.alphabet)
+
+
+@pytest.mark.parametrize("ch", ["é", "ß"])
+def test_fasta_rejects_non_ascii_letters(ch, preset):
+    # neither folds onto a symbol: "é".upper() is "É", "ß".upper() is "SS"
+    with pytest.raises(SequenceError, match=f"^record 'x' position 2: symbol '{ch}' outside alphabet$"):
+        load_fasta(io.StringIO(f">x\nA{ch}G\n"), preset.alphabet)
+
+
+def test_fasta_accepts_crlf_line_endings(preset):
+    lf = load_fasta(io.StringIO(">a one\nAC\nGT\n>b\nTT\n"), preset.alphabet)
+    crlf = load_fasta(io.StringIO(">a one\r\nAC\r\nGT\r\n>b\r\nTT\r\n"), preset.alphabet)
+    assert crlf == lf == [("a one", ("A", "C", "G", "T")), ("b", ("T", "T"))]
