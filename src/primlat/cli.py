@@ -16,9 +16,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .core import MAX_ELEMENTS, LatticeError, classify, enumerate_lattices
+from .core import MAX_ATOMS, LatticeError, classify, enumerate_lattices
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
 from .primorial import (
+    DPOSET_LAWS,
     boolean_carrier,
     chain_dposet_members,
     check_reduce_bound,
@@ -182,8 +183,7 @@ def cmd_dposet(args, out):
     pl = generate_primorial(args.n)
     members, diff, leq = chain_dposet_members(pl)
     report = dposet_check(members, diff, leq)
-    for law in ("axiom-1", "axiom-2", "axiom-3", "axiom-4",
-                "derived-1", "derived-2", "derived-3", "derived-4"):
+    for law in DPOSET_LAWS:
         status = "fail" if law in report.failures else "pass"
         _emit(out, law, status)
     return 0 if report.ok else 1
@@ -201,16 +201,13 @@ def cmd_project(args, out):
     return 0
 
 
-RANDOM_BOOLEAN_MAX = MAX_ELEMENTS.bit_length() - 1  # the largest 2^N the tables hold
-
-
 def cmd_probability(args, out):
     if args.random_boolean is not None and args.file is not None:
         raise LatticeError("probability takes a lattice file or --random-boolean N, not both")
     if args.random_boolean is not None:
-        if not 1 <= args.random_boolean <= RANDOM_BOOLEAN_MAX:
+        if not 1 <= args.random_boolean <= MAX_ATOMS:
             raise LatticeError(
-                f"--random-boolean needs 1 <= N <= {RANDOM_BOOLEAN_MAX}, got {args.random_boolean}"
+                f"--random-boolean needs 1 <= N <= {MAX_ATOMS}, got {args.random_boolean}"
             )
         lat = boolean_carrier(args.random_boolean).lattice
         full = (1 << args.random_boolean) - 1
@@ -244,9 +241,9 @@ def cmd_analyze(args, out):
     if args.window is not None and args.window < 1:
         raise LatticeError(f"--window needs N >= 1, got {args.window}")
     preset = gsp_preset(args.preset)
+    records = load_fasta(read_text(args.fasta).split("\n"), preset.alphabet)
     for line in preset.describe():
         print(line, file=sys.stderr)
-    records = load_fasta(read_text(args.fasta).split("\n"), preset.alphabet)
     for name, tokens in records:
         pyramid = analyze(preset.primorial, preset.alphabet, tokens, args.method)
         out.write(f"# record {name}\n")

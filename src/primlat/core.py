@@ -18,6 +18,7 @@ from functools import cached_property
 from operator import eq, getitem
 
 MAX_ELEMENTS = 256
+MAX_ATOMS = MAX_ELEMENTS.bit_length() - 1  # the largest 2^N the tables hold, one element per byte
 IDENTITY_ROW = bytes(range(MAX_ELEMENTS))  # the padded row of the identity map
 
 
@@ -107,9 +108,6 @@ class FinitePoset:
             return self._index[label]
         except KeyError:
             raise LatticeError(f"unknown element {label!r}") from None
-
-    def label(self, i):
-        return self.labels[i]
 
     def leq_i(self, i, j):
         return bool(self.leq_rows[i] >> j & 1)
@@ -620,16 +618,6 @@ def classify(lat: FiniteLattice) -> PropertyReport:
 # composition
 
 
-COMPOSE_OPS = (
-    "direct-sum",
-    "direct-product",
-    "ordinal-sum",
-    "ordinal-product",
-    "exponential",
-    "dual",
-)
-
-
 def compose(p: FinitePoset, q, op: str, max_size: int = 4096) -> FinitePoset:
     """Combine two posets; ``dual`` ignores ``q``.
 
@@ -867,7 +855,7 @@ def _representative(rows):
     return tuple(sum(1 << pos[y] for y in bits(rows[x])) for x in best_order)
 
 
-def enumerate_lattices(n: int, cap: int = ENUM_CAP):
+def enumerate_lattices(n: int):
     """One canonical FiniteLattice per isomorphism class on n elements.
 
     A lattice with n >= 2 elements is determined by the strict order on its
@@ -883,8 +871,8 @@ def enumerate_lattices(n: int, cap: int = ENUM_CAP):
     choice tuple (``_representative``), which is the first strict order of
     the class in ``itertools.product`` order over the pairs.
     """
-    if n < 0 or n > cap:
-        raise LatticeError(f"element count {n} outside supported range 0..{cap}")
+    if n < 0 or n > ENUM_CAP:
+        raise LatticeError(f"element count {n} outside supported range 0..{ENUM_CAP}")
     if n == 0:
         return (FiniteLattice((), ()),)
     if n == 1:

@@ -146,18 +146,6 @@ def ortho_class(ol: OrthoLattice) -> frozenset:
 # negation taxonomy
 
 
-NEGATION_CLASSES = (
-    "subminimal",
-    "minimal",
-    "intuitionistic",
-    "fuzzy",
-    "de_morgan",
-    "kleene",
-    "ortho",
-    "orthomodular",
-)
-
-
 @dataclass(frozen=True)
 class NegationMap:
     lattice: FiniteLattice

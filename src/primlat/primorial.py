@@ -26,7 +26,10 @@ def _inclusion_rows(masks):
 
 
 class Level:
-    """One member lattice of a family, embedded in a top Boolean carrier."""
+    """One member lattice of a family, embedded in a top Boolean carrier.
+
+    Its induced tables, ``lattice``, are built on first read.
+    """
 
     def __init__(self, name, top_n, carrier, kind):
         self.name = name
@@ -46,11 +49,6 @@ class Level:
 
     def complement(self, mask):
         return self.full ^ mask
-
-    def renamed(self, name):
-        lvl = Level(name, self.top_n, self.carrier, self.kind)
-        lvl.__dict__["lattice"] = self.lattice  # share the induced tables
-        return lvl
 
     def __repr__(self):
         return f"Level({self.name!r}, n={self.top_n}, size={len(self.carrier)})"
@@ -387,8 +385,7 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
     if n < 2:
         raise LatticeError("generation needs at least 2 atoms")
     check_reduce_bound(n)
-    top = boolean_carrier(n)
-    chain = [top.renamed(f"L2^{n}")]
+    chain = [boolean_carrier(n)]
     wanted = list(choices) if choices is not None else None
     step = 0
     for m in range(n, 1, -1):
@@ -399,19 +396,19 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
             step += 1
             if not is_reduction(chain[-1], pick):
                 raise LatticeError(f"invalid reduction choice {pick!r}")
-            nxt = Level(None, n, pick, "boolean")
-        elif m > 2:
-            nxt = least_reduction(chain[-1])
-        else:  # 2^2 -> 2^1 has one reduction; reduce_boolean answers it at once
-            nxt = reduce_boolean(chain[-1])[0]
-        chain.append(nxt.renamed(f"L2^{m - 1}"))
+            nxt = Level(f"L2^{m - 1}", n, pick, "boolean")
+        else:  # 2^2 -> 2^1 has one reduction, which reduce_boolean answers at once
+            nxt = least_reduction(chain[-1]) if m > 2 else reduce_boolean(chain[-1])[0]
+            nxt.name = f"L2^{m - 1}"
+        chain.append(nxt)
     if wanted is not None and step != len(wanted):
         raise LatticeError("too many reduction choices supplied")
     chain.reverse()  # ascending L2^1 .. L2^n
 
     diffs = {}
     for m in range(2, n + 1):
-        diffs[m] = difference(chain[m - 1], chain[m - 2]).renamed(f"D{m}")
+        diffs[m] = difference(chain[m - 1], chain[m - 2])
+        diffs[m].name = f"D{m}"
 
     members = {lvl.name: lvl for lvl in chain}
     for m in range(3, n + 1):
@@ -494,6 +491,11 @@ def is_primorial(lat: FiniteLattice):
 # D-poset verification
 
 
+DPOSET_LAWS = (  # the laws dposet_check records, in report order
+    "axiom-1", "axiom-2", "axiom-3", "axiom-4", "derived-1", "derived-2", "derived-3", "derived-4",
+)
+
+
 @dataclass(frozen=True)
 class DPosetReport:
     ok: bool
@@ -556,7 +558,7 @@ def dposet_check(members, diff, leq) -> DPosetReport:
 
 def chain_dposet_members(pl: PrimorialLattice):
     """The Boolean chain as carrier sets, with the difference operation."""
-    members = [frozenset(lvl.carrier) for lvl in pl.chain]
+    members = [lvl.carrier_set for lvl in pl.chain]
     full = pl.chain[-1].full
 
     def diff(y, x):

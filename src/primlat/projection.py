@@ -10,7 +10,7 @@ least chain level containing both the element and the target carrier.
 
 from __future__ import annotations
 
-from .core import IDENTITY_ROW, MAX_ELEMENTS, LatticeError
+from .core import IDENTITY_ROW, MAX_ATOMS, LatticeError
 from .primorial import Level, PrimorialLattice
 
 
@@ -106,9 +106,6 @@ def project(pl: PrimorialLattice, level_name, x, method: str):
     return _projector(method)(pl, level_name, x)
 
 
-SEQUENCE_MAX_N = MAX_ELEMENTS.bit_length() - 1  # one element of 2^N per byte
-
-
 def project_sequence(pl: PrimorialLattice, level_name, items, method: str) -> bytes:
     """Pointwise projection as ``bytes``, one element per byte; the output
     has the input's length.
@@ -119,9 +116,9 @@ def project_sequence(pl: PrimorialLattice, level_name, items, method: str) -> by
     padded 256-byte row, and the sequence is translated through it.
     """
     fn = _projector(method)
-    if pl.top_n > SEQUENCE_MAX_N:
+    if pl.top_n > MAX_ATOMS:
         raise LatticeError(
-            f"sequences hold elements of 2^N for N <= {SEQUENCE_MAX_N}, not of 2^{pl.top_n}"
+            f"sequences hold elements of 2^N for N <= {MAX_ATOMS}, not of 2^{pl.top_n}"
         )
     if not isinstance(items, bytes):
         items = tuple(items)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LatticeError
+from .core import MAX_ATOMS, LatticeError
 from .primorial import PrimorialLattice, generate_primorial
-from .projection import SEQUENCE_MAX_N, _projector, project_sequence
+from .projection import _projector, project_sequence
 from .textio import format_mask
 
 
@@ -73,8 +73,8 @@ class AnalysisPyramid:
 
 
 def encode(alphabet: SymbolAlphabet, tokens, name=None) -> SymbolSequence:
-    if alphabet.top_n > SEQUENCE_MAX_N:
-        raise SequenceError(f"sequences hold at most {SEQUENCE_MAX_N} symbols, not {alphabet.top_n}")
+    if alphabet.top_n > MAX_ATOMS:
+        raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {alphabet.top_n}")
     return SymbolSequence(bytes(map(alphabet.atom, tokens)), name)
 
 

@@ -139,13 +139,12 @@ def format_carrier(carrier) -> str:
 # DOT export
 
 
-def to_dot(poset: FinitePoset, name: str = "hasse", labels=None) -> str:
+def to_dot(poset: FinitePoset, name: str = "hasse") -> str:
     """Hasse diagram as DOT: cover edges only, greater elements drawn higher."""
-    render = labels or (lambda lab: str(lab))
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
     for lab in poset.labels:
-        lines.append(f'  "{render(lab)}";')
+        lines.append(f'  "{lab}";')
     for a, b in poset.covers:
-        lines.append(f'  "{render(a)}" -> "{render(b)}";')
+        lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -313,8 +313,17 @@ def test_input_that_is_not_utf8_fails_with_one_line(command, data, offset, tmp_p
     assert captured.out == ""
     reason = "invalid continuation byte" if b"\xc3" in data else "invalid start byte"
     last = f"error: {path}: not UTF-8 text ({reason} at byte {offset})"
-    assert captured.err.splitlines()[-1] == last
-    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+    assert captured.err == last + "\n"
+
+
+@pytest.mark.parametrize("preset", ["acgt-atcg", "acgt-plus-x"])
+def test_analyze_foreign_symbol_fails_with_one_line(preset, tmp_path, capsys):
+    fasta = tmp_path / "g.fa"
+    fasta.write_text(">r\nACGZ\n")
+    assert main(["analyze", "--preset", preset, "--fasta", str(fasta)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: record 'r' position 4: symbol 'Z' outside alphabet\n"
 
 
 def test_hasse_command(n5_file, tmp_path, capsys):

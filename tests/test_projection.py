@@ -5,12 +5,10 @@ import pytest
 
 from helpers import proj_metric_loop, project_sequence_loop
 from primlat import valuation
-from primlat.cli import RANDOM_BOOLEAN_MAX
-from primlat.core import LatticeError
+from primlat.core import MAX_ATOMS, LatticeError
 from primlat.primorial import boolean_carrier, generate_primorial, reduce_boolean
 from primlat.projection import (
     METHODS,
-    SEQUENCE_MAX_N,
     project,
     project_sequence,
     proj_ceiling,
@@ -204,6 +202,10 @@ def test_unknown_method_and_foreign_element(family3):
         family3.level("D9")
 
 
+def _family(source):
+    return gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
+
+
 def _members(pl):
     return pl.member_names() + ("D2",)
 
@@ -212,7 +214,7 @@ def _members(pl):
 def test_project_sequence_equals_the_dict_loop(source):
     # both presets and the default families, every member with D2, every
     # method, on every top element in a seeded order with repeats
-    pl = gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
+    pl = _family(source)
     rng = random.Random(13)
     elements = list(pl.chain[-1].carrier)
     items = elements + rng.choices(elements, k=2 * len(elements))
@@ -242,8 +244,29 @@ def test_project_sequence_names_the_first_bad_element_like_the_loop(family3):
 
 
 def test_project_sequence_refuses_more_than_one_byte_per_element(family3):
-    assert SEQUENCE_MAX_N == RANDOM_BOOLEAN_MAX == 8
+    assert MAX_ATOMS == 8
     wide = dataclasses.replace(family3, top_n=9)
     for items in ((), (1, 2)):
         with pytest.raises(LatticeError, match=r"^sequences hold elements of 2\^N for N <= 8, not of 2\^9$"):
             project_sequence(wide, "D3", items, "zero")
+
+
+def _built(pl):
+    levels = list(pl.chain) + list(pl.diffs.values())  # D2 and L2^2 are distinct objects
+    return {lvl.name for lvl in levels if "lattice" in lvl.__dict__}
+
+
+@pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
+def test_a_family_builds_level_tables_only_when_read(source):
+    pl = _family(source)
+    d_levels = {lvl.name for lvl in pl.diffs.values()}
+    assert _built(pl) == d_levels  # difference builds each D level's tables for its ortho check
+    top = pl.chain[-1].carrier
+    for name in _members(pl):
+        target = pl.level(name).carrier_set
+        enclosing = {next(c.name for c in pl.chain if x in c.carrier_set and target <= c.carrier_set) for x in top}
+        reads = {"zero": set(), "ceiling": {name}, "sasaki": {name} | enclosing, "metric": {name} | enclosing}
+        for method in METHODS:
+            fresh = _family(source)
+            project_sequence(fresh, name, top, method)
+            assert _built(fresh) == d_levels | reads[method], (name, method)
