@@ -36,7 +36,6 @@ from .probability import (
 from .projection import METHODS, project_sequence
 from .seqproc import PRESETS, analyze, gsp_preset, load_fasta, pyramid_rows, summarize
 from .textio import (
-    FormatError,
     format_carrier,
     format_mask,
     load_lattice_file,
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     out = io.StringIO()  # written only once the command returns
     try:
         code = args.fn(args, out)
-    except (LatticeError, FormatError, OSError) as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(out.getvalue())

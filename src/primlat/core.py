@@ -34,6 +34,11 @@ def bits(mask: int):
         mask ^= low
 
 
+def _check_size(n):
+    if n > MAX_ELEMENTS:
+        raise LatticeError(f"{n} elements exceed the supported maximum of {MAX_ELEMENTS}")
+
+
 def _closure(rows):
     """Reflexive-transitive closure of bitmask rows, in place (Warshall)."""
     n = len(rows)
@@ -184,8 +189,7 @@ class FinitePoset:
         elements raise before any table is allocated.
         """
         n = self.n
-        if n > MAX_ELEMENTS:
-            raise LatticeError(f"{n} elements exceed the supported maximum of {MAX_ELEMENTS}")
+        _check_size(n)
         up, down = self.leq_rows, self.geq_rows
         lub = {row: m for m, row in enumerate(up)}
         glb = {row: m for m, row in enumerate(down)}
@@ -237,6 +241,8 @@ class FiniteLattice(FinitePoset):
 
     @classmethod
     def from_covers(cls, labels, covers):
+        labels = tuple(labels)
+        _check_size(len(labels))  # before the order is closed
         poset = FinitePoset.from_covers(labels, covers)
         return cls(poset.labels, poset.leq_rows)
 
@@ -320,7 +326,10 @@ def build_lattice(labels, covers):
     """Build a FiniteLattice when LUB/GLB are total, else a FinitePoset.
 
     The returned object's ``is_lattice`` flag records which case applies.
+    More than ``MAX_ELEMENTS`` labels raise before the order is closed.
     """
+    labels = tuple(labels)
+    _check_size(len(labels))
     poset = FinitePoset.from_covers(labels, covers)
     join, meet, witness = poset.lattice_tables()
     if witness is None:
@@ -891,6 +900,5 @@ def enumerate_lattices(n: int):
     for key in sorted(level):
         rows = _representative(level[key])
         leq = [(1 << n) - 1] + [r << 1 | 1 << (i + 1) | top for i, r in enumerate(rows)] + [top]
-        join, meet, _ = FinitePoset(labels, leq).lattice_tables()
-        out.append(FiniteLattice(labels, leq, tables=(join, meet)))
+        out.append(FiniteLattice(labels, leq))
     return tuple(out)

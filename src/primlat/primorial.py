@@ -337,31 +337,24 @@ class PrimorialLattice:
 
     top_n: int
     chain: tuple  # Level, ascending L2^1 .. L2^N
-    diffs: dict  # n -> Level for n = 2..N
-    members: dict  # distinct member name -> Level
-    family: FiniteLattice  # labels are member names
+    levels: dict  # name -> Level: L2^1 .. L2^N, then D2 .. DN
+    family: FiniteLattice  # labels are the level names but D2, which has L2^2's carrier
 
     def level(self, name) -> Level:
-        if name in self.members:
-            return self.members[name]
-        if name == "D2":  # same carrier as L2^2
-            return self.diffs[2]
-        raise LatticeError(f"unknown family member {name!r}")
+        try:
+            return self.levels[name]
+        except KeyError:
+            raise LatticeError(f"unknown family member {name!r}") from None
 
     def member_names(self):
-        return tuple(self.members)
+        return self.family.labels
 
 
-def _family_lattice(named_levels):
-    names = [name for name, _ in named_levels]
-    rows = []
-    for _, lvl in named_levels:
-        row = 0
-        for j, (_, other) in enumerate(named_levels):
-            if lvl.carrier_set <= other.carrier_set:
-                row |= 1 << j
-        rows.append(row)
-    return FiniteLattice(tuple(names), rows)
+def _family_lattice(levels):
+    """The inclusion order of the named levels' carriers."""
+    sets = [lvl.carrier_set for lvl in levels.values()]
+    rows = [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets]
+    return FiniteLattice(tuple(levels), rows)
 
 
 def generate_primorial(n: int, choices=None) -> PrimorialLattice:
@@ -405,19 +398,15 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
         raise LatticeError("too many reduction choices supplied")
     chain.reverse()  # ascending L2^1 .. L2^n
 
-    diffs = {}
+    levels = {lvl.name: lvl for lvl in chain}
     for m in range(2, n + 1):
-        diffs[m] = difference(chain[m - 1], chain[m - 2])
-        diffs[m].name = f"D{m}"
+        d = difference(chain[m - 1], chain[m - 2])
+        d.name = f"D{m}"
+        levels[d.name] = d
+    assert levels["D2"].carrier == levels["L2^2"].carrier  # so the family order leaves D2 out
+    family = _family_lattice({name: lvl for name, lvl in levels.items() if name != "D2"})
 
-    members = {lvl.name: lvl for lvl in chain}
-    for m in range(3, n + 1):
-        members[diffs[m].name] = diffs[m]
-    if n == 2:
-        assert diffs[2].carrier == chain[1].carrier
-    family = _family_lattice(list(members.items()))
-
-    pl = PrimorialLattice(n, tuple(chain), diffs, members, family)
+    pl = PrimorialLattice(n, tuple(chain), levels, family)
     _assert_family_shape(pl)
     return pl
 
@@ -541,17 +530,12 @@ def dposet_check(members, diff, leq) -> DPosetReport:
                     record("axiom-4", (x, y, z))
                 if not leq(yx, zx):
                     record("derived-1", (x, y, z))
-                if not (leq(yx, z) and leq(x, diff(z, yx))):
+                x_below = leq(yx, z) and leq(x, diff(z, yx))  # z - (y - x) is defined and above x
+                if not x_below:
                     record("derived-2", (x, y, z))
-                if leq(yx, zx):
-                    if diff(zx, yx) != zy:
-                        record("derived-3", (x, y, z))
-                else:
+                if not leq(yx, zx) or diff(zx, yx) != zy:
                     record("derived-3", (x, y, z))
-                if leq(yx, z) and leq(x, diff(z, yx)):
-                    if diff(diff(z, yx), x) != zy:
-                        record("derived-4", (x, y, z))
-                else:
+                if not x_below or diff(diff(z, yx), x) != zy:
                     record("derived-4", (x, y, z))
     return DPosetReport(not failures, failures)
 

@@ -127,7 +127,7 @@ def analyze(
     source = encode(alphabet, tokens)
     codes = bytes(dict.fromkeys(source.items))  # each distinct input code once
     levels = {}
-    for name in [lvl.name for lvl in pl.chain] + [f"D{m}" for m in range(2, pl.top_n + 1)]:
+    for name in pl.levels:
         table = bytes.maketrans(codes, project_sequence(pl, name, codes, method))
         levels[name] = SymbolSequence(source.items.translate(table), name)
     return AnalysisPyramid(method, source, levels)

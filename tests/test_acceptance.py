@@ -104,11 +104,11 @@ def test_criterion_02_reduction_counts():
 def test_criterion_03_difference_orthocomplement(family5):
     with criterion(3, "difference levels orthocomplemented"):
         pl3 = generate_primorial(3)
-        d3 = pl3.diffs[3]
+        d3 = pl3.levels["D3"]
         hexagon, _ = benzene()
         assert is_isomorphic(d3.lattice, hexagon) is not None
         attach_ortho(d3.lattice, {x: d3.complement(x) for x in d3.carrier})
-        for lvl in family5.diffs.values():
+        for lvl in (family5.levels[f"D{m}"] for m in range(2, 6)):
             attach_ortho(lvl.lattice, {x: lvl.complement(x) for x in lvl.carrier})
 
 

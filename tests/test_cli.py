@@ -3,7 +3,7 @@ import argparse
 import pytest
 
 from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference
-from primlat import cli, valuation
+from primlat import cli, core, valuation
 from primlat.cli import main
 from primlat.core import LatticeError
 
@@ -213,6 +213,25 @@ def test_more_than_256_elements_fail_with_one_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: 257 elements exceed the supported maximum of 256\n"
+
+
+@pytest.mark.parametrize("count, covers", [(257, False), (257, True), (20000, False), (20000, True)])
+def test_oversized_lattice_files_fail_before_the_order_is_closed(count, covers, tmp_path, monkeypatch, capsys):
+    def closure(rows):
+        raise AssertionError(f"the order of {len(rows)} elements was closed")
+
+    monkeypatch.setattr(core, "_closure", closure)
+    labels = [f"s{i}" for i in range(count)]
+    text = "lattice big\nelements " + " ".join(labels) + "\n"
+    if covers:  # a chain, ending in a cover onto an undeclared element
+        text += "covers " + " ".join(f"{a}<{b}" for a, b in zip(labels, labels[1:] + ["nowhere"])) + "\n"
+    path = tmp_path / "big.lat"
+    path.write_text(text)
+    for cmd in ("classify", "hasse"):
+        assert main([cmd, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {count} elements exceed the supported maximum of 256\n"
 
 
 def test_primorial_and_dposet_commands(capsys):

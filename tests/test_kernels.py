@@ -245,6 +245,17 @@ def test_more_than_256_elements_is_refused_before_tables():
         poset.lattice_tables()
 
 
+def test_more_than_256_labels_are_refused_before_the_order_is_closed(monkeypatch):
+    def closure(rows):
+        raise AssertionError(f"the order of {len(rows)} elements was closed")
+
+    monkeypatch.setattr(core, "_closure", closure)
+    labels = [f"c{i}" for i in range(257)]
+    for build in (build_lattice, FiniteLattice.from_covers):
+        with pytest.raises(LatticeError, match="^257 elements exceed the supported maximum of 256$"):
+            build(iter(labels), zip(labels, labels[1:]))
+
+
 # ---------------------------------------------------------------------------
 # the forbidden-sublattice search and the probability checks on integers
 

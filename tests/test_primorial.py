@@ -20,6 +20,8 @@ from primlat.primorial import (
     monotone_self_dual,
     reduce_boolean,
 )
+from primlat.projection import METHODS
+from primlat.seqproc import SymbolAlphabet, analyze, gsp_preset
 
 from conftest import benzene, diamond
 from helpers import (
@@ -346,8 +348,8 @@ def test_choices_reproduce_the_default_family():
         default = generate_primorial(n)
         picks = [lvl.carrier for lvl in reversed(default.chain[1:-1])]
         chosen = generate_primorial(n, choices=picks)
-        assert {k: v.carrier for k, v in chosen.members.items()} == {
-            k: v.carrier for k, v in default.members.items()
+        assert {k: v.carrier for k, v in chosen.levels.items()} == {
+            k: v.carrier for k, v in default.levels.items()
         }
     # 2^7 stays out of reach, whatever choices come with it
     above = [tuple(range(64))] + picks
@@ -387,7 +389,7 @@ def test_reduce_best_effort_six_atoms(levels6):
 
 def test_difference_of_powerset_levels_is_benzene():
     pl = generate_primorial(3)
-    d3 = pl.diffs[3]
+    d3 = pl.levels["D3"]
     lat, _ = benzene()
     assert is_isomorphic(d3.lattice, lat) is not None
     attach_ortho(d3.lattice, {x: d3.complement(x) for x in d3.carrier})
@@ -411,18 +413,40 @@ def test_difference_requires_shared_bounds():
 
 def test_generate_family_members():
     pl = generate_primorial(4)
-    assert list(pl.members) == ["L2^1", "L2^2", "L2^3", "L2^4", "D3", "D4"]
-    assert pl.diffs[2].carrier == pl.level("L2^2").carrier
+    assert pl.member_names() == ("L2^1", "L2^2", "L2^3", "L2^4", "D3", "D4")
+    assert pl.levels["D2"].carrier == pl.level("L2^2").carrier
     pl5 = generate_primorial(5)
-    assert len(pl5.members) == 8
+    assert len(pl5.member_names()) == 8
 
 
 def test_generate_is_deterministic():
     a = generate_primorial(4)
     b = generate_primorial(4)
-    assert [a.level(n).carrier for n in a.members] == [
-        b.level(n).carrier for n in b.members
+    assert [a.level(n).carrier for n in a.levels] == [
+        b.level(n).carrier for n in b.levels
     ]
+
+
+@pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
+def test_levels_are_the_one_ordered_table_of_a_family(source):
+    if isinstance(source, str):
+        preset = gsp_preset(source)
+        pl, alphabet = preset.primorial, preset.alphabet
+    else:
+        pl, alphabet = generate_primorial(source), SymbolAlphabet(tuple("ABCDEF"[:source]))
+    n = pl.top_n
+    names = [f"L2^{m}" for m in range(1, n + 1)] + [f"D{m}" for m in range(2, n + 1)]
+    assert list(pl.levels) == names
+    for method in METHODS:
+        assert list(analyze(pl, alphabet, alphabet.symbols, method).levels) == names
+    assert pl.member_names() == pl.family.labels == tuple(name for name in names if name != "D2")
+    for name in names:
+        assert pl.level(name) is pl.levels[name]
+        assert pl.levels[name].name == name
+    for name in ("D1", "L2^0", f"D{n + 1}", f"L2^{n + 1}", "d2", ""):
+        with pytest.raises(LatticeError) as err:
+            pl.level(name)
+        assert str(err.value) == f"unknown family member {name!r}"
 
 
 def test_generate_respects_choices_and_rejects_bad_ones():
@@ -503,5 +527,5 @@ def test_dposet_detects_broken_difference():
 
 
 def test_every_difference_level_is_orthocomplemented(family5):
-    for m, lvl in family5.diffs.items():
+    for lvl in (family5.levels[f"D{m}"] for m in range(2, 6)):
         attach_ortho(lvl.lattice, {x: lvl.complement(x) for x in lvl.carrier})

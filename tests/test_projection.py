@@ -74,7 +74,7 @@ def test_metric_projection_matches_ball_route():
     families += [generate_primorial(n, choices=_seeded_choices(n, rng)) for n in (3, 4, 5) for _ in range(3)]
     checked = 0
     for pl in families:
-        for name in pl.member_names() + ("D2",):
+        for name in pl.levels:
             for x in pl.chain[-1].carrier:
                 assert proj_metric(pl, name, x) == proj_metric_loop(pl, name, x), (pl.top_n, name, x)
                 checked += 1
@@ -206,10 +206,6 @@ def _family(source):
     return gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
 
 
-def _members(pl):
-    return pl.member_names() + ("D2",)
-
-
 @pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
 def test_project_sequence_equals_the_dict_loop(source):
     # both presets and the default families, every member with D2, every
@@ -219,7 +215,7 @@ def test_project_sequence_equals_the_dict_loop(source):
     elements = list(pl.chain[-1].carrier)
     items = elements + rng.choices(elements, k=2 * len(elements))
     rng.shuffle(items)
-    for name in _members(pl):
+    for name in pl.levels:
         for method in METHODS:
             want = project_sequence_loop(pl, name, items, method)
             got = project_sequence(pl, name, items, method)
@@ -252,17 +248,16 @@ def test_project_sequence_refuses_more_than_one_byte_per_element(family3):
 
 
 def _built(pl):
-    levels = list(pl.chain) + list(pl.diffs.values())  # D2 and L2^2 are distinct objects
-    return {lvl.name for lvl in levels if "lattice" in lvl.__dict__}
+    return {name for name, lvl in pl.levels.items() if "lattice" in lvl.__dict__}
 
 
 @pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
 def test_a_family_builds_level_tables_only_when_read(source):
     pl = _family(source)
-    d_levels = {lvl.name for lvl in pl.diffs.values()}
+    d_levels = {name for name, lvl in pl.levels.items() if not lvl.is_boolean}
     assert _built(pl) == d_levels  # difference builds each D level's tables for its ortho check
     top = pl.chain[-1].carrier
-    for name in _members(pl):
+    for name in pl.levels:
         target = pl.level(name).carrier_set
         enclosing = {next(c.name for c in pl.chain if x in c.carrier_set and target <= c.carrier_set) for x in top}
         reads = {"zero": set(), "ceiling": {name}, "sasaki": {name} | enclosing, "metric": {name} | enclosing}

@@ -14,6 +14,7 @@ CLAIMS = {
     "pl.ortho_class(ol)": {"orthocomplemented"},
     'pl.probability_report(pa)["traditional"].satisfied': False,
     'pyramid.levels["L2^2"].items': bytes((9, 6, 6, 9)),
+    "list(family.levels)": ["L2^1", "L2^2", "L2^3", "L2^4", "D2", "D3", "D4"],
 }
 
 
