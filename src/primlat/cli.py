@@ -39,6 +39,7 @@ from .textio import (
     format_carrier,
     format_mask,
     load_lattice_file,
+    parse_choices,
     parse_mask,
     read_text,
     to_dot,
@@ -161,17 +162,8 @@ def cmd_reduce(args, out):
     return 0
 
 
-def _read_choices(path, n):
-    choices = []
-    for line in read_text(path).split("\n"):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            choices.append(tuple(parse_mask(tok, n) for tok in line.split()))
-    return choices
-
-
 def cmd_primorial(args, out):
-    choices = _read_choices(args.choices, args.n) if args.choices else None
+    choices = parse_choices(read_text(args.choices), args.n) if args.choices else None
     pl = generate_primorial(args.n, choices=choices)
     for name in pl.member_names():
         print(f"{name}\t{format_carrier(pl.level(name).carrier)}", file=out)
@@ -247,7 +239,7 @@ def cmd_analyze(args, out):
         pyramid = analyze(preset.primorial, preset.alphabet, tokens, args.method)
         out.write(f"# record {name}\n")
         out.writelines(f"{row}\n" for row in map("\t".join, pyramid_rows(pyramid, preset.alphabet)))
-        summary = summarize(pyramid, preset.alphabet, preset.coarse_atoms, args.window)
+        summary = summarize(pyramid, preset.alphabet, preset.primorial, args.window)
         sys.stderr.write("".join(f"{name}: {line}\n" for line in summary))
     return 0
 

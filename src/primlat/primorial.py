@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .core import FiniteLattice, LatticeError
 from .ortho import attach_ortho
+from .textio import format_carrier
 
 REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.07 s, 2^7 ~9 s (Python 3.11, 2 vCPU)
 
@@ -388,7 +389,9 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
             pick = tuple(sorted(wanted[step]))
             step += 1
             if not is_reduction(chain[-1], pick):
-                raise LatticeError(f"invalid reduction choice {pick!r}")
+                # a mask outside the top carrier has no subset literal
+                shown = format_carrier(pick) if chain[0].carrier_set.issuperset(pick) else pick
+                raise LatticeError(f"invalid reduction choice for L2^{m - 1}: {shown}")
             nxt = Level(f"L2^{m - 1}", n, pick, "boolean")
         else:  # 2^2 -> 2^1 has one reduction, which reduce_boolean answers at once
             nxt = least_reduction(chain[-1]) if m > 2 else reduce_boolean(chain[-1])[0]

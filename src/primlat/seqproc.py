@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import MAX_ATOMS, LatticeError
 from .primorial import PrimorialLattice, generate_primorial
 from .projection import _projector, project_sequence
-from .textio import format_mask
+from .textio import format_mask, parse_choices
 
 
 class SequenceError(LatticeError):
@@ -167,32 +167,34 @@ def pyramid_rows(pyramid: AnalysisPyramid, alphabet: SymbolAlphabet | None = Non
 def summarize(
     pyramid: AnalysisPyramid,
     alphabet: SymbolAlphabet,
-    coarse_atoms=(),
+    pl: PrimorialLattice,
     window: int | None = None,
 ):
-    """Per-level histograms plus content fractions of the coarse atoms.
+    """Per-level histograms plus the content fractions of L2^2's two atoms.
 
-    ``coarse_atoms`` are masks tracked at the 4-element level (the preset's
-    A∨T / C∨G pair); ``window`` additionally emits per-window fractions.
+    The atoms are the two middle elements of the family's 4-element level,
+    the one holding the first symbol first (A∨T then C∨G on the presets);
+    ``window`` additionally emits per-window fractions.
     """
     lines = [f"length: {len(pyramid.source)}", f"method: {pyramid.method}"]
     for name, seq in pyramid.levels.items():
         items = seq.items
         shown = " ".join(f"{alphabet.render(x)}={items.count(x)}" for x in sorted(set(items)))
         lines.append(f"level {name}: {shown}")
-    if coarse_atoms and "L2^2" in pyramid.levels:
-        seq = pyramid.levels["L2^2"].items
-        total = len(seq) or 1
-        for mask in coarse_atoms:
-            lines.append(f"{alphabet.render(mask)} fraction: {seq.count(mask) / total:.4f}")
-        if window:
-            labels = [alphabet.render(mask) for mask in coarse_atoms]
-            for start in range(0, len(seq), window):
-                chunk = seq[start : start + window]
-                parts = " ".join(
-                    f"{s}={chunk.count(mask) / len(chunk):.4f}" for s, mask in zip(labels, coarse_atoms)
-                )
-                lines.append(f"window [{start},{start + len(chunk)}): {parts}")
+    low, high = pl.level("L2^2").carrier[1:3]
+    coarse_atoms = (low, high) if low & 1 else (high, low)
+    seq = pyramid.levels["L2^2"].items
+    total = len(seq) or 1
+    for mask in coarse_atoms:
+        lines.append(f"{alphabet.render(mask)} fraction: {seq.count(mask) / total:.4f}")
+    if window:
+        labels = [alphabet.render(mask) for mask in coarse_atoms]
+        for start in range(0, len(seq), window):
+            chunk = seq[start : start + window]
+            parts = " ".join(
+                f"{s}={chunk.count(mask) / len(chunk):.4f}" for s, mask in zip(labels, coarse_atoms)
+            )
+            lines.append(f"window [{start},{start + len(chunk)}): {parts}")
     return lines
 
 
@@ -203,7 +205,6 @@ def summarize(
 class GspPreset:
     alphabet: SymbolAlphabet
     primorial: PrimorialLattice
-    coarse_atoms: tuple  # masks of the 2^2-level middle pair
 
     def describe(self):
         """The fixed reduction chain, one audit line per member."""
@@ -215,43 +216,32 @@ class GspPreset:
         return lines
 
 
-PRESETS = ("acgt-atcg", "acgt-plus-x")
+# name -> (symbols, reduction chain in the ``primorial --choices`` format:
+# the carriers of L2^(N-1) down to L2^2, symbol k being atom {k})
+PRESETS = {
+    # four symbols with the 4-element level carrying A∨T and C∨G, so
+    # weak/strong base pairing is one projection away
+    "acgt-atcg": ("ACGT", """
+        {} {1} {2,3} {1,2,3} {4} {1,4} {2,3,4} {1,2,3,4}
+        {} {2,3} {1,4} {1,2,3,4}
+    """),
+    # a fifth symbol X that the first reduction removes; the 16-element
+    # level keeps the four nucleobase atoms and lower levels fold X into
+    # the C∨G branch
+    "acgt-plus-x": ("ACGTX", """
+        {} {1} {2} {1,2} {3} {1,3} {4} {1,4} {2,3,5} {1,2,3,5} {2,4,5} {1,2,4,5} {3,4,5} {1,3,4,5} {2,3,4,5} {1,2,3,4,5}
+        {} {1} {4} {1,4} {2,3,5} {1,2,3,5} {2,3,4,5} {1,2,3,4,5}
+        {} {1,4} {2,3,5} {1,2,3,4,5}
+    """),
+}
 
 
 def gsp_preset(kind: str) -> GspPreset:
-    """Fixed alphabets and reduction chains for nucleobase work.
-
-    ``acgt-atcg``: four symbols with the 4-element level carrying A∨T and
-    C∨G, so weak/strong base pairing is one projection away.
-    ``acgt-plus-x``: a fifth symbol X that the first reduction removes; the
-    16-element level keeps the four nucleobase atoms and lower levels fold
-    X into the C∨G branch.
-    """
-    if kind == "acgt-atcg":
-        alphabet = SymbolAlphabet(("A", "C", "G", "T"))
-        a, c, g, t = (alphabet.atom(s) for s in "ACGT")
-        at, cg = a | t, c | g
-        full = 15
-        level8 = (0, a, t, cg, at, a | cg, t | cg, full)
-        level4 = (0, at, cg, full)
-        pl = generate_primorial(4, choices=[level8, level4])
-        return GspPreset(alphabet, pl, (at, cg))
-    if kind == "acgt-plus-x":
-        alphabet = SymbolAlphabet(("A", "C", "G", "T", "X"))
-        a, c, g, t, x = (alphabet.atom(s) for s in "ACGTX")
-        full = 31
-        level16 = tuple(
-            sorted(
-                {0, full}
-                | {a, c, g, t}
-                | {full ^ a, full ^ c, full ^ g, full ^ t}
-                | {a | c, a | g, a | t}
-                | {full ^ (a | c), full ^ (a | g), full ^ (a | t)}
-            )
-        )
-        at, cgx = a | t, c | g | x
-        level8 = (0, a, t, cgx, at, a | cgx, t | cgx, full)
-        level4 = (0, at, cgx, full)
-        pl = generate_primorial(5, choices=[level16, level8, level4])
-        return GspPreset(alphabet, pl, (at, cgx))
-    raise SequenceError(f"unknown preset {kind!r}")
+    """A ``PRESETS`` alphabet and its family, built from the preset's chain
+    by ``generate_primorial``, which verifies every step."""
+    try:
+        symbols, chain = PRESETS[kind]
+    except KeyError:
+        raise SequenceError(f"unknown preset {kind!r}") from None
+    n = len(symbols)
+    return GspPreset(SymbolAlphabet(tuple(symbols)), generate_primorial(n, choices=parse_choices(chain, n)))

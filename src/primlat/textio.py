@@ -131,6 +131,17 @@ def parse_mask(text: str, top_n: int) -> int:
     return mask
 
 
+def parse_choices(text: str, top_n: int):
+    """Reduction choices as carriers, one line of subset literals each;
+    ``#`` starts a comment and blank lines are skipped."""
+    choices = []
+    for line in text.split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            choices.append(tuple(parse_mask(tok, top_n) for tok in line.split()))
+    return choices
+
+
 def format_carrier(carrier) -> str:
     return " ".join(format_mask(m) for m in sorted(carrier))
 

@@ -253,6 +253,15 @@ def test_primorial_choices_file(tmp_path, capsys):
     assert "L2^2\t{} {1} {2,3} {1,2,3}" in out
 
 
+def test_invalid_choice_is_named_by_level_in_subset_literals(tmp_path, capsys):
+    choices = tmp_path / "choices.txt"
+    choices.write_text("# not a reduction of 2^3\n\n{} {1} {2} {1,2,3}\n")
+    assert main(["primorial", "--n", "3", "--choices", str(choices)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid reduction choice for L2^2: {} {1} {2} {1,2,3}\n"
+
+
 def test_project_command(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("{1} {} {1,2,3}\n")

@@ -460,6 +460,19 @@ def test_generate_respects_choices_and_rejects_bad_ones():
         generate_primorial(4, choices=[level8])
 
 
+@pytest.mark.parametrize("n, choices, shown", [
+    (4, [(0, 1, 2, 3, 4, 5, 6, 15), (0, 6, 9, 15)], "L2^3: {} {1} {2} {1,2} {3} {1,3} {2,3} {1,2,3,4}"),
+    (4, [(0, 1, 8, 9, 6, 7, 14, 15), (0, 6, 8, 15)], "L2^2: {} {2,3} {4} {1,2,3,4}"),
+    # masks outside the top carrier have no subset literal and keep their numbers
+    (3, [(7, 6, -1, 0)], "L2^2: (-1, 0, 6, 7)"),
+    (3, [(0, 1, 6, 99)], "L2^2: (0, 1, 6, 99)"),
+])
+def test_an_invalid_choice_names_its_level_and_carrier(n, choices, shown):
+    with pytest.raises(LatticeError) as err:
+        generate_primorial(n, choices=choices)
+    assert str(err.value) == f"invalid reduction choice for {shown}"
+
+
 def test_family_contains_pentagon_for_four_atoms():
     pl = generate_primorial(4)
     rep = classify(pl.family)

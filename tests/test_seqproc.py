@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import pyramid_rows_loop, summarize_loop
+from primlat.cli import main
 from primlat.core import LatticeError
+from primlat.primorial import generate_primorial
 from primlat.projection import METHODS, project
 from primlat.seqproc import (
+    PRESETS,
     AnalysisPyramid,
     SequenceError,
     SymbolAlphabet,
@@ -23,6 +26,11 @@ from primlat.seqproc import (
 )
 from primlat.projection import proj_zero
 from primlat.textio import format_mask
+
+
+# each preset's L2^2 middle pair, A∨T first, written out independently of
+# the family
+COARSE_ATOMS = {"acgt-atcg": (9, 6), "acgt-plus-x": (9, 22)}
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +79,7 @@ def test_analyze_top_level_is_unchanged(preset):
 
 def test_analyze_ceiling_onto_coarse_level(preset):
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "ceiling")
-    at, cg = preset.coarse_atoms
+    at, cg = COARSE_ATOMS["acgt-atcg"]
     assert pyramid.levels["L2^2"].items == bytes((at, cg, cg, at))
 
 
@@ -170,6 +178,38 @@ def test_preset_description_audits_carriers():
         assert gsp_preset(kind).describe() == expected
 
 
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_preset_chain_text_builds_the_same_family_through_primorial_choices(kind, tmp_path, capsys):
+    symbols, chain = PRESETS[kind]
+    path = tmp_path / "chain.txt"
+    path.write_text(chain)
+    assert main(["primorial", "--n", str(len(symbols)), "--choices", str(path)]) == 0
+    rendered = []
+    for line in capsys.readouterr().out.splitlines():
+        name, carrier = line.split("\t")
+        # {1,3} -> {A,G}: atom k is the alphabet's k-th symbol
+        shown = ["{" + ",".join(symbols[int(k) - 1] for k in lit[1:-1].split(",") if k) + "}"
+                 for lit in carrier.split()]
+        rendered.append(f"member {name}: {' '.join(shown)}")
+    assert rendered == gsp_preset(kind).describe()[1:]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_summary_counts_the_l2_2_atoms_of_any_family(n):
+    pl = generate_primorial(n)
+    al = SymbolAlphabet(tuple("ABCDEF"[:n]))
+    full = (1 << n) - 1
+    first = next(x for x in pl.level("L2^2").carrier if x & 1 and x != full)
+    rng = random.Random(n)
+    for tokens in ((), tuple(rng.choices(al.symbols, k=60))):
+        for method in METHODS:
+            pyramid = analyze(pl, al, tokens, method)
+            for window in (None, 1, 7, 61):
+                assert summarize(pyramid, al, pl, window) == summarize_loop(
+                    pyramid, al, (first, full ^ first), window
+                )
+
+
 @given(st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=40),
        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=40))
 def test_synthesis_laws_on_random_mask_sequences(xs, ys):
@@ -188,7 +228,7 @@ def test_synthesis_laws_on_random_mask_sequences(xs, ys):
 def test_counting_oracle_on_random_sequences(s):
     pre = gsp_preset("acgt-atcg")
     pyramid = analyze(pre.primorial, pre.alphabet, tuple(s), "ceiling")
-    at, cg = pre.coarse_atoms
+    at, cg = COARSE_ATOMS["acgt-atcg"]
     coarse = pyramid.levels["L2^2"].items
     assert sum(1 for x in coarse if x == at) == sum(1 for ch in s if ch in "AT")
     assert sum(1 for x in coarse if x == cg) == sum(1 for ch in s if ch in "CG")
@@ -201,7 +241,7 @@ def test_pyramid_rows_and_summary(preset):
     rows = list(pyramid_rows(pyramid, preset.alphabet))
     assert rows[0][:2] == ["position", "input"]
     assert len(rows) == 4
-    lines = summarize(pyramid, preset.alphabet, preset.coarse_atoms, window=2)
+    lines = summarize(pyramid, preset.alphabet, preset.primorial, window=2)
     assert any("fraction" in line for line in lines)
     assert any(line.startswith("window [0,2)") for line in lines)
     # rows and summaries equal a reference projected and rendered per base
@@ -226,9 +266,7 @@ def test_pyramid_rows_and_summary(preset):
                 ]
                 assert list(pyramid_rows(pyramid, alphabet)) == expected
             for window in (None, 64):
-                assert summarize(pyramid, al, pre.coarse_atoms, window) == summarize(
-                    reference, al, pre.coarse_atoms, window
-                )
+                assert summarize(pyramid, al, pl, window) == summarize(reference, al, pl, window)
 
 
 @pytest.mark.parametrize("kind", ["acgt-atcg", "acgt-plus-x"])
@@ -243,8 +281,8 @@ def test_rows_and_summary_equal_the_per_position_loops(kind):
             for alphabet in (al, None):
                 assert list(pyramid_rows(pyramid, alphabet)) == list(pyramid_rows_loop(pyramid, alphabet))
             for window in (None, 1, 7, len(tokens) + 1, 10 * len(tokens) + 10):
-                assert summarize(pyramid, al, pre.coarse_atoms, window) == summarize_loop(
-                    pyramid, al, pre.coarse_atoms, window
+                assert summarize(pyramid, al, pl, window) == summarize_loop(
+                    pyramid, al, COARSE_ATOMS[kind], window
                 )
 
 
