@@ -259,50 +259,6 @@ def is_reduction(level: Level, carrier) -> bool:
     )
 
 
-def least_reduction(level: Level) -> Level:
-    """``reduce_boolean(level)[0]`` without enumerating the other reductions.
-
-    Defined for Boolean levels whose atoms a_1 < ... < a_m (ascending masks)
-    partition the top, as every level of the default chain does: the top's
-    atoms are the singletons, and the result's atoms again partition it.
-    The result merges the two highest atoms into one, a_(m-1) | a_m; its
-    carrier is the set of unions of the new atoms, and it is verified with
-    ``is_reduction`` before it is returned.
-
-    Why it is the lexicographically least carrier: the atoms are disjoint
-    and cover the top, so the level's elements are exactly the unions
-    U(s) = OR of a_(i+1) over the bits i of s, for s < 2^m, and set
-    complement maps U(s) to U(~s).  Of two disjoint masks the one with the
-    higher top bit is larger, so U(s) < U(t) iff s < t, and the elements
-    below 2^(m-1) in index, those without a_m, are smaller than every
-    element with a_m.  A reduction is complement-closed with 2^(m-1)
-    elements, so it holds exactly one of U(s), U(~s) for each s, hence
-    exactly 2^(m-2) elements without a_m: these are the first half of its
-    sorted carrier, and their complements are the second half.  The least
-    possible first half is U(0) .. U(2^(m-2) - 1), the unions of
-    a_1 .. a_(m-2), which is this carrier's first half, and it fixes the
-    second half.  Every other reduction has a larger first half, so this
-    one comes first in ``reduce_boolean``'s order.
-
-    Raises ``LatticeError`` when the atoms do not partition the top: there
-    the unions of merged atoms need not even lie in the level.
-    """
-    _check_reducible(level)
-    atoms = _atoms_of_carrier(level.carrier)
-    cover = 0
-    for a in atoms:
-        cover |= a
-    if cover != level.full:
-        raise LatticeError("least reduction needs a level whose atoms partition the top")
-    merged = atoms[:-2] + [atoms[-2] | atoms[-1]]
-    carrier = [0]
-    for a in merged:
-        carrier += [x | a for x in carrier]
-    if not is_reduction(level, carrier):
-        raise LatticeError(f"merged atoms give no reduction of {level!r}")
-    return Level(None, level.top_n, carrier, "boolean")
-
-
 # ---------------------------------------------------------------------------
 # bounded lattice difference
 
@@ -363,15 +319,20 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
 
     ``choices`` optionally fixes the reduction taken at each step, as a
     sequence of carriers (mask collections) for the levels below the top:
-    first the 2^(n-1) level, then 2^(n-2), and so on down to 2^2.  Each
-    supplied carrier is verified directly with ``is_reduction``, the
-    acceptance condition of ``reduce_boolean``, so no step with a choice
-    enumerates the other reductions.  Without choices, each step down to
-    2^2 takes ``least_reduction``, the lexicographically least carrier of
-    ``reduce_boolean`` built directly from the level's atoms, and the last
-    step to 2^1 takes the only carrier ``reduce_boolean`` returns there.
-    The reduction bound is checked on ``n`` before the top carrier is
-    built.
+    first the 2^(n-1) level, then 2^(n-2), and so on down to 2^2.  Without
+    choices the default chain is used: its L2^m keeps the atoms {1}..{m-1}
+    and merges {m..n} into one, so with h = 2^(m-1) its carrier is
+    ``range(h)`` followed by ``x | full & -h`` for x in ``range(h)``.
+    This is ``reduce_boolean(L2^(m+1))[0]``, the lexicographically least
+    reduction: a reduction holds one of U, ~U for each parent element U, so
+    its lower half is 2^(m-1) unions of the parent's m lower atoms (masks
+    below every mask holding the highest atom) and fixes its upper half by
+    complement; the least such half is ``range(h)``, the unions of {1}..{m-1}.
+    Every carrier, default or supplied, is verified with ``is_reduction``,
+    the acceptance condition of ``reduce_boolean``, so no step enumerates
+    the other reductions; the last step to 2^1 takes the only carrier
+    ``reduce_boolean`` returns there.  The reduction bound is checked on
+    ``n`` before the top carrier is built.
     Both family invariants are asserted: every difference level is
     orthocomplemented under inherited pairs, and the family order has the
     generated-chain shape.
@@ -380,25 +341,28 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
         raise LatticeError("generation needs at least 2 atoms")
     check_reduce_bound(n)
     chain = [boolean_carrier(n)]
-    wanted = list(choices) if choices is not None else None
-    step = 0
-    for m in range(n, 1, -1):
-        if m > 2 and wanted is not None:
-            if step >= len(wanted):
-                raise LatticeError("not enough reduction choices supplied")
-            pick = tuple(sorted(wanted[step]))
-            step += 1
-            if not is_reduction(chain[-1], pick):
-                # a mask outside the top carrier has no subset literal
-                shown = format_carrier(pick) if chain[0].carrier_set.issuperset(pick) else pick
-                raise LatticeError(f"invalid reduction choice for L2^{m - 1}: {shown}")
-            nxt = Level(f"L2^{m - 1}", n, pick, "boolean")
-        else:  # 2^2 -> 2^1 has one reduction, which reduce_boolean answers at once
-            nxt = least_reduction(chain[-1]) if m > 2 else reduce_boolean(chain[-1])[0]
-            nxt.name = f"L2^{m - 1}"
-        chain.append(nxt)
-    if wanted is not None and step != len(wanted):
-        raise LatticeError("too many reduction choices supplied")
+    if choices is None:
+        full = chain[0].full
+        choices = []
+        for m in range(n - 1, 1, -1):
+            h = 1 << (m - 1)
+            choices.append([*range(h), *(x | full & -h for x in range(h))])
+    for m, pick in itertools.zip_longest(range(n - 1, 1, -1), choices):
+        if m is None:
+            raise LatticeError("too many reduction choices supplied")
+        if pick is None:
+            raise LatticeError("not enough reduction choices supplied")
+        pick = tuple(sorted(pick))
+        if not is_reduction(chain[-1], pick):
+            # a mask outside the top carrier has no subset literal
+            shown = format_carrier(pick) if chain[0].carrier_set.issuperset(pick) else pick
+            raise LatticeError(f"invalid reduction choice for L2^{m}: {shown}")
+        chain.append(Level(f"L2^{m}", n, pick, "boolean"))
+    # a 4-element level has one reduction; this call is also the one that
+    # fires the primorial.reduce span the genome benchmark requires
+    (last,) = reduce_boolean(chain[-1])
+    last.name = "L2^1"
+    chain.append(last)
     chain.reverse()  # ascending L2^1 .. L2^n
 
     levels = {lvl.name: lvl for lvl in chain}

@@ -110,6 +110,8 @@ def load_lattice_file(path) -> LatticeDocument:
 
 
 def format_mask(mask: int) -> str:
+    if mask < 0:  # ``bits`` never ends on a negative int
+        raise FormatError(f"negative mask {mask} has no subset literal")
     return "{" + ",".join(str(b + 1) for b in bits(mask)) + "}"
 
 

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from primlat import primorial
+from primlat.cli import main
 from primlat.core import FiniteLattice, LatticeError, classify, is_isomorphic
 from primlat.ortho import attach_ortho, find_orthocomplement
 from primlat.primorial import (
@@ -16,7 +18,6 @@ from primlat.primorial import (
     generate_primorial,
     is_primorial,
     is_reduction,
-    least_reduction,
     monotone_self_dual,
     reduce_boolean,
 )
@@ -26,7 +27,6 @@ from primlat.seqproc import SymbolAlphabet, analyze, gsp_preset
 from conftest import benzene, diamond
 from helpers import (
     _complement_pairs,
-    atoms_loop,
     default_chain_loop,
     half_size_candidates,
     induced_boolean_loop,
@@ -89,7 +89,7 @@ def test_reduce_needs_bounds_and_complement_pairs_in_the_level():
     # the level below holds neither the top 7 nor its complement pairs
     broken = Level(None, 3, (0, 1, 2, 3), "boolean")
     refused = "^reduction needs a level holding 0 and the top, closed under complement$"
-    for call in (reduce_boolean, least_reduction, lambda lvl: is_reduction(lvl, (0, 7))):
+    for call in (reduce_boolean, lambda lvl: is_reduction(lvl, (0, 7))):
         with pytest.raises(LatticeError, match=refused):
             call(broken)
     (only,) = reduce_boolean(Level(None, 3, (0, 1, 6, 7), "boolean"))
@@ -151,42 +151,36 @@ def test_reduce_agrees_with_brute_force_on_reduction_trees(levels6, reduction_tr
         assert _carriers(reduce_boolean(parent)) == _carriers(reduce_boolean_loop(parent))
 
 
-def _atoms_partition_top(level):
-    cover = 0
-    for a in atoms_loop(level.carrier):
-        cover |= a
-    return cover == level.full
-
-
-def test_least_reduction_is_the_first_reduction_on_partition_levels(levels6, reduction_tree):
-    # the merge rule holds exactly where the atoms partition the top; on
-    # every other level it refuses instead of guessing
-    partition = other = 0
-    for parent, levels in reduction_tree:
-        if _atoms_partition_top(parent):
-            assert least_reduction(parent).carrier == levels[0].carrier
-            partition += 1
-        else:
-            with pytest.raises(LatticeError, match="atoms partition the top"):
-                least_reduction(parent)
-            other += 1
-    assert (partition, other) == (1733, 364)
-    partition = other = 0
-    for child in levels6:
-        if _atoms_partition_top(child):
-            assert least_reduction(child).carrier == reduce_boolean(child)[0].carrier
-            partition += 1
-        else:
-            with pytest.raises(LatticeError, match="atoms partition the top"):
-                least_reduction(child)
-            other += 1
-    assert (partition, other) == (15, 456)
-
-
 def test_default_chain_matches_full_enumeration():
     for n in (2, 3, 4, 5, 6):
         chain = [lvl.carrier for lvl in reversed(generate_primorial(n).chain)]
         assert chain == default_chain_loop(n)
+
+
+@pytest.mark.parametrize("source", [2, 3, 4, 5, 6, "acgt-atcg", "acgt-plus-x", "choices"])
+def test_a_family_build_enumerates_only_its_last_step(source, monkeypatch, tmp_path, capsys):
+    # every step down to L2^2 is checked with is_reduction; the one
+    # reduce_boolean call, 2^2 -> 2^1, is also the call that fires the
+    # primorial.reduce span the genome benchmark workload requires
+    calls = []
+
+    def counted(level):
+        calls.append(level.carrier)
+        return reduce_boolean(level)
+
+    monkeypatch.setattr(primorial, "reduce_boolean", counted)
+    if source == "choices":
+        path = tmp_path / "choices.txt"
+        path.write_text("{} {1} {4} {1,4} {2,3} {1,2,3} {2,3,4} {1,2,3,4}\n{} {2,3} {1,4} {1,2,3,4}\n")
+        assert main(["primorial", "--n", "4", "--choices", str(path)]) == 0
+        capsys.readouterr()
+        last = (0, 6, 9, 15)
+    elif isinstance(source, str):
+        last = gsp_preset(source).primorial.level("L2^2").carrier
+    else:
+        last = generate_primorial(source).level("L2^2").carrier
+    assert len(last) == 4
+    assert calls == [last]
 
 
 def test_induced_boolean_matches_popcount_loop(levels6):
@@ -458,6 +452,11 @@ def test_generate_respects_choices_and_rejects_bad_ones():
         generate_primorial(4, choices=[(0, 1, 2, 3, 4, 5, 6, 15), level4])
     with pytest.raises(LatticeError, match="not enough"):
         generate_primorial(4, choices=[level8])
+    with pytest.raises(LatticeError, match="^too many reduction choices supplied$"):
+        generate_primorial(4, choices=[level8, level4, (0, 15)])
+    # a short list is checked step by step: its bad first step is reported
+    with pytest.raises(LatticeError, match="^invalid reduction choice for L2\\^3: "):
+        generate_primorial(4, choices=[(0, 1, 2, 3, 4, 5, 6, 15)])
 
 
 @pytest.mark.parametrize("n, choices, shown", [

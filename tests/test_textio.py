@@ -54,6 +54,14 @@ def test_mask_literals_roundtrip():
     assert format_carrier((0, 3)) == "{} {1,2}"
 
 
+def test_negative_masks_have_no_literal():
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(FormatError, match=f"^negative mask {mask} has no subset literal$"):
+            format_mask(mask)
+    with pytest.raises(FormatError, match="^negative mask -1 "):
+        format_carrier((0, -1, 3))
+
+
 def test_mask_literal_errors():
     with pytest.raises(FormatError):
         parse_mask("1,3", 4)
