@@ -12,19 +12,14 @@ from .core import (
     PropertyReport,
     build_lattice,
     classify,
-    compose,
-    distributive_triple,
     enumerate_lattices,
-    is_isomorphic,
 )
 from .ortho import (
     NegationMap,
     OrthoError,
     OrthoLattice,
-    all_orthocomplements,
     attach_ortho,
     classify_negation,
-    find_orthocomplement,
     ortho_class,
     relations,
     relations_of,
@@ -67,10 +62,7 @@ from .seqproc import (
 from .valuation import (
     LatticeMetric,
     check_valuation,
-    closed_ball,
-    height_valuation,
     metric_from_valuation,
-    open_ball,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from operator import eq, getitem
+from operator import getitem
 
 MAX_ELEMENTS = 256
 MAX_ATOMS = MAX_ELEMENTS.bit_length() - 1  # the largest 2^N the tables hold, one element per byte
@@ -97,15 +97,6 @@ class FinitePoset:
                     )
         return cls(labels, rows)
 
-    @classmethod
-    def from_leq(cls, labels, pairs):
-        """Build from explicit <= pairs (already including implied ones is fine).
-
-        The pairs go through the same closure and antisymmetry check as
-        cover pairs, which they need not be.
-        """
-        return cls.from_covers(labels, pairs)
-
     # -- order queries (index based internally, label based publicly) -------
 
     def index(self, label):
@@ -163,21 +154,6 @@ class FinitePoset:
     def topo_order(self):
         """Indices ordered so that smaller elements come first."""
         return tuple(sorted(range(self.n), key=lambda i: (bin(self.geq_rows[i]).count("1"), i)))
-
-    def dual(self):
-        return FinitePoset(self.labels, self.geq_rows)
-
-    def subposet(self, sub_labels):
-        """Induced order on a subset of the carrier."""
-        idx = [self.index(a) for a in sub_labels]
-        rows = []
-        for i in idx:
-            row = 0
-            for pos, j in enumerate(idx):
-                if self.leq_i(i, j):
-                    row |= 1 << pos
-            rows.append(row)
-        return FinitePoset(sub_labels, rows)
 
     def lattice_tables(self):
         """(join, meet) padded byte rows, or None with a witness pair if absent.
@@ -337,12 +313,6 @@ def build_lattice(labels, covers):
     return poset
 
 
-def distributive_triple(lat: FiniteLattice, x, y, z) -> bool:
-    """x ∧ (y ∨ z) == (x ∧ y) ∨ (x ∧ z) for the given elements."""
-    i, j, k = lat.index(x), lat.index(y), lat.index(z)
-    return lat.meet_i(i, lat.join_i(j, k)) == lat.join_i(lat.meet_i(i, j), lat.meet_i(i, k))
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -430,37 +400,6 @@ class PropertyReport:
             if lat.meet_all_i([a for a in antis if lat.leq_i(i, a)]) != i:
                 return False
         return True
-
-    @cached_property
-    def modular_pairs(self):
-        """The relation M: (x, y) with a <= y => y ∧ (x ∨ a) == (y ∧ x) ∨ a.
-
-        The a <= y are exactly the y ∧ z over all z, so each pair is one
-        comparison of translated rows.
-        """
-        lat = self.lattice
-        jn, mt = lat.join_table, lat.meet_table
-        pairs = set()
-        for x in range(lat.n):
-            for y in range(lat.n):
-                my = mt[y]
-                if my.translate(jn[x]).translate(my) == my.translate(jn[my[x]]):
-                    pairs.add((lat.labels[x], lat.labels[y]))
-        return frozenset(pairs)
-
-    @cached_property
-    def distributive_triples(self):
-        lat = self.lattice
-        jn, mt, L = lat.join_table, lat.meet_table, lat.labels
-        out = set()
-        for x in range(lat.n):
-            mx = mt[x]
-            for y in range(lat.n):
-                # over z: x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z)
-                same = map(eq, jn[y].translate(mx), mx.translate(jn[mx[y]]))
-                out.update((L[x], L[y], L[z]) for z in itertools.compress(range(lat.n), same))
-        return frozenset(out)
-
 
 def modular_by_identity(lat: FiniteLattice) -> bool:
     """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y)."""
@@ -621,129 +560,6 @@ def _find_diamond(lat):
 
 def classify(lat: FiniteLattice) -> PropertyReport:
     return PropertyReport(lat)
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def compose(p: FinitePoset, q, op: str, max_size: int = 4096) -> FinitePoset:
-    """Combine two posets; ``dual`` ignores ``q``.
-
-    Product labels are (p, q) pairs; exponential labels are tuples of
-    q-labels listed in p's element order.
-    """
-    if op == "dual":
-        return p.dual()
-    if q is None:
-        raise LatticeError(f"operation {op!r} needs two posets")
-    if op in ("direct-sum", "ordinal-sum"):
-        if set(p.labels) & set(q.labels):
-            raise LatticeError("carriers must be disjoint")
-        labels = p.labels + q.labels
-        rows = [r for r in p.leq_rows]
-        rows += [r << p.n for r in q.leq_rows]
-        if op == "ordinal-sum":
-            upper = ((1 << q.n) - 1) << p.n
-            for i in range(p.n):
-                rows[i] |= upper
-        return FinitePoset(labels, rows)
-    if op in ("direct-product", "ordinal-product"):
-        if p.n * q.n > max_size:
-            raise LatticeError("size cap exceeded for product")
-        labels = tuple((a, b) for a in p.labels for b in q.labels)
-        rows = []
-        for i in range(p.n):
-            for j in range(q.n):
-                row = 0
-                pos = 0
-                for k in range(p.n):
-                    for l in range(q.n):
-                        if op == "direct-product":
-                            ok = p.leq_i(i, k) and q.leq_i(j, l)
-                        else:
-                            ok = (i != k and p.leq_i(i, k)) or (i == k and q.leq_i(j, l))
-                        if ok:
-                            row |= 1 << pos
-                        pos += 1
-                rows.append(row)
-        return FinitePoset(labels, rows)
-    if op == "exponential":
-        if q.n**p.n > max_size:
-            raise LatticeError("size cap exceeded for exponential")
-        maps = []
-        for values in itertools.product(range(q.n), repeat=p.n):
-            if all(
-                q.leq_i(values[i], values[j])
-                for i in range(p.n)
-                for j in bits(p.leq_rows[i])
-            ):
-                maps.append(values)
-        labels = tuple(tuple(q.labels[v] for v in values) for values in maps)
-        rows = []
-        for f in maps:
-            row = 0
-            for pos, g in enumerate(maps):
-                if all(q.leq_i(f[i], g[i]) for i in range(p.n)):
-                    row |= 1 << pos
-            rows.append(row)
-        return FinitePoset(labels, rows)
-    raise LatticeError(f"unknown composition {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def _invariants(p: FinitePoset):
-    down = [bin(c).count("1") for c in p.geq_rows]
-    up = [bin(r).count("1") for r in p.leq_rows]
-    cov_up = [bin(m).count("1") for m in p._cover_up]
-    cov_down = [bin(m).count("1") for m in p._cover_down]
-    return [(down[i], up[i], cov_up[i], cov_down[i]) for i in range(p.n)]
-
-
-def is_isomorphic(p: FinitePoset, q: FinitePoset):
-    """Order-preserving bijection with order-preserving inverse, or None.
-
-    Deterministic for fixed input orderings: candidates are tried in
-    declared element order.
-    """
-    if p.n != q.n:
-        return None
-    inv_p, inv_q = _invariants(p), _invariants(q)
-    if sorted(inv_p) != sorted(inv_q):
-        return None
-    order = sorted(range(p.n), key=lambda i: (inv_p[i], i))
-    assigned = [-1] * p.n
-    used = [False] * q.n
-
-    def extend(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in range(q.n):
-            if used[j] or inv_q[j] != inv_p[i]:
-                continue
-            ok = True
-            for kk in range(k):
-                i2 = order[kk]
-                j2 = assigned[i2]
-                if p.leq_i(i, i2) != q.leq_i(j, j2) or p.leq_i(i2, i) != q.leq_i(j2, j):
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                assigned[i] = -1
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
-    return {p.labels[i]: q.labels[assigned[i]] for i in range(p.n)}
 
 
 # ---------------------------------------------------------------------------

@@ -87,19 +87,20 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
     """
     ol = OrthoLattice(lattice, ortho_map)
     lat, perm = lattice, ol._perm
+    bottom, top = lat.bottom_i, lat.top_i  # the empty lattice has neither, and raises here
     for i in range(lat.n):
         if perm[perm[i]] != i:
             raise OrthoError("involution", lat.labels[i])
-        if lat.meet_i(i, perm[i]) != lat.bottom_i:
+        if lat.meet_i(i, perm[i]) != bottom:
             raise OrthoError("non-contradiction", lat.labels[i])
     failure = _antitone_failure(lat, perm)
     if failure is not None:
         raise OrthoError("antitone", (lat.labels[failure[0]], lat.labels[failure[1]]))
     # derived consequences of a valid orthocomplement
-    assert perm[lat.bottom_i] == lat.top_i
-    assert perm[lat.top_i] == lat.bottom_i
+    assert perm[bottom] == top
+    assert perm[top] == bottom
     for i in range(lat.n):
-        assert lat.join_i(i, perm[i]) == lat.top_i, "excluded middle"
+        assert lat.join_i(i, perm[i]) == top, "excluded middle"
     for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
         assert neg_join == meet_neg and neg_meet == join_neg, "De Morgan"
     return ol
@@ -259,76 +260,3 @@ def relations(lattice: FiniteLattice, neg_map) -> RelationReport:
 
 def relations_of(ol: OrthoLattice) -> RelationReport:
     return relations(ol.lattice, ol.ortho)
-
-
-# ---------------------------------------------------------------------------
-# involution search (used for "no orthocomplement exists" style results)
-
-
-def involutions(n: int):
-    """All involutive permutations of range(n)."""
-
-    def rec(remaining):
-        if not remaining:
-            yield {}
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for sub in rec(rest):
-            out = dict(sub)
-            out[first] = first
-            yield out
-        for k, other in enumerate(rest):
-            for sub in rec(rest[:k] + rest[k + 1 :]):
-                out = dict(sub)
-                out[first] = other
-                out[other] = first
-                yield out
-
-    yield from rec(list(range(n)))
-
-
-def all_orthocomplements(lattice: FiniteLattice):
-    """Yield every involution satisfying the orthocomplement axioms."""
-    lat = lattice
-    if lat.n == 0:
-        return
-    b = lat.bottom_i
-    for perm in involutions(lat.n):
-        non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(lat.n))
-        if non_contra and _antitone_failure(lat, perm) is None:
-            yield {lat.labels[i]: lat.labels[perm[i]] for i in range(lat.n)}
-
-
-def find_orthocomplement(lattice: FiniteLattice):
-    """First valid orthocomplement map in deterministic search order, or None."""
-    for mapping in all_orthocomplements(lattice):
-        return mapping
-    return None
-
-
-def interval_sublattice(lat: FiniteLattice, lo, hi) -> FiniteLattice:
-    """The interval [lo, hi] with induced order, as its own lattice."""
-    i, j = lat.index(lo), lat.index(hi)
-    members = [k for k in range(lat.n) if lat.leq_i(i, k) and lat.leq_i(k, j)]
-    sub = lat.subposet([lat.labels[k] for k in members])
-    return FiniteLattice(sub.labels, sub.leq_rows)
-
-
-def central_decomposition(ol: OrthoLattice, c):
-    """θ(x) = (x∧c, x∧c') as a map onto [0,c] × [0,c'].
-
-    Returns (mapping, interval_below_c, interval_below_c_comp).  The caller
-    checks order-isomorphism; meaningful when every x commutes with c.
-    """
-    lat = ol.lattice
-    ci = lat.index(c)
-    cpi = ol.comp_i(ci)
-    lo = lat.labels[lat.bottom_i]
-    left = interval_sublattice(lat, lo, c)
-    right = interval_sublattice(lat, lo, lat.labels[cpi])
-    theta = {
-        lab: (lat.labels[lat.meet_i(k, ci)], lat.labels[lat.meet_i(k, cpi)])
-        for k, lab in enumerate(lat.labels)
-    }
-    return theta, left, right

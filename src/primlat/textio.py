@@ -11,11 +11,15 @@ comment):
     prob e=<rational> ...
     negation a->b ...
 
-Rationals are written ``p/q`` or as integers.
+Rationals are written ``p/q`` or as integers, in ASCII digits with an
+optional sign.  Every label an ``ortho``, ``valuation``, ``prob`` or
+``negation`` stanza names must be declared by an ``elements`` stanza,
+which may come later in the text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +28,24 @@ from .core import FinitePoset, LatticeError, bits, build_lattice
 
 class FormatError(LatticeError):
     """Malformed lattice text; message carries the line number."""
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(tok, lineno):
+    """The Fraction a ``p/q`` or integer token denotes.
+
+    Only ASCII digits are read: ``Fraction(tok)`` would also take float
+    literals, and ``1e-99999999`` would be a rational of 10^8 digits.
+    """
+    m = _RATIONAL.fullmatch(tok)
+    if m:
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):  # more digits than int() takes, or q = 0
+            pass
+    raise FormatError(f"line {lineno}: bad rational {tok!r}")
 
 
 @dataclass
@@ -45,6 +67,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
     doc = LatticeDocument()
     elements = []
     covers = []
+    named = []  # (line, stanza, label) for each label a stanza other than covers names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,6 +90,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                 if tok.count(":") != 1:
                     raise FormatError(f"line {lineno}: ortho pair {tok!r} is not a:b")
                 a, b = tok.split(":")
+                named += [(lineno, keyword, a), (lineno, keyword, b)]
                 doc.ortho[a] = b
                 doc.ortho[b] = a
         elif keyword in ("valuation", "prob"):
@@ -75,18 +99,21 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                 if tok.count("=") != 1:
                     raise FormatError(f"line {lineno}: entry {tok!r} is not e=value")
                 a, v = tok.split("=")
-                try:
-                    target[a] = Fraction(v)
-                except (ValueError, ZeroDivisionError):
-                    raise FormatError(f"line {lineno}: bad rational {v!r}") from None
+                named.append((lineno, keyword, a))
+                target[a] = _rational(v, lineno)
         elif keyword == "negation":
             for tok in rest:
                 if "->" not in tok:
                     raise FormatError(f"line {lineno}: negation entry {tok!r} is not a->b")
                 a, b = tok.split("->", 1)
+                named += [(lineno, keyword, a), (lineno, keyword, b)]
                 doc.negation[a] = b
         else:
             raise FormatError(f"line {lineno}: unknown stanza {keyword!r}")
+    declared = set(elements)
+    for lineno, keyword, label in named:
+        if label not in declared:
+            raise FormatError(f"line {lineno}: unknown element {label!r} in {keyword} stanza")
     doc.elements = tuple(elements)
     doc.covers = tuple(covers)
     return doc

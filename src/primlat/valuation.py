@@ -1,4 +1,4 @@
-"""Valuations on lattices, the induced metric, and closed balls.
+"""Valuations on lattices and the induced metric.
 
 All arithmetic is exact rational (fractions.Fraction); equality tests are
 exact, never epsilon-based.  A metric table holds integers over the
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
-from operator import add, le, lt, ne, sub
+from operator import add, ne, sub
 
 from .core import FiniteLattice, LatticeError, bits
 
@@ -74,11 +74,6 @@ def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
     return ValuationCheck(witness is None, isotone, witness)
 
 
-def height_valuation(lat: FiniteLattice):
-    """Element heights as a rational valuation candidate."""
-    return {lab: Fraction(lat.heights[i]) for i, lab in enumerate(lat.labels)}
-
-
 class LatticeMetric:
     """d(x, y) = v(x∨y) − v(x∧y) for a strictly isotone valuation v.
 
@@ -133,23 +128,3 @@ def _metric_axiom_failure(table):
 
 def metric_from_valuation(lat: FiniteLattice, values) -> LatticeMetric:
     return LatticeMetric(lat, values)
-
-
-def _ball(metric: LatticeMetric, center, radius, inside) -> tuple:
-    r = Fraction(radius)
-    if r < 0:
-        raise ValuationError("radius must be non-negative", radius)
-    bound = r * metric.scale
-    lat = metric.lattice
-    row = metric.table[lat.index(center)]
-    return tuple(lab for lab, t in zip(lat.labels, row) if inside(t, bound))
-
-
-def closed_ball(metric: LatticeMetric, center, radius) -> tuple:
-    """{y : d(center, y) <= radius}, in declared element order."""
-    return _ball(metric, center, radius, le)
-
-
-def open_ball(metric: LatticeMetric, center, radius) -> tuple:
-    """{y : d(center, y) < radius}, in declared element order."""
-    return _ball(metric, center, radius, lt)

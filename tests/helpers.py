@@ -11,6 +11,7 @@ import functools
 import io
 import itertools
 from fractions import Fraction
+from operator import le
 
 from primlat.cli import (
     cmd_analyze,
@@ -35,11 +36,11 @@ from primlat.core import (
     complements_i,
     distributive_by_identity,
 )
-from primlat.ortho import _perm, classify_negation
+from primlat.ortho import _antitone_failure, _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
 from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
 from primlat.projection import METHODS, _projector
-from primlat.valuation import ValuationCheck, closed_ball, height_valuation, metric_from_valuation
+from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
 from primlat.seqproc import PRESETS
 from primlat.textio import format_mask
 
@@ -309,6 +310,141 @@ def elkan_law(lat: FiniteLattice, perm) -> bool:
     )
 
 
+def involutions(n: int):
+    """All involutive permutations of range(n)."""
+
+    def rec(remaining):
+        if not remaining:
+            yield {}
+            return
+        first = remaining[0]
+        rest = remaining[1:]
+        for sub in rec(rest):
+            out = dict(sub)
+            out[first] = first
+            yield out
+        for k, other in enumerate(rest):
+            for sub in rec(rest[:k] + rest[k + 1 :]):
+                out = dict(sub)
+                out[first] = other
+                out[other] = first
+                yield out
+
+    yield from rec(list(range(n)))
+
+
+def all_orthocomplements(lattice: FiniteLattice):
+    """Yield every involution satisfying the orthocomplement axioms."""
+    lat = lattice
+    if lat.n == 0:
+        return
+    b = lat.bottom_i
+    for perm in involutions(lat.n):
+        non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(lat.n))
+        if non_contra and _antitone_failure(lat, perm) is None:
+            yield {lat.labels[i]: lat.labels[perm[i]] for i in range(lat.n)}
+
+
+def find_orthocomplement(lattice: FiniteLattice):
+    """First valid orthocomplement map in deterministic search order, or None."""
+    for mapping in all_orthocomplements(lattice):
+        return mapping
+    return None
+
+
+# ---------------------------------------------------------------------------
+# order constructions and the isomorphism oracle
+
+
+def subposet(poset: FinitePoset, sub_labels):
+    """Induced order on a subset of the carrier."""
+    idx = [poset.index(a) for a in sub_labels]
+    rows = []
+    for i in idx:
+        row = 0
+        for pos, j in enumerate(idx):
+            if poset.leq_i(i, j):
+                row |= 1 << pos
+        rows.append(row)
+    return FinitePoset(sub_labels, rows)
+
+
+def interval_sublattice(lat: FiniteLattice, lo, hi) -> FiniteLattice:
+    """The interval [lo, hi] with induced order, as its own lattice."""
+    i, j = lat.index(lo), lat.index(hi)
+    members = [k for k in range(lat.n) if lat.leq_i(i, k) and lat.leq_i(k, j)]
+    sub = subposet(lat, [lat.labels[k] for k in members])
+    return FiniteLattice(sub.labels, sub.leq_rows)
+
+
+def direct_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    """The componentwise order on (p, q) label pairs."""
+    labels = tuple((a, b) for a in p.labels for b in q.labels)
+    rows = []
+    for i in range(p.n):
+        for j in range(q.n):
+            row = 0
+            pos = 0
+            for k in range(p.n):
+                for l in range(q.n):
+                    if p.leq_i(i, k) and q.leq_i(j, l):
+                        row |= 1 << pos
+                    pos += 1
+            rows.append(row)
+    return FinitePoset(labels, rows)
+
+
+def _invariants(p: FinitePoset):
+    down = [bin(c).count("1") for c in p.geq_rows]
+    up = [bin(r).count("1") for r in p.leq_rows]
+    cov_up = [bin(m).count("1") for m in p._cover_up]
+    cov_down = [bin(m).count("1") for m in p._cover_down]
+    return [(down[i], up[i], cov_up[i], cov_down[i]) for i in range(p.n)]
+
+
+def is_isomorphic(p: FinitePoset, q: FinitePoset):
+    """Order-preserving bijection with order-preserving inverse, or None.
+
+    Deterministic for fixed input orderings: candidates are tried in
+    declared element order.
+    """
+    if p.n != q.n:
+        return None
+    inv_p, inv_q = _invariants(p), _invariants(q)
+    if sorted(inv_p) != sorted(inv_q):
+        return None
+    order = sorted(range(p.n), key=lambda i: (inv_p[i], i))
+    assigned = [-1] * p.n
+    used = [False] * q.n
+
+    def extend(k):
+        if k == p.n:
+            return True
+        i = order[k]
+        for j in range(q.n):
+            if used[j] or inv_q[j] != inv_p[i]:
+                continue
+            ok = True
+            for kk in range(k):
+                i2 = order[kk]
+                j2 = assigned[i2]
+                if p.leq_i(i, i2) != q.leq_i(j, j2) or p.leq_i(i2, i) != q.leq_i(j2, j):
+                    ok = False
+                    break
+            if ok:
+                assigned[i] = j
+                used[j] = True
+                if extend(k + 1):
+                    return True
+                assigned[i] = -1
+                used[j] = False
+        return False
+
+    if not extend(0):
+        return None
+    return {p.labels[i]: q.labels[assigned[i]] for i in range(p.n)}
+
+
 # ---------------------------------------------------------------------------
 # reference loops for the byte-row kernels: one Python step per element
 
@@ -333,27 +469,6 @@ def modular_identity_loop(lat: FiniteLattice) -> bool:
                 if J[x][M[z][y]] != M[J[x][z]][y]:
                     return False
     return True
-
-
-def distributive_triples_loop(lat: FiniteLattice):
-    J, M, L = lat.join_table, lat.meet_table, lat.labels
-    return frozenset(
-        (L[x], L[y], L[z])
-        for x in _idx(lat)
-        for y in _idx(lat)
-        for z in _idx(lat)
-        if M[x][J[y][z]] == J[M[x][y]][M[x][z]]
-    )
-
-
-def modular_pairs_loop(lat: FiniteLattice):
-    J, M, L = lat.join_table, lat.meet_table, lat.labels
-    return frozenset(
-        (L[x], L[y])
-        for x in _idx(lat)
-        for y in _idx(lat)
-        if all(M[y][J[x][a]] == J[M[y][x]][a] for a in _idx(lat) if lat.leq_i(a, y))
-    )
 
 
 def de_morgan_rows_loop(lat: FiniteLattice, perm):
@@ -545,6 +660,26 @@ def metric_axiom_failure_loop(t):
                 if t[i][j] > t[i][k] + t[k][j]:
                     return "triangle inequality"
     return None
+
+
+def height_valuation(lat: FiniteLattice):
+    """Element heights as a rational valuation candidate."""
+    return {lab: Fraction(lat.heights[i]) for i, lab in enumerate(lat.labels)}
+
+
+def _ball(metric: LatticeMetric, center, radius, inside) -> tuple:
+    r = Fraction(radius)
+    if r < 0:
+        raise ValuationError("radius must be non-negative", radius)
+    bound = r * metric.scale
+    lat = metric.lattice
+    row = metric.table[lat.index(center)]
+    return tuple(lab for lab, t in zip(lat.labels, row) if inside(t, bound))
+
+
+def closed_ball(metric: LatticeMetric, center, radius) -> tuple:
+    """{y : d(center, y) <= radius}, in declared element order."""
+    return _ball(metric, center, radius, le)
 
 
 @functools.lru_cache(maxsize=None)

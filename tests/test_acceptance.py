@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from primlat.core import classify, enumerate_lattices, is_isomorphic
-from primlat.ortho import all_orthocomplements, attach_ortho, find_orthocomplement, sasaki
+from primlat.core import classify, enumerate_lattices
+from primlat.ortho import attach_ortho, sasaki
 from primlat.primorial import (
     boolean_carrier,
     chain_dposet_members,
@@ -30,16 +30,12 @@ from primlat.probability import (
 )
 from primlat.projection import proj_metric, proj_sasaki, proj_zero
 from primlat.seqproc import analyze, gsp_preset
-from primlat.valuation import (
-    check_valuation,
-    closed_ball,
-    height_valuation,
-    metric_from_valuation,
-)
+from primlat.valuation import check_valuation, metric_from_valuation
 
 from conftest import benzene, powerset, powerset_complement
 
 import helpers
+from helpers import all_orthocomplements, closed_ball, find_orthocomplement, height_valuation, is_isomorphic
 
 
 class criterion:

@@ -193,6 +193,26 @@ def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
     assert captured.err == "error: probability takes a lattice file or --random-boolean N, not both\n"
 
 
+@pytest.mark.parametrize(
+    "command, stanza, error",
+    [
+        ("ortho", "ortho 0:1 zz:yy", "line 4: unknown element 'zz' in ortho stanza"),
+        ("negation", "negation 0->1 1->0 qq->rr", "line 4: unknown element 'qq' in negation stanza"),
+        ("probability", "prob 0=0 1=1 ww=5", "line 4: unknown element 'ww' in prob stanza"),
+        ("metric", "valuation 0=0 1=1 kk=3", "line 4: unknown element 'kk' in valuation stanza"),
+        ("metric", "valuation 0=0 1=1e-9", "line 4: bad rational '1e-9'"),
+    ],
+    ids=["ortho", "negation", "prob", "valuation", "float"],
+)
+def test_stanza_errors_fail_with_one_line(command, stanza, error, tmp_path, capsys):
+    path = tmp_path / "two.lat"
+    path.write_text(f"lattice two\nelements 0 1\ncovers 0<1\n{stanza}\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_empty_lattice_file_leaves_stdout_empty(tmp_path, capsys):
     path = tmp_path / "empty.lat"
     path.write_text("lattice nothing\n")

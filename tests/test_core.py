@@ -11,14 +11,18 @@ from primlat.core import (
     bits,
     build_lattice,
     classify,
-    compose,
-    distributive_triple,
     enumerate_lattices,
-    is_isomorphic,
 )
 
 from conftest import chain, diamond, pentagon, powerset
-from helpers import choice_tuple, enumerate_lattices_loop, least_choice_brute, middle_rows
+from helpers import (
+    choice_tuple,
+    direct_product,
+    enumerate_lattices_loop,
+    is_isomorphic,
+    least_choice_brute,
+    middle_rows,
+)
 
 
 def test_build_pentagon_is_lattice():
@@ -115,121 +119,18 @@ def test_heights_on_chain():
     assert [rep.height_of[f"c{i}"] for i in range(4)] == [0, 1, 2, 3]
 
 
-# -- composition --------------------------------------------------------------
-
-
-def one_point(label):
-    return FinitePoset.from_covers([label], [])
-
-
-def test_ordinal_sum_of_points_is_two_chain():
-    p = compose(one_point("x"), one_point("y"), "ordinal-sum")
-    assert p.leq("x", "y") and not p.leq("y", "x")
-
-
-def test_ordinal_product_of_two_chains_is_four_chain():
-    two = chain(2)
-    other = two.subposet(two.labels)  # same shape, relabel below
-    relabeled = FinitePoset(tuple(f"d{i}" for i in range(2)), other.leq_rows)
-    prod = compose(two, relabeled, "ordinal-product")
-    assert is_isomorphic(prod, chain(4)) is not None
-
-
-def test_exponential_of_two_chains_is_three_chain():
-    # oracle: enumerate all 4 maps of a 2-chain into itself, drop the
-    # single non-monotone one
-    two = chain(2)
-    target = FinitePoset(("d0", "d1"), two.leq_rows)
-    monotone = [
-        f
-        for f in itertools.product(range(2), repeat=2)
-        if not (f[0] == 1 and f[1] == 0)
-    ]
-    assert len(monotone) == 3
-    exp = compose(two, target, "exponential")
-    assert exp.n == 3
-    assert is_isomorphic(exp, chain(3)) is not None
-
-
-def test_size_caps():
-    with pytest.raises(LatticeError, match="cap"):
-        compose(chain(4), chain(4), "exponential", max_size=10)
-    with pytest.raises(LatticeError, match="cap"):
-        compose(chain(4), chain(4), "direct-product", max_size=10)
-
-
-def test_sum_requires_disjoint_carriers():
-    with pytest.raises(LatticeError, match="disjoint"):
-        compose(chain(2), chain(2), "direct-sum")
-
-
-def test_dual_flips_order():
-    d = compose(pentagon(), None, "dual")
-    assert d.leq("1", "0")
+# -- products and isomorphism ---------------------------------------------------
 
 
 def test_square_is_powerset_of_two():
     two = chain(2)
     other = FinitePoset(("d0", "d1"), two.leq_rows)
-    prod = compose(two, other, "direct-product")
+    prod = direct_product(two, other)
     assert is_isomorphic(prod, powerset(2)) is not None
 
 
 def test_pentagon_not_isomorphic_to_diamond():
     assert is_isomorphic(pentagon(), diamond()) is None
-
-
-def random_poset(rng, size, prefix):
-    labels = [f"{prefix}{i}" for i in range(size)]
-    covers = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.4:
-                covers.append((labels[i], labels[j]))
-    return FinitePoset.from_covers(labels, covers)
-
-
-def test_cardinal_arithmetic_laws():
-    rng = random.Random(7)
-    for _ in range(12):
-        p = random_poset(rng, rng.randint(1, 3), "a")
-        q = random_poset(rng, rng.randint(1, 3), "b")
-        r = random_poset(rng, rng.randint(1, 2), "c")
-        assert is_isomorphic(
-            compose(p, q, "direct-sum"), compose(q, p, "direct-sum")
-        )
-        assert is_isomorphic(
-            compose(p, q, "direct-product"), compose(q, p, "direct-product")
-        )
-        assert is_isomorphic(
-            compose(compose(p, q, "direct-sum"), r, "direct-sum"),
-            compose(p, compose(q, r, "direct-sum"), "direct-sum"),
-        )
-        assert is_isomorphic(
-            compose(compose(p, q, "direct-product"), r, "direct-product"),
-            compose(p, compose(q, r, "direct-product"), "direct-product"),
-        )
-        assert is_isomorphic(
-            compose(p, compose(q, r, "direct-sum"), "direct-product"),
-            compose(
-                compose(p, q, "direct-product"),
-                compose(p, r, "direct-product"),
-                "direct-sum",
-            ),
-        )
-        # maps out of a sum split; iterated exponents merge
-        assert is_isomorphic(
-            compose(compose(p, q, "direct-sum"), r, "exponential"),
-            compose(
-                compose(p, r, "exponential"),
-                compose(q, r, "exponential"),
-                "direct-product",
-            ),
-        )
-        assert is_isomorphic(
-            compose(r, compose(q, p, "exponential"), "exponential"),
-            compose(compose(q, r, "direct-product"), p, "exponential"),
-        )
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -331,39 +232,3 @@ def test_seven_element_complementation_census():
     for a, b in itertools.combinations(multiply, 2):
         assert is_isomorphic(a, b) is None
 
-
-# -- distributive triples -------------------------------------------------------
-
-
-def test_distributive_triple_on_boolean_is_total():
-    lat = powerset(3)
-    for x, y, z in itertools.product(lat.labels, repeat=3):
-        assert distributive_triple(lat, x, y, z)
-
-
-def test_distributive_triple_fails_on_diamond_middles():
-    lat = diamond()
-    assert not distributive_triple(lat, "p", "q", "r")
-
-
-def test_distributive_triple_trivial_when_duplicated():
-    lat = pentagon()
-    for x in lat.labels:
-        for y in lat.labels:
-            assert distributive_triple(lat, x, y, y)
-
-
-def test_modular_pairs_relation():
-    rep = classify(pentagon())
-    assert ("p", "b") not in rep.modular_pairs  # the pentagon's failing pair
-    assert ("0", "b") in rep.modular_pairs
-    boolean_rep = classify(powerset(2))
-    assert len(boolean_rep.modular_pairs) == boolean_rep.lattice.n**2
-
-
-def test_distributive_triples_relation():
-    rep = classify(diamond())
-    assert ("p", "q", "r") not in rep.distributive_triples
-    assert ("0", "q", "r") in rep.distributive_triples
-    full = classify(powerset(2)).distributive_triples
-    assert len(full) == 4**3

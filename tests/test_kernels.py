@@ -23,12 +23,11 @@ from primlat.core import (
     build_lattice,
     classify,
     complements_i,
-    compose,
     distributive_by_identity,
     enumerate_lattices,
     modular_by_identity,
 )
-from primlat.ortho import _de_morgan_rows, _perm, find_orthocomplement, interval_sublattice
+from primlat.ortho import _de_morgan_rows, _perm
 from primlat.primorial import boolean_carrier, generate_primorial
 from primlat.probability import (
     ProbabilityAssignment,
@@ -43,16 +42,18 @@ from conftest import benzene, chain, diamond, hs3, mo2, pentagon, powerset, powe
 from helpers import (
     check_valuation_loop,
     de_morgan_rows_loop,
+    direct_product,
     distributive_identity_loop,
-    distributive_triples_loop,
     find_diamond_loop,
+    find_orthocomplement,
     find_pentagon_loop,
     gate_loop,
+    interval_sublattice,
     lattice_tables_loop,
     metric_axiom_failure_loop,
     modular_identity_loop,
-    modular_pairs_loop,
     probability_report_loop,
+    subposet,
     validate_probability_loop,
 )
 
@@ -60,7 +61,7 @@ from helpers import (
 def _product(*factors):
     p = factors[0]
     for q in factors[1:]:
-        p = compose(p, q, "direct-product")
+        p = direct_product(p, q)
     return FiniteLattice(p.labels, p.leq_rows)
 
 
@@ -88,7 +89,7 @@ def test_the_small_lattices_are_all_78():
 def _constructed():
     """One or more lattices from every construction path, 0 to 256 elements."""
     built = build_lattice(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
-    product = compose(chain(3), chain(4), "direct-product")
+    product = direct_product(chain(3), chain(4))
     return [
         ("build_lattice", built),
         ("FiniteLattice(labels, leq)", FiniteLattice(product.labels, product.leq_rows)),
@@ -145,7 +146,6 @@ def _index_maps(lat):
 def test_identity_kernels_match_loops(lat):
     assert distributive_by_identity(lat) == distributive_identity_loop(lat)
     assert modular_by_identity(lat) == modular_identity_loop(lat)
-    assert classify(lat).modular_pairs == modular_pairs_loop(lat)
     for perm in _index_maps(lat):
         got = [tuple(row[: lat.n] for row in rows) for rows in _de_morgan_rows(lat, perm)]
         assert got == de_morgan_rows_loop(lat, perm)
@@ -153,14 +153,12 @@ def test_identity_kernels_match_loops(lat):
 
 @pytest.mark.parametrize("lat", SMALL + PRODUCTS + [powerset(6)], ids=_ids(SMALL + PRODUCTS + [powerset(6)]))
 def test_triple_and_gate_kernels_match_loops(lat):
-    # 2^6 stands in for 2^7 here: its 2^21 triples would all be materialised
-    assert classify(lat).distributive_triples == distributive_triples_loop(lat)
     assert _gate(lat) == gate_loop(lat)
 
 
 def _dropped(lat, which):
     keep = [lab for i, lab in enumerate(lat.labels) if i != which]
-    return lat.subposet(keep)
+    return subposet(lat, keep)
 
 
 def _posets():

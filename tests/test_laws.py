@@ -4,9 +4,9 @@ elements.  Zero counterexamples are tolerated anywhere."""
 import random
 
 from primlat.core import classify
-from primlat.ortho import all_orthocomplements
 
 import helpers
+from helpers import all_orthocomplements
 
 
 def test_lattice_laws(small_lattices):

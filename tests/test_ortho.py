@@ -1,14 +1,10 @@
 import pytest
 
-from primlat.core import classify, compose
+from primlat.core import FiniteLattice, LatticeError, classify
 from primlat.ortho import (
     OrthoError,
-    all_orthocomplements,
     attach_ortho,
-    central_decomposition,
     classify_negation,
-    find_orthocomplement,
-    interval_sublattice,
     ortho_class,
     relations,
     relations_of,
@@ -16,6 +12,13 @@ from primlat.ortho import (
 )
 
 from conftest import benzene, chain, diamond, pentagon, powerset, powerset_complement
+from helpers import all_orthocomplements, find_orthocomplement, interval_sublattice
+
+
+def test_attach_ortho_refuses_the_empty_lattice():
+    # the bottom is read outside any assert, so python -O refuses it too
+    with pytest.raises(LatticeError, match="^empty lattice has no bottom$"):
+        attach_ortho(FiniteLattice((), ()), {})
 
 
 def test_attach_ortho_benzene():
@@ -198,36 +201,6 @@ def test_commutes_matches_sasaki_in_orthomodular(small_lattices):
             for y in lat.labels:
                 sas = sasaki(ol, x, y) == sasaki(ol, y, x) == lat.meet(x, y)
                 assert ((x, y) in comm) == sas
-
-
-def test_central_decomposition(small_lattices):
-    for ol in _ortho_catalog(small_lattices):
-        lat = ol.lattice
-        comm = relations_of(ol).commutes
-        for c in lat.labels:
-            if not all((x, c) in comm for x in lat.labels):
-                continue
-            theta, left, right = central_decomposition(ol, c)
-            prod = compose(left, _relabel(right), "direct-product")
-            image = {
-                (pair[0], _tag(pair[1])) for pair in theta.values()
-            }
-            assert len(image) == lat.n == prod.n
-            for x in lat.labels:
-                for y in lat.labels:
-                    tx = (theta[x][0], _tag(theta[x][1]))
-                    ty = (theta[y][0], _tag(theta[y][1]))
-                    assert lat.leq(x, y) == prod.leq(tx, ty)
-
-
-def _tag(label):
-    return ("r", label)
-
-
-def _relabel(poset):
-    from primlat.core import FinitePoset
-
-    return FinitePoset(tuple(_tag(lab) for lab in poset.labels), poset.leq_rows)
 
 
 def test_interval_sublattice_is_induced():

@@ -5,8 +5,8 @@ import pytest
 
 from primlat import primorial
 from primlat.cli import main
-from primlat.core import FiniteLattice, LatticeError, classify, is_isomorphic
-from primlat.ortho import attach_ortho, find_orthocomplement
+from primlat.core import FiniteLattice, LatticeError, classify
+from primlat.ortho import attach_ortho
 from primlat.primorial import (
     Level,
     _induced_boolean,
@@ -28,9 +28,11 @@ from conftest import benzene, diamond
 from helpers import (
     _complement_pairs,
     default_chain_loop,
+    find_orthocomplement,
     half_size_candidates,
     induced_boolean_loop,
     is_boolean_level_oracle,
+    is_isomorphic,
     is_monotone_self_dual,
     monotone_self_dual_loop,
     reduce_boolean_loop,
@@ -515,7 +517,7 @@ def test_is_primorial_rejects_diamond_and_chain():
 
 def test_is_primorial_divisibility_example():
     labs = [1, 2, 3, 5, 7, 6, 30, 210]
-    P = FiniteLattice.from_leq(labs, [(a, b) for a in labs for b in labs if b % a == 0])
+    P = FiniteLattice.from_covers(labs, [(a, b) for a in labs for b in labs if b % a == 0])
     roles = is_primorial(P)
     assert roles is not None
     assert roles.bottom == 1

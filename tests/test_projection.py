@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import proj_metric_loop, project_sequence_loop
+from helpers import closed_ball, height_valuation, proj_metric_loop, project_sequence_loop
 from primlat import valuation
 from primlat.core import MAX_ATOMS, LatticeError
 from primlat.primorial import boolean_carrier, generate_primorial, reduce_boolean
@@ -17,7 +17,7 @@ from primlat.projection import (
     proj_zero,
 )
 from primlat.seqproc import gsp_preset
-from primlat.valuation import closed_ball, height_valuation, metric_from_valuation
+from primlat.valuation import metric_from_valuation
 
 
 @pytest.fixture(scope="module")

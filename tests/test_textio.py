@@ -1,7 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from primlat.core import LatticeError
 from primlat.textio import (
     FormatError,
     format_carrier,
@@ -44,6 +48,60 @@ def test_parse_errors_carry_line_numbers():
         parse_lattice_text("elements a b\nwhatever a b")
     with pytest.raises(FormatError, match="bad rational"):
         parse_lattice_text("elements a\nprob a=x/y")
+
+
+def test_rationals_are_ascii_p_over_q_or_integers():
+    doc = parse_lattice_text("elements a b c\nprob a=-3 b=+1/2 c=007/14")
+    assert doc.prob == {"a": -3, "b": Fraction(1, 2), "c": Fraction(1, 2)}
+    # float literals, digit separators and non-ASCII digits are refused before
+    # Fraction sees them; 1e-99999999 would be a rational of 10^8 digits
+    for value in ("1e-9", "0.5", "1_000", "٣", "1/-2", "1/0", "1e-99999999"):
+        text = f"elements a\nvaluation a={value}"
+        with pytest.raises(FormatError, match=rf"^line 2: bad rational '{re.escape(value)}'$"):
+            parse_lattice_text(text)
+
+
+def test_stanzas_name_only_declared_elements():
+    # elements may follow the stanzas that name them
+    doc = parse_lattice_text("ortho 0:1\nnegation 0->1 1->0\nprob 0=0\nvaluation 1=1\nelements 0 1")
+    assert doc.ortho == {"0": "1", "1": "0"}
+    stanzas = {
+        "ortho 0:1 zz:yy": "'zz' in ortho",
+        "ortho 0:zz": "'zz' in ortho",
+        "negation 0->1 1->0 qq->rr": "'qq' in negation",
+        "negation 0->rr": "'rr' in negation",
+        "prob 0=0 1=1 ww=5": "'ww' in prob",
+        "valuation 0=0 1=1 kk=3": "'kk' in valuation",
+    }
+    for stanza, named in stanzas.items():
+        with pytest.raises(FormatError, match=rf"^line 2: unknown element {named} stanza$"):
+            parse_lattice_text(f"elements 0\n{stanza}\nelements 1")
+
+
+_labels = st.sampled_from(["0", "1", "a", "zz", ""])
+_values = st.sampled_from(["0", "1/2", "-3", "1/0", "1e-9", "1e-99999999", "0.5", "٣"])
+_SEPARATOR = {"covers": "<", "ortho": ":", "negation": "->", "valuation": "=", "prob": "="}
+
+
+def _stanza(keyword):
+    sep = _SEPARATOR.get(keyword)
+    if sep is None:
+        entry = _labels
+    else:
+        right = st.one_of(_values, _labels) if sep == "=" else _labels
+        entry = st.tuples(_labels, st.just(sep), right).map("".join)
+    return st.lists(entry, max_size=4).map(lambda tokens: " ".join([keyword, *tokens]))
+
+
+_lines = st.sampled_from(["lattice", "elements", *_SEPARATOR]).flatmap(_stanza)
+
+
+@given(st.lists(_lines, max_size=6))
+def test_parser_raises_only_lattice_errors(lines):
+    try:
+        parse_lattice_text("\n".join(lines)).build()
+    except LatticeError:
+        pass
 
 
 def test_mask_literals_roundtrip():
