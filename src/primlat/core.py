@@ -601,32 +601,9 @@ def _atom_upsets(rows):
     return ups
 
 
-def _canonical_key(rows, k):
-    """Minimum relation bitstring over middle permutations, invariant-pruned."""
-    cols = [0] * k
-    for i in range(k):
-        for j in bits(rows[i]):
-            cols[j] |= 1 << i
-    prof = [(bin(rows[i]).count("1"), bin(cols[i]).count("1")) for i in range(k)]
-    groups = {}
-    for i in range(k):
-        groups.setdefault(prof[i], []).append(i)
-    ordered_groups = [groups[key] for key in sorted(groups)]
-    best = None
-    for perm_parts in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
-        perm = [x for part in perm_parts for x in part]
-        pos = {old: new for new, old in enumerate(perm)}
-        key = 0
-        for old_i in perm:
-            for old_j in bits(rows[old_i]):
-                key |= 1 << (pos[old_i] * k + pos[old_j])
-        if best is None or key < best:
-            best = key
-    return (tuple(sorted(prof)), best)
-
-
 def _representative(rows):
-    """Relabel a middles' strict order to its least choice tuple.
+    """The least choice tuple of a middles' strict order, and the order
+    relabelled to it, as ``(best, rows)``.
 
     The choice tuple lists, for each pair (i, j) with i < j in
     ``itertools.combinations`` order, 0 if i and j are incomparable, 1 if
@@ -636,7 +613,8 @@ def _representative(rows):
     first cell and refines every cell by its relation to that middle.
     Ties branch, except between twins (middles with the same elements
     above and below, which an automorphism swaps), and a prefix greater
-    than the best found so far is pruned.
+    than the best found so far is pruned.  Two strict orders are
+    isomorphic iff their least choice tuples are equal.
     """
     k = len(rows)
     cols = [0] * k
@@ -677,7 +655,7 @@ def _representative(rows):
 
     search([list(range(k))] if k else [], (), ())
     pos = {x: p for p, x in enumerate(best_order)}
-    return tuple(sum(1 << pos[y] for y in bits(rows[x])) for x in best_order)
+    return best, tuple(sum(1 << pos[y] for y in bits(rows[x])) for x in best_order)
 
 
 def enumerate_lattices(n: int):
@@ -691,10 +669,10 @@ def enumerate_lattices(n: int):
     becomes the bottom.  Conversely, a new atom below exactly U, for U a
     nonempty up-set of L minus its bottom that is closed under every meet
     that is not the bottom, extends a lattice L to a lattice
-    (``_atom_upsets``).  Candidates are deduplicated by ``_canonical_key``
-    and output follows the sorted keys.  Each class is shown by its least
-    choice tuple (``_representative``), which is the first strict order of
-    the class in ``itertools.product`` order over the pairs.
+    (``_atom_upsets``).  Each candidate is keyed by its least choice tuple
+    (``_representative``), shown relabelled to it, and classes come in
+    increasing order of it: the order in which a walk over every strict
+    order, in ``itertools.product`` order over the pairs, first meets them.
     """
     if n < 0 or n > ENUM_CAP:
         raise LatticeError(f"element count {n} outside supported range 0..{ENUM_CAP}")
@@ -702,19 +680,18 @@ def enumerate_lattices(n: int):
         return (FiniteLattice((), ()),)
     if n == 1:
         return (FiniteLattice(("x0",), (1,)),)
-    level = {_canonical_key((), 0): ()}
-    for k in range(1, n - 1):
+    level = {(): ()}
+    for _ in range(n - 2):
         grown = {}
         for rows in level.values():
             for up in _atom_upsets(rows):
-                child = rows + (up,)
-                grown.setdefault(_canonical_key(child, k), child)
+                best, rep = _representative(rows + (up,))
+                grown.setdefault(best, rep)
         level = grown
     labels = tuple(f"x{i}" for i in range(n))
     top = 1 << (n - 1)
     out = []
-    for key in sorted(level):
-        rows = _representative(level[key])
+    for _, rows in sorted(level.items()):
         leq = [(1 << n) - 1] + [r << 1 | 1 << (i + 1) | top for i, r in enumerate(rows)] + [top]
         out.append(FiniteLattice(labels, leq))
     return tuple(out)

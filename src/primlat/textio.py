@@ -14,7 +14,8 @@ comment):
 Rationals are written ``p/q`` or as integers, in ASCII digits with an
 optional sign.  Every label an ``ortho``, ``valuation``, ``prob`` or
 ``negation`` stanza names must be declared by an ``elements`` stanza,
-which may come later in the text.
+which may come later in the text.  Such a stanza may repeat an entry but
+not give one label two values.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def _rational(tok, lineno):
         except (ValueError, ZeroDivisionError):  # more digits than int() takes, or q = 0
             pass
     raise FormatError(f"line {lineno}: bad rational {tok!r}")
+
+
+def _conflict(lineno, keyword, key):
+    return FormatError(f"line {lineno}: conflicting {keyword} entries for {key!r}")
 
 
 @dataclass
@@ -91,8 +96,10 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                     raise FormatError(f"line {lineno}: ortho pair {tok!r} is not a:b")
                 a, b = tok.split(":")
                 named += [(lineno, keyword, a), (lineno, keyword, b)]
-                doc.ortho[a] = b
-                doc.ortho[b] = a
+                if doc.ortho.setdefault(a, b) != b:
+                    raise _conflict(lineno, keyword, a)
+                if doc.ortho.setdefault(b, a) != a:
+                    raise _conflict(lineno, keyword, b)
         elif keyword in ("valuation", "prob"):
             target = doc.valuation if keyword == "valuation" else doc.prob
             for tok in rest:
@@ -100,14 +107,18 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                     raise FormatError(f"line {lineno}: entry {tok!r} is not e=value")
                 a, v = tok.split("=")
                 named.append((lineno, keyword, a))
-                target[a] = _rational(v, lineno)
+                v = _rational(v, lineno)
+                # `is` first: a new entry returns v itself and skips Fraction.__eq__
+                if target.setdefault(a, v) is not v and target[a] != v:
+                    raise _conflict(lineno, keyword, a)
         elif keyword == "negation":
             for tok in rest:
                 if "->" not in tok:
                     raise FormatError(f"line {lineno}: negation entry {tok!r} is not a->b")
                 a, b = tok.split("->", 1)
                 named += [(lineno, keyword, a), (lineno, keyword, b)]
-                doc.negation[a] = b
+                if doc.negation.setdefault(a, b) != b:
+                    raise _conflict(lineno, keyword, a)
         else:
             raise FormatError(f"line {lineno}: unknown stanza {keyword!r}")
     declared = set(elements)
@@ -179,12 +190,27 @@ def format_carrier(carrier) -> str:
 # DOT export
 
 
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_quoted(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(poset: FinitePoset, name: str = "hasse") -> str:
-    """Hasse diagram as DOT: cover edges only, greater elements drawn higher."""
+    """Hasse diagram as DOT: cover edges only, greater elements drawn higher.
+
+    Node IDs are always quoted; the graph name is left bare only when it is
+    a plain identifier and no DOT keyword.
+    """
+    if not _DOT_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        name = _dot_quoted(name)
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=circle];"]
+    q = {lab: _dot_quoted(str(lab)) for lab in poset.labels}
     for lab in poset.labels:
-        lines.append(f'  "{lab}";')
+        lines.append(f"  {q[lab]};")
     for a, b in poset.covers:
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {q[a]} -> {q[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

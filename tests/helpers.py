@@ -30,7 +30,6 @@ from primlat.cli import (
 from primlat.core import (
     FiniteLattice,
     FinitePoset,
-    _canonical_key,
     bits,
     classify,
     complements_i,
@@ -927,11 +926,37 @@ def _strict_orders(k):
     return out
 
 
+def _canonical_key(rows, k):
+    """Minimum relation bitstring over middle permutations, invariant-pruned."""
+    cols = [0] * k
+    for i in range(k):
+        for j in bits(rows[i]):
+            cols[j] |= 1 << i
+    prof = [(bin(rows[i]).count("1"), bin(cols[i]).count("1")) for i in range(k)]
+    groups = {}
+    for i in range(k):
+        groups.setdefault(prof[i], []).append(i)
+    ordered_groups = [groups[key] for key in sorted(groups)]
+    best = None
+    for perm_parts in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
+        perm = [x for part in perm_parts for x in part]
+        pos = {old: new for new, old in enumerate(perm)}
+        key = 0
+        for old_i in perm:
+            for old_j in bits(rows[old_i]):
+                key |= 1 << (pos[old_i] * k + pos[old_j])
+        if best is None or key < best:
+            best = key
+    return (tuple(sorted(prof)), best)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_lattices_loop(n):
     """``enumerate_lattices`` as a walk over every labelled strict order on
-    the n - 2 middles, keeping the first lattice of each canonical key.
-    Cached: n = 7 walks 3^10 relations, and several tests compare with it."""
+    the n - 2 middles, keeping the first lattice of each canonical key, in
+    the order the walk meets them.  The key is a relabelling search of its
+    own, not ``_representative``'s.  Cached: n = 7 walks 3^10 relations, and
+    several tests compare with it."""
     if n == 0:
         return (FiniteLattice((), ()),)
     if n == 1:
@@ -956,7 +981,7 @@ def enumerate_lattices_loop(n):
         key = _canonical_key(rows, k)
         if key not in seen:
             seen[key] = FiniteLattice(poset.labels, leq, tables=(join, meet))
-    return tuple(lat for _, lat in sorted(seen.items(), key=lambda kv: kv[0]))
+    return tuple(seen.values())
 
 
 def middle_rows(lat):

@@ -201,8 +201,12 @@ def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
         ("probability", "prob 0=0 1=1 ww=5", "line 4: unknown element 'ww' in prob stanza"),
         ("metric", "valuation 0=0 1=1 kk=3", "line 4: unknown element 'kk' in valuation stanza"),
         ("metric", "valuation 0=0 1=1e-9", "line 4: bad rational '1e-9'"),
+        ("metric", "valuation 0=0 1=1 1=2", "line 4: conflicting valuation entries for '1'"),
+        ("negation", "negation 0->1 1->0 0->0", "line 4: conflicting negation entries for '0'"),
+        ("ortho", "ortho 0:1 1:1", "line 4: conflicting ortho entries for '1'"),
     ],
-    ids=["ortho", "negation", "prob", "valuation", "float"],
+    ids=["ortho", "negation", "prob", "valuation", "float", "valuation-conflict",
+         "negation-conflict", "ortho-conflict"],
 )
 def test_stanza_errors_fail_with_one_line(command, stanza, error, tmp_path, capsys):
     path = tmp_path / "two.lat"
@@ -380,6 +384,16 @@ def test_hasse_command(n5_file, tmp_path, capsys):
     out_file = tmp_path / "n5.dot"
     assert main(["hasse", n5_file, "-o", str(out_file)]) == 0
     assert "rankdir=BT" in out_file.read_text()
+
+
+@pytest.mark.parametrize("name, head", [("L3_B2xC4", "L3_B2xC4"), ("2-chain", '"2-chain"')])
+def test_hasse_quotes_labels_and_non_identifier_names(name, head, tmp_path, capsys):
+    path = tmp_path / "quoted.lat"
+    path.write_text(f'lattice {name}\nelements a"b c\ncovers a"b<c\n')
+    assert main(["hasse", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"digraph {head} {{"
+    assert lines[3:5] == ['  "a\\"b";', '  "c";']
 
 
 def test_validation_failures_exit_one(tmp_path, capsys):

@@ -179,8 +179,9 @@ def test_enumeration_rejects_out_of_range():
 
 @pytest.mark.parametrize("n", range(8))
 def test_enumeration_matches_labelled_walk(n):
-    # atom addition finds the same classes, in the same order, each shown
-    # by the first strict order of its class in the labelled walk
+    # atom addition finds the same classes, in the order the labelled walk
+    # first meets them, each shown by the first strict order of its class
+    # in the walk
     got, want = enumerate_lattices(n), enumerate_lattices_loop(n)
     assert [lat.labels for lat in got] == [lat.labels for lat in want]
     assert [lat.leq_rows for lat in got] == [lat.leq_rows for lat in want]
@@ -192,6 +193,12 @@ def test_enumeration_matches_labelled_walk(n):
 def test_small_lattices_fixture_is_unchanged(small_lattices):
     want = [lat for n in range(1, 7) for lat in enumerate_lattices_loop(n)]
     assert small_lattices == want
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_enumeration_is_in_increasing_choice_tuple_order(n):
+    tuples = [choice_tuple(middle_rows(lat)) for lat in enumerate_lattices(n)]
+    assert all(a < b for a, b in zip(tuples, tuples[1:]))
 
 
 def test_eight_element_classes_are_pairwise_non_isomorphic():
@@ -208,7 +215,8 @@ def test_representative_is_least_choice_tuple():
     for n in range(2, 9):
         for lat in enumerate_lattices(n):
             rows = middle_rows(lat)
-            assert choice_tuple(_representative(tuple(rows))) == choice_tuple(rows)
+            best, rep = _representative(tuple(rows))
+            assert choice_tuple(rep) == best == choice_tuple(rows)
             perm = list(range(n - 2))
             rng.shuffle(perm)
             shuffled = [0] * (n - 2)
@@ -216,7 +224,8 @@ def test_representative_is_least_choice_tuple():
                 shuffled[perm[x]] = sum(1 << perm[y] for y in bits(row))
             least = least_choice_brute(shuffled)
             assert least == choice_tuple(rows)
-            assert choice_tuple(_representative(tuple(shuffled))) == least
+            best, rep = _representative(tuple(shuffled))
+            assert choice_tuple(rep) == best == least
 
 
 def test_seven_element_complementation_census():

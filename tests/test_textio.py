@@ -78,6 +78,24 @@ def test_stanzas_name_only_declared_elements():
             parse_lattice_text(f"elements 0\n{stanza}\nelements 1")
 
 
+def test_stanza_entries_may_repeat_but_not_conflict():
+    doc = parse_lattice_text("elements a b\northo a:b b:a\nvaluation a=1 a=2/2\nnegation a->b a->b")
+    assert doc.ortho == {"a": "b", "b": "a"}
+    assert doc.valuation == {"a": 1}
+    stanzas = {
+        "valuation a=0 b=1 b=2": ("valuation", "b"),
+        "prob a=0\nprob a=1/2": ("prob", "a"),
+        "negation a->b b->a a->a": ("negation", "a"),
+        "ortho a:b a:a": ("ortho", "a"),
+        "ortho a:a\northo b:a": ("ortho", "a"),
+    }
+    for stanza, (keyword, label) in stanzas.items():
+        lineno = 2 + stanza.count("\n")
+        want = rf"^line {lineno}: conflicting {keyword} entries for '{label}'$"
+        with pytest.raises(FormatError, match=want):
+            parse_lattice_text(f"elements a b\n{stanza}")
+
+
 _labels = st.sampled_from(["0", "1", "a", "zz", ""])
 _values = st.sampled_from(["0", "1/2", "-3", "1/0", "1e-9", "1e-99999999", "0.5", "٣"])
 _SEPARATOR = {"covers": "<", "ortho": ":", "negation": "->", "valuation": "=", "prob": "="}
@@ -137,3 +155,17 @@ def test_dot_export_contains_cover_edges_only():
     assert "rankdir=BT" in dot
     assert '"p" -> "q\'"' in dot
     assert '"0" -> "1"' not in dot  # not a cover
+
+
+def test_dot_quotes_what_a_bare_id_cannot_hold():
+    # node IDs escape backslash and double quote; a graph name that is no
+    # plain identifier, or is a DOT keyword in any case, is quoted the same way
+    chain = parse_lattice_text('elements a"b c\\d\ncovers a"b<c\\d').build()
+    assert to_dot(chain, name="L3_B2xC4") == (
+        "digraph L3_B2xC4 {\n  rankdir=BT;\n  node [shape=circle];\n"
+        '  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -> "c\\\\d";\n}\n'
+    )
+    for name, head in (("n5_2_0", "n5_2_0"), ("_x", "_x"), ("2-chain", '"2-chain"'),
+                       ("Node", '"Node"'), ("strict", '"strict"'), ("", '""'),
+                       ('say "hi"', r'"say \"hi\""'), ("a\\", r'"a\\"')):
+        assert to_dot(chain, name=name).startswith(f"digraph {head} {{\n")
