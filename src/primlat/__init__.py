@@ -15,7 +15,6 @@ from .core import (
     enumerate_lattices,
 )
 from .ortho import (
-    NegationMap,
     OrthoError,
     OrthoLattice,
     attach_ortho,

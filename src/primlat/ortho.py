@@ -1,5 +1,5 @@
-"""Orthocomplementation, Sasaki maps, negation taxonomy, and the
-orthogonality / commutes / center relations."""
+"""Orthocomplementation, Sasaki maps, the negation taxonomy, and the
+orthogonality (one kernel, ``orthogonal_rows``) and center of a negation."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from .core import (
     LatticeError,
     bits,
     distributive_by_identity,
+    mark_table,
+    marked,
     modular_by_identity,
 )
 
@@ -147,23 +149,13 @@ def ortho_class(ol: OrthoLattice) -> frozenset:
 # negation taxonomy
 
 
-@dataclass(frozen=True)
-class NegationMap:
-    lattice: FiniteLattice
-    neg: dict
-    classification: frozenset
-
-    def __contains__(self, cls):
-        return cls in self.classification
-
-
-def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
+def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
     """Evaluate every axiom bundle of the negation taxonomy.
 
-    The result is the full satisfied set (the taxonomy is not a chain).
-    Theorem consequences for whichever classes hold are asserted on the way
-    out: boundary conditions, De Morgan inequalities/equalities, excluded
-    middle and the Kleene condition for ortho negations.
+    The result is the set of satisfied class names (the taxonomy is not a
+    chain).  Theorem consequences for whichever classes hold are asserted
+    on the way out: boundary conditions, De Morgan inequalities/equalities,
+    excluded middle and the Kleene condition for ortho negations.
     """
     lat = lattice
     perm = _perm(lat, neg_map)
@@ -175,7 +167,8 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
     involutive = all(perm[perm[i]] == i for i in range(n))
     lows = {lat.meet_i(i, perm[i]) for i in range(n)}
     highs = {lat.join_i(j, perm[j]) for j in range(n)}
-    kleene_cond = all(lat.leq_i(lo, hi) for lo in lows for hi in highs)
+    # every low <= every high iff their join <= their meet
+    kleene_cond = lat.leq_i(lat.join_all_i(lows), lat.meet_all_i(highs))
 
     cls = set()
     if antitone:
@@ -215,47 +208,39 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> NegationMap:
         for i in range(n):
             assert lat.join_i(i, perm[i]) == t
         assert kleene_cond
-    return NegationMap(lat, dict(neg_map), frozenset(cls))
+    return frozenset(cls)
 
 
 # ---------------------------------------------------------------------------
 # relations
 
 
+def orthogonal_rows(lat: FiniteLattice, perm):
+    """Row i is the bitset of the j with i <= ¬j; ``perm`` is a padded byte row."""
+    return [marked(perm, lat.n, mark_table(row)) for row in lat.leq_rows]
+
+
 @dataclass(frozen=True)
 class RelationReport:
-    orthogonal: frozenset  # unordered pairs, stored index-sorted
-    commutes: frozenset  # ordered pairs
-    center: tuple
+    orthogonal_pairs: int  # unordered {x, y}, x = y allowed, with x <= ¬y or y <= ¬x
+    center: tuple  # labels of the x commuting with every y
 
 
 def relations(lattice: FiniteLattice, neg_map) -> RelationReport:
-    """Orthogonality, commutes, and center induced by a negation map.
-
-    x ⊥ y iff x <= ¬y (unordered; symmetric for any minimal negation);
-    x ⊙ y iff x == (x∧y) ∨ (x∧¬y); the center collects the x commuting
-    with every y.
-    """
+    """Orthogonality and center induced by a negation map, a row per x: the
+    y <= ¬x are ``geq_rows[¬x]``, and x commutes with y iff
+    x == (x∧y) ∨ (x∧¬y), one ``pairwise`` join over y."""
     lat = lattice
     perm = _perm(lat, neg_map)
-    orth = set()
-    for i in range(lat.n):
-        for j in range(lat.n):
-            if lat.leq_i(i, perm[j]):
-                a, b = min(i, j), max(i, j)
-                orth.add((lat.labels[a], lat.labels[b]))
-    commutes = set()
-    central = []
-    for i in range(lat.n):
-        all_comm = True
-        for j in range(lat.n):
-            if lat.join_i(lat.meet_i(i, j), lat.meet_i(i, perm[j])) == i:
-                commutes.add((lat.labels[i], lat.labels[j]))
-            else:
-                all_comm = False
-        if all_comm:
-            central.append(lat.labels[i])
-    return RelationReport(frozenset(orth), frozenset(commutes), tuple(central))
+    n, jn, mt, geq = lat.n, lat.join_table, lat.meet_table, lat.geq_rows
+    orth = orthogonal_rows(lat, perm)
+    pairs = sum(((row | geq[perm[i]]) >> i).bit_count() for i, row in enumerate(orth))
+    center = tuple(
+        lat.labels[i]
+        for i in range(n)
+        if lat.pairwise(jn, mt[i], perm.translate(mt[i])) == bytes((i,)) * n
+    )
+    return RelationReport(pairs, center)
 
 
 def relations_of(ol: OrthoLattice) -> RelationReport:

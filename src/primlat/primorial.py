@@ -452,20 +452,11 @@ DPOSET_LAWS = (  # the laws dposet_check records, in report order
 )
 
 
-@dataclass(frozen=True)
-class DPosetReport:
-    ok: bool
-    failures: dict  # law name -> first witness tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def dposet_check(members, diff, leq) -> DPosetReport:
+def dposet_check(members, diff, leq) -> dict:
     """Verify the difference axioms and their derived laws on a family.
 
-    ``diff(y, x)`` must be defined whenever ``leq(x, y)``; the report names
-    the first witness per failing law.
+    ``diff(y, x)`` must be defined whenever ``leq(x, y)``.  The result maps
+    each failing law to its first witness; it is empty when every law holds.
     """
     ms = list(members)
     failures = {}
@@ -504,7 +495,7 @@ def dposet_check(members, diff, leq) -> DPosetReport:
                     record("derived-3", (x, y, z))
                 if not x_below or diff(diff(z, yx), x) != zy:
                     record("derived-4", (x, y, z))
-    return DPosetReport(not failures, failures)
+    return failures
 
 
 def chain_dposet_members(pl: PrimorialLattice):

@@ -16,7 +16,7 @@ from .core import (
     mark_table,
     marked,
 )
-from .ortho import _perm, classify_negation
+from .ortho import _perm, classify_negation, orthogonal_rows
 from .valuation import common_scale, first_mismatch
 
 
@@ -74,8 +74,8 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     bases it is enforced as a fifth validation condition.  The checks run
     on the values as integers over their common denominator.
     """
-    nm = classify_negation(lattice, neg_map)
-    if "minimal" not in nm.classification:
+    classes = classify_negation(lattice, neg_map)
+    if "minimal" not in classes:
         raise ProbabilityError("negation-not-minimal", None)
     lat = lattice
     p = {}
@@ -98,7 +98,7 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
             raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     for v in pi:
         assert 0 <= v <= one
-    if "ortho" in nm.classification:
+    if "ortho" in classes:
         perm = _perm(lat, neg_map)
         for i in range(lat.n):
             if pi[i] != one - pi[perm[i]]:
@@ -118,19 +118,12 @@ class DefinitionVerdict:
     witness: tuple | None  # (description, elements, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
-    verdicts: dict  # definition name -> DefinitionVerdict
-
-    def __getitem__(self, name):
-        return self.verdicts[name]
-
-
 DEFINITIONS = ("measure-theoretic", "traditional", "generalized", "quantum", "gated")
 
 
-def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
-    """Evaluate the assignment against the classical definitions.
+def probability_report(pa: ProbabilityAssignment) -> dict:
+    """Evaluate the assignment against the classical definitions: a
+    ``DefinitionVerdict`` per name in ``DEFINITIONS``.
 
     Sigma-additivity is read as pairwise-disjoint additivity, which on a
     finite carrier reduces to the traditional definition plus disjoint
@@ -188,7 +181,7 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
                 break
     verdicts["generalized"] = v or DefinitionVerdict(True, None)
 
-    orthogonal = [marked(perm, n, mark_table(row)) for row in lat.leq_rows]
+    orthogonal = orthogonal_rows(lat, perm)
     verdicts["quantum"] = base or pair_additivity(orthogonal) or DefinitionVerdict(True, None)
 
     verdicts["gated"] = DefinitionVerdict(True, None)  # established by validation
@@ -199,7 +192,7 @@ def probability_report(pa: ProbabilityAssignment) -> ProbabilityReport:
             sums = list(map(pi[i].__add__, pi))
             assert list(map(add, joined, map(pi.__getitem__, mt[i][:n]))) == sums
             assert all(map(le, joined, sums))
-    return ProbabilityReport(verdicts)
+    return verdicts
 
 
 def _disjoint_triple_failure(pi, jn, disjoint, violated):

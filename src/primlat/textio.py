@@ -153,6 +153,9 @@ def format_mask(mask: int) -> str:
     return "{" + ",".join(str(b + 1) for b in bits(mask)) + "}"
 
 
+_ATOM = re.compile(r" *([0-9]+) *")  # int() alone also reads signs, "_" and non-ASCII digits
+
+
 def parse_mask(text: str, top_n: int) -> int:
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
@@ -161,9 +164,10 @@ def parse_mask(text: str, top_n: int) -> int:
     mask = 0
     if body:
         for part in body.split(","):
+            m = _ATOM.fullmatch(part)
             try:
-                atom = int(part)
-            except ValueError:
+                atom = int(m[1])
+            except (TypeError, ValueError):  # no match, or more digits than int() takes
                 raise FormatError(f"bad atom index {part!r} in {text!r}") from None
             if not 1 <= atom <= top_n:
                 raise FormatError(f"atom index {atom} out of range 1..{top_n}")

@@ -37,7 +37,7 @@ from primlat.core import (
 )
 from primlat.ortho import _antitone_failure, _perm, classify_negation
 from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
-from primlat.probability import DefinitionVerdict, ProbabilityError, ProbabilityReport
+from primlat.probability import DefinitionVerdict, ProbabilityError
 from primlat.projection import METHODS, _projector
 from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
 from primlat.seqproc import PRESETS
@@ -268,6 +268,22 @@ def commutes_pairs(lat: FiniteLattice, perm):
             if lat.join_i(lat.meet_i(i, j), lat.meet_i(i, perm[j])) == i:
                 out.add((i, j))
     return out
+
+
+def relations_loop(lat: FiniteLattice, perm):
+    """The orthogonal pair count and the center, pair by pair: the unordered
+    {i, j} with i <= ¬j, and the labels of the i commuting with every j."""
+    orth = {(min(i, j), max(i, j)) for i in _idx(lat) for j in _idx(lat) if lat.leq_i(i, perm[j])}
+    comm = commutes_pairs(lat, perm)
+    center = tuple(lat.labels[i] for i in _idx(lat) if all((i, j) in comm for j in _idx(lat)))
+    return len(orth), center
+
+
+def kleene_condition_loop(lat: FiniteLattice, perm):
+    """Every x ∧ ¬x below every y ∨ ¬y, over all pairs."""
+    lows = {lat.meet_i(i, perm[i]) for i in _idx(lat)}
+    highs = {lat.join_i(j, perm[j]) for j in _idx(lat)}
+    return all(lat.leq_i(lo, hi) for lo in lows for hi in highs)
 
 
 def orthomodular_forms(lat: FiniteLattice, perm):
@@ -550,7 +566,7 @@ def check_valuation_loop(lat: FiniteLattice, values):
 def validate_probability_loop(lat: FiniteLattice, neg_map, values):
     """The axiom checks in rationals over every ordered pair; returns the
     values as Fractions or raises the first ProbabilityError."""
-    if "minimal" not in classify_negation(lat, neg_map).classification:
+    if "minimal" not in classify_negation(lat, neg_map):
         raise ProbabilityError("negation-not-minimal", None)
     for lab in lat.labels:
         if lab not in values:
@@ -567,7 +583,7 @@ def validate_probability_loop(lat: FiniteLattice, neg_map, values):
     for i, j in gate_loop(lat):
         if pi[lat.join_i(i, j)] != pi[i] + pi[j]:
             raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
-    if "ortho" in classify_negation(lat, neg_map).classification:
+    if "ortho" in classify_negation(lat, neg_map):
         perm = _perm(lat, neg_map)
         for i in range(lat.n):
             if pi[i] != 1 - pi[perm[i]]:
@@ -639,7 +655,7 @@ def probability_report_loop(pa):
             for j in range(lat.n):
                 assert pi[lat.join_i(i, j)] == pi[i] + pi[j] - pi[lat.meet_i(i, j)]
                 assert pi[lat.join_i(i, j)] <= pi[i] + pi[j]
-    return ProbabilityReport(verdicts)
+    return verdicts
 
 
 def metric_axiom_failure_loop(t):

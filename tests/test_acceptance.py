@@ -114,7 +114,7 @@ def test_criterion_04_family_structure(family5):
             pl = generate_primorial(n) if n != 5 else family5
             assert is_primorial(pl.family) is not None
             members, diff, leq = chain_dposet_members(pl)
-            assert dposet_check(members, diff, leq).ok
+            assert dposet_check(members, diff, leq) == {}
         for n in (4, 5):
             fam = (generate_primorial(n) if n != 5 else family5).family
             rep = classify(fam)

@@ -312,6 +312,18 @@ def test_project_unknown_level_writes_no_stdout(text, tmp_path, capsys):
     assert captured.err == "error: unknown family member 'L2^9'\n"
 
 
+def test_project_refuses_atoms_that_are_not_ascii_digits(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("{٣} {0_1}\n", encoding="utf-8")
+    assert main([
+        "project", "--n", "3", "--level", "L2^2", "--method", "zero",
+        "--input", str(seq),
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad atom index '٣' in '{٣}'\n"
+
+
 def test_analyze_command(tmp_path, capsys):
     fasta = tmp_path / "g.fa"
     fasta.write_text(">r\nACGTACGT\n")

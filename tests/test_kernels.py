@@ -6,6 +6,7 @@ on products of chains and on products of N5, M3, MO2, the hexagon O6 and
 the horizontal sum HS3 with Boolean lattices.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from primlat.core import (
     enumerate_lattices,
     modular_by_identity,
 )
-from primlat.ortho import _de_morgan_rows, _perm
+from primlat.ortho import _antitone_failure, _de_morgan_rows, _perm, classify_negation, relations
 from primlat.primorial import boolean_carrier, generate_primorial
 from primlat.probability import (
     ProbabilityAssignment,
@@ -49,10 +50,13 @@ from helpers import (
     find_pentagon_loop,
     gate_loop,
     interval_sublattice,
+    involutions,
+    kleene_condition_loop,
     lattice_tables_loop,
     metric_axiom_failure_loop,
     modular_identity_loop,
     probability_report_loop,
+    relations_loop,
     subposet,
     validate_probability_loop,
 )
@@ -169,6 +173,34 @@ def _posets():
             out.append(_dropped(lat, lat.bottom_i))
     out.append(FinitePoset(("a", "b", "c"), (1, 2, 4)))
     return out
+
+
+RELATED = SMALL + PRODUCTS + [B7]
+
+
+def _de_morgan_maps(lat):
+    """Every antitone involution: each orthocomplement, and the De Morgan
+    negations that break non-contradiction, some of them not Kleene."""
+    L = lat.labels
+    for perm in involutions(lat.n):
+        if _antitone_failure(lat, perm) is None:
+            yield {L[i]: L[perm[i]] for i in range(lat.n)}
+
+
+@pytest.mark.parametrize("k", range(len(RELATED)), ids=_ids(RELATED))
+def test_relations_and_kleene_class_match_pair_loops(k):
+    """On the De Morgan negations of every small lattice, set complement on
+    2^7, and seeded random total maps, which need not even be antitone."""
+    lat = RELATED[k]
+    rng = random.Random(k)
+    maps = [dict(zip(lat.labels, rng.choices(lat.labels, k=lat.n))) for _ in range(8)]
+    maps += [powerset_complement(7)] if lat is B7 else _de_morgan_maps(lat) if lat in SMALL else []
+    for neg in maps:
+        perm = _perm(lat, neg)
+        rel = relations(lat, neg)
+        assert (rel.orthogonal_pairs, rel.center) == relations_loop(lat, perm)
+        classes = classify_negation(lat, neg)
+        assert ("kleene" in classes) == ("de_morgan" in classes and kleene_condition_loop(lat, perm))
 
 
 def test_lattice_tables_match_bound_scans():
@@ -445,4 +477,4 @@ def test_search_and_report_read_only_the_rows(monkeypatch):
     _find_pentagon(lat), _find_diamond(lat), _find_pentagon(n5), _find_diamond(m3)
     report = probability_report(pa)
     assert calls == []
-    assert all(v.satisfied for v in report.verdicts.values())
+    assert all(v.satisfied for v in report.values())

@@ -3,16 +3,30 @@ import pytest
 from primlat.core import FiniteLattice, LatticeError, classify
 from primlat.ortho import (
     OrthoError,
+    _perm,
     attach_ortho,
     classify_negation,
     ortho_class,
+    orthogonal_rows,
     relations,
     relations_of,
     sasaki,
 )
 
 from conftest import benzene, chain, diamond, pentagon, powerset, powerset_complement
-from helpers import all_orthocomplements, find_orthocomplement, interval_sublattice
+from helpers import all_orthocomplements, commutes_pairs, find_orthocomplement, interval_sublattice
+
+
+def _commutes(lat, neg_map):
+    """The ordered label pairs (x, y) with x == (x∧y) ∨ (x∧¬y)."""
+    L = lat.labels
+    return {(L[i], L[j]) for i, j in commutes_pairs(lat, _perm(lat, neg_map))}
+
+
+def _orthogonal(lat, neg_map, x, y):
+    """x <= ¬y, read from the orthogonality rows."""
+    rows = orthogonal_rows(lat, _perm(lat, neg_map))
+    return bool(rows[lat.index(x)] >> lat.index(y) & 1)
 
 
 def test_attach_ortho_refuses_the_empty_lattice():
@@ -128,18 +142,23 @@ def test_sasaki_order_cases(small_lattices):
 def test_benzene_relations():
     lat, omap = benzene()
     rel = relations(lat, omap)
-    assert len(rel.orthogonal) == 9
-    assert ("0", "0") in rel.orthogonal
+    assert rel.orthogonal_pairs == 9
+    assert _orthogonal(lat, omap, "0", "0")
     assert rel.center == ("0", "p", "q", "1")
     # commutes is not symmetric here
-    assert ("p'", "p") in rel.commutes and ("p", "p'") in rel.commutes
-    assert ("q'", "p") not in rel.commutes and ("p", "q'") in rel.commutes
+    comm = _commutes(lat, omap)
+    assert ("p'", "p") in comm and ("p", "p'") in comm
+    assert ("q'", "p") not in comm and ("p", "q'") in comm
 
 
 def test_boolean_center_is_everything():
-    lat = powerset(2)
-    rel = relations(lat, powerset_complement(2))
-    assert set(rel.center) == set(lat.labels)
+    # with set complement, 2^n has 3^n ordered disjoint pairs, of which only
+    # ({}, {}) lies on the diagonal: (3^n + 1) / 2 unordered orthogonal pairs
+    for n in range(1, 9):
+        lat = powerset(n)
+        rel = relations(lat, powerset_complement(n))
+        assert rel.orthogonal_pairs == (3**n + 1) // 2
+        assert rel.center == lat.labels
 
 
 def test_orthogonality_symmetric_and_consequences(small_lattices):
@@ -170,8 +189,7 @@ def test_orthogonality_not_transitive_in_powerset_three():
 def test_commutes_facts(small_lattices):
     for ol in _ortho_catalog(small_lattices):
         lat = ol.lattice
-        rel = relations_of(ol)
-        comm = rel.commutes
+        comm = _commutes(lat, ol.ortho)
         for x in lat.labels:
             assert (x, lat.bottom) in comm and (lat.bottom, x) in comm
             assert (x, lat.top) in comm and (lat.top, x) in comm
@@ -196,7 +214,7 @@ def test_commutes_matches_sasaki_in_orthomodular(small_lattices):
         if "orthomodular" not in ortho_class(ol):
             continue
         lat = ol.lattice
-        comm = relations_of(ol).commutes
+        comm = _commutes(lat, ol.ortho)
         for x in lat.labels:
             for y in lat.labels:
                 sas = sasaki(ol, x, y) == sasaki(ol, y, x) == lat.meet(x, y)
@@ -230,26 +248,26 @@ def test_orthocomplemented_is_complemented_and_boolean_bridges(small_lattices):
 def test_classify_negation_benzene():
     lat, omap = benzene()
     nm = classify_negation(lat, omap)
-    assert {"minimal", "intuitionistic", "fuzzy", "de_morgan", "kleene", "ortho"} <= nm.classification
-    assert "orthomodular" not in nm.classification
+    assert {"minimal", "intuitionistic", "fuzzy", "de_morgan", "kleene", "ortho"} <= nm
+    assert "orthomodular" not in nm
 
 
 def test_classify_negation_three_chain_kleene():
     lat = chain(3)
     nm = classify_negation(lat, {"c0": "c2", "c1": "c1", "c2": "c0"})
-    assert nm.classification == {"subminimal", "minimal", "fuzzy", "de_morgan", "kleene"}
+    assert nm == {"subminimal", "minimal", "fuzzy", "de_morgan", "kleene"}
 
 
 def test_classify_negation_constant_map():
     lat = chain(3)
     nm = classify_negation(lat, {"c0": "c2", "c1": "c2", "c2": "c2"})
-    assert nm.classification == {"subminimal", "minimal"}
+    assert nm == {"subminimal", "minimal"}
 
 
 def test_classify_negation_empty_classification_possible():
     lat = chain(2)
     nm = classify_negation(lat, {"c0": "c0", "c1": "c1"})  # identity is not antitone here
-    assert nm.classification == frozenset()
+    assert nm == frozenset()
 
 
 def test_relations_from_plain_negation():
@@ -258,11 +276,14 @@ def test_relations_from_plain_negation():
     # top does not commute with the midpoint ((1∧m)∨(1∧¬m) == m), so the
     # center stops below it
     lat = chain(3)
-    rel = relations(lat, {"c0": "c2", "c1": "c1", "c2": "c0"})
+    neg = {"c0": "c2", "c1": "c1", "c2": "c0"}
+    rel = relations(lat, neg)
     assert rel.center == ("c0", "c1")
-    assert ("c2", "c1") not in rel.commutes
-    assert ("c0", "c0") in rel.orthogonal
-    assert ("c1", "c1") in rel.orthogonal  # c1 <= ¬c1 holds at the midpoint
+    assert ("c2", "c1") not in _commutes(lat, neg)
+    # {c0, c0}, {c0, c1}, {c0, c2} and {c1, c1}
+    assert rel.orthogonal_pairs == 4
+    assert _orthogonal(lat, neg, "c0", "c0")
+    assert _orthogonal(lat, neg, "c1", "c1")  # c1 <= ¬c1 holds at the midpoint
 
 
 def test_diamond_admits_no_orthocomplement():

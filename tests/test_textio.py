@@ -147,6 +147,27 @@ def test_mask_literal_errors():
         parse_mask("{5}", 4)
     with pytest.raises(FormatError):
         parse_mask("{a}", 4)
+    # int() would read each of these: another script's digit, a full-width
+    # digit, a digit separator and a sign
+    for text in ("{٣}", "{２}", "{0_1}", "{ +2 }"):
+        with pytest.raises(FormatError, match="^bad atom index "):
+            parse_mask(text, 4)
+    with pytest.raises(FormatError, match="^bad atom index "):
+        parse_mask("{" + "1" * 5000 + "}", 4)  # more digits than int() takes
+    assert parse_mask("{ 1 , 3 }", 4) == parse_mask("{01,3}", 4) == 0b101
+
+
+_MASK_CHARS = st.sampled_from("{}, 0123456789_+-\t٣２")
+
+
+@given(st.one_of(st.text(), st.text(_MASK_CHARS)), st.integers(1, 8))
+def test_parse_mask_on_any_text(text, top_n):
+    try:
+        mask = parse_mask(text, top_n)
+    except FormatError:
+        return
+    assert 0 <= mask < 1 << top_n
+    assert parse_mask(format_mask(mask), top_n) == mask
 
 
 def test_dot_export_contains_cover_edges_only():
