@@ -14,9 +14,8 @@ import argparse
 import io
 import random
 import sys
-from fractions import Fraction
 
-from .core import MAX_ATOMS, LatticeError, classify, enumerate_lattices
+from .core import MAX_ATOMS, LatticeError, classify, enumerate_lattices, law_witnesses
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
 from .primorial import (
     DPOSET_LAWS,
@@ -44,13 +43,12 @@ from .textio import (
     read_text,
     to_dot,
 )
+from .valuation import check_valuation, metric_from_valuation
 
 
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (tuple, list)):
         return " ".join(str(v) for v in value)
     return str(value)
@@ -130,8 +128,6 @@ def cmd_negation(args, out):
 
 
 def cmd_metric(args, out):
-    from .valuation import check_valuation, metric_from_valuation
-
     doc, built = _load_built(args.file)
     _require_lattice(built)
     if not doc.valuation:
@@ -247,9 +243,9 @@ def cmd_enumerate(args, out):
     if args.n == 0:
         print("lattices: 1 modular: 1 distributive: 1", file=out)
         return 0
-    reports = [classify(lat) for lat in lats]
-    modular = sum(1 for r in reports if r.is_modular)
-    distributive = sum(1 for r in reports if r.is_distributive)
+    witnesses = [law_witnesses(lat) for lat in lats]
+    modular = sum(1 for n5, _ in witnesses if n5 is None)
+    distributive = sum(1 for _, witness in witnesses if witness is None)
     print(f"lattices: {len(lats)} modular: {modular} distributive: {distributive}", file=out)
     if args.show:
         for lat in lats:

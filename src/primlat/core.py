@@ -215,13 +215,6 @@ class FiniteLattice(FinitePoset):
             tables = (join, meet)
         self.join_table, self.meet_table = tables
 
-    @classmethod
-    def from_covers(cls, labels, covers):
-        labels = tuple(labels)
-        _check_size(len(labels))  # before the order is closed
-        poset = FinitePoset.from_covers(labels, covers)
-        return cls(poset.labels, poset.leq_rows)
-
     def pairwise(self, table, xs, ys):
         """``op(xs[k], ys[k])`` for every element k, as bytes.
 
@@ -318,27 +311,29 @@ def build_lattice(labels, covers):
 
 
 class PropertyReport:
-    """Structural classification of one finite lattice.
-
-    Modularity and distributivity are computed twice: by the defining
-    identities and by a complete forbidden-sublattice search (pentagon and
-    diamond).  Construction fails if the two routes ever disagree.
-    """
+    """Structural classification of one finite lattice: what ``classify``
+    prints, with modularity and distributivity from ``law_witnesses``."""
 
     def __init__(self, lat: FiniteLattice):
         if lat.n == 0:
             raise LatticeError("cannot classify the empty lattice")
-        self.lattice = lat
-        self.is_lattice = True
         self.is_bounded = True
         self.bottom = lat.bottom
         self.top = lat.top
+        antis = tuple(bits(lat._cover_down[lat.top_i]))
         self.atoms = tuple(lat.labels[i] for i in lat.atoms_i)
-        self.anti_atoms = tuple(lat.labels[i] for i in sorted(bits(lat._cover_down[lat.top_i])))
-        self.height_of = {lat.labels[i]: lat.heights[i] for i in range(lat.n)}
+        self.anti_atoms = tuple(lat.labels[i] for i in antis)
         self.lattice_height = lat.heights[lat.top_i]
-        self.is_atomic = self._atomic(lat)
-        self.is_anti_atomic = self._anti_atomic(lat)
+        self.is_atomic = all(
+            lat.join_all_i([a for a in lat.atoms_i if lat.leq_i(a, i)]) == i
+            for i in range(lat.n)
+            if i != lat.bottom_i
+        )
+        self.is_anti_atomic = all(
+            lat.meet_all_i([a for a in antis if lat.leq_i(i, a)]) == i
+            for i in range(lat.n)
+            if i != lat.top_i
+        )
         self.length = max(lat.heights, default=0)
 
         chains, antichain = _chain_partition(lat)
@@ -349,30 +344,11 @@ class PropertyReport:
         covered = sorted(i for c in chains for i in c)
         assert covered == list(range(lat.n)), "chain partition must cover the carrier"
 
-        self.is_modular = modular_by_identity(lat)
-        self.n5_witness = _find_pentagon(lat)
-        assert self.is_modular == (self.n5_witness is None), "modularity routes disagree"
+        self.n5_witness, self.distributive_witness = law_witnesses(lat)
+        self.is_modular = self.n5_witness is None
+        self.is_distributive = self.distributive_witness is None
 
-        self.is_distributive = distributive_by_identity(lat)
-        m3 = _find_diamond(lat)
-        self.m3_witness = m3
-        assert self.is_distributive == (self.n5_witness is None and m3 is None), (
-            "distributivity routes disagree"
-        )
-        if self.is_distributive:
-            assert self.is_modular, "distributive lattice classified non-modular"
-        if not self.is_distributive:
-            self.distributive_witness = (
-                ("N5",) + self.n5_witness if self.n5_witness else ("M3",) + m3
-            )
-        else:
-            self.distributive_witness = None
-
-        self.complements_of = {
-            lat.labels[i]: tuple(lat.labels[j] for j in comp)
-            for i, comp in enumerate(complements_i(lat))
-        }
-        counts = {len(v) for v in self.complements_of.values()}
+        counts = {len(comp) for comp in complements_i(lat)}
         if 0 in counts:
             self.complementation_class = "non-complemented"
         elif counts == {1}:
@@ -382,24 +358,6 @@ class PropertyReport:
         self.is_complemented = 0 not in counts
         self.is_boolean = self.is_bounded and self.is_distributive and self.is_complemented
 
-    @staticmethod
-    def _atomic(lat):
-        for i in range(lat.n):
-            if i == lat.bottom_i:
-                continue
-            if lat.join_all_i([a for a in lat.atoms_i if lat.leq_i(a, i)]) != i:
-                return False
-        return True
-
-    @staticmethod
-    def _anti_atomic(lat):
-        antis = list(bits(lat._cover_down[lat.top_i]))
-        for i in range(lat.n):
-            if i == lat.top_i:
-                continue
-            if lat.meet_all_i([a for a in antis if lat.leq_i(i, a)]) != i:
-                return False
-        return True
 
 def modular_by_identity(lat: FiniteLattice) -> bool:
     """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y)."""
@@ -421,6 +379,32 @@ def distributive_by_identity(lat: FiniteLattice) -> bool:
             if jn[y].translate(mx) != mx.translate(jn[mx[y]]):
                 return False
     return True
+
+
+def law_witnesses(lat: FiniteLattice):
+    """``(n5_witness, distributive_witness)``: a pentagon, or None when
+    ``lat`` is modular, and ``("N5",)`` plus that pentagon or ``("M3",)``
+    plus a diamond, or None when ``lat`` is distributive.
+
+    Modularity and distributivity are computed twice: by the defining
+    identities and by a complete forbidden-sublattice search, as a lattice
+    is modular iff it has no N5 and distributive iff it also has no M3
+    (Dedekind, Birkhoff).  The diamond is searched for only when there is
+    no pentagon.  The call fails if the two routes ever disagree.
+    """
+    modular = modular_by_identity(lat)
+    distributive = distributive_by_identity(lat)
+    n5 = _find_pentagon(lat)
+    assert modular == (n5 is None), "modularity routes disagree"
+    if n5 is not None:
+        witness = ("N5",) + n5
+    else:
+        m3 = _find_diamond(lat)
+        witness = None if m3 is None else ("M3",) + m3
+    assert distributive == (witness is None), "distributivity routes disagree"
+    if distributive:
+        assert modular, "distributive lattice classified non-modular"
+    return n5, witness
 
 
 def complements_i(lat: FiniteLattice):

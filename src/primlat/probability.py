@@ -38,7 +38,7 @@ class ProbabilityAssignment:
 
 
 def _gate(lat: FiniteLattice):
-    """Pairs (i, j) whose additivity is switched on.
+    """Per element i, the bitset of the j whose additivity with i is switched on.
 
     The pair must have meet 0 and distribute with every third element in
     both dual senses.  Requiring only the meet form would gate the coatom
@@ -46,7 +46,7 @@ def _gate(lat: FiniteLattice):
     (the meet form cannot see joins), breaking the motivating example on a
     self-dual lattice; the two dual triple relations together restore the
     symmetry.  Both conditions are symmetric in i and j, so each unordered
-    pair is tested once; the set is filled in row order.
+    pair is tested once and marked in both rows.
     """
     n, bot = lat.n, lat.bottom_i
     jn, mt = lat.join_table, lat.meet_table
@@ -61,7 +61,7 @@ def _gate(lat: FiniteLattice):
             ):
                 partners[i] |= 1 << j
                 partners[j] |= 1 << i
-    return {(i, j) for i in range(n) for j in bits(partners[i])}
+    return partners
 
 
 def validate_probability(lattice: FiniteLattice, neg_map, values) -> ProbabilityAssignment:
@@ -72,7 +72,9 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     identity p(x) = 1 - p(¬x) does not follow on every ortho base (the
     additivity gate can leave complement pairs unconstrained), so on ortho
     bases it is enforced as a fifth validation condition.  The checks run
-    on the values as integers over their common denominator.
+    on the values as integers over their common denominator, and gated
+    pairs in row order, so an additivity witness is the first failing pair
+    (i, j) by index, as in ``probability_report``.
     """
     classes = classify_negation(lattice, neg_map)
     if "minimal" not in classes:
@@ -93,9 +95,10 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
             if pi[i] > pi[j]:
                 raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
     jn = lat.join_table
-    for i, j in _gate(lat):
-        if pi[jn[i][j]] != pi[i] + pi[j]:
-            raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
+    for i, row in enumerate(_gate(lat)):
+        for j in bits(row):
+            if pi[jn[i][j]] != pi[i] + pi[j]:
+                raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     for v in pi:
         assert 0 <= v <= one
     if "ortho" in classes:

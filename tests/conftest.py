@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import settings
 
-from primlat.core import FiniteLattice, enumerate_lattices
+from primlat.core import enumerate_lattices
 from primlat.primorial import generate_primorial
+
+from helpers import lattice_from_covers
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -10,25 +12,25 @@ settings.load_profile("ci")
 
 def chain(k):
     labels = [f"c{i}" for i in range(k)]
-    return FiniteLattice.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
+    return lattice_from_covers(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
 
 
 def pentagon():
-    return FiniteLattice.from_covers(
+    return lattice_from_covers(
         ["0", "a", "b", "p", "1"],
         [("0", "a"), ("a", "b"), ("b", "1"), ("0", "p"), ("p", "1")],
     )
 
 
 def diamond():
-    return FiniteLattice.from_covers(
+    return lattice_from_covers(
         ["0", "p", "q", "r", "1"],
         [("0", "p"), ("0", "q"), ("0", "r"), ("p", "1"), ("q", "1"), ("r", "1")],
     )
 
 
 def benzene():
-    lat = FiniteLattice.from_covers(
+    lat = lattice_from_covers(
         ["0", "p", "q", "p'", "q'", "1"],
         [("0", "p"), ("0", "q"), ("p", "q'"), ("q", "p'"), ("q'", "1"), ("p'", "1")],
     )
@@ -38,7 +40,7 @@ def benzene():
 
 def mo2():
     """The six-element orthomodular MO2: two complement pairs under 0 and 1."""
-    lat = FiniteLattice.from_covers(
+    lat = lattice_from_covers(
         ["0", "a", "A", "b", "B", "1"],
         [("0", x) for x in "aAbB"] + [(x, "1") for x in "aAbB"],
     )
@@ -58,13 +60,13 @@ def hs3():
             covers += [("0", a), (coatoms[i], "1")]
             covers += [(a, c) for j, c in enumerate(coatoms) if i != j]
             omap[a], omap[coatoms[i]] = coatoms[i], a
-    return FiniteLattice.from_covers(labels, covers), omap
+    return lattice_from_covers(labels, covers), omap
 
 
 def powerset(n):
     labels = list(range(1 << n))
     covers = [(a, a | (1 << b)) for a in labels for b in range(n) if not a >> b & 1]
-    return FiniteLattice.from_covers(labels, covers)
+    return lattice_from_covers(labels, covers)
 
 
 def powerset_complement(n):

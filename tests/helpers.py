@@ -30,8 +30,9 @@ from primlat.cli import (
 from primlat.core import (
     FiniteLattice,
     FinitePoset,
+    LatticeError,
     bits,
-    classify,
+    build_lattice,
     complements_i,
     distributive_by_identity,
 )
@@ -46,6 +47,14 @@ from primlat.textio import format_mask
 
 def _idx(lat):
     return range(lat.n)
+
+
+def lattice_from_covers(labels, covers) -> FiniteLattice:
+    """``build_lattice``, refusing an order that is not a lattice."""
+    built = build_lattice(labels, covers)
+    if not built.is_lattice:
+        raise LatticeError("not a lattice")
+    return built
 
 
 def lattice_laws(lat: FiniteLattice):
@@ -203,16 +212,9 @@ def distributive_cancellation(lat: FiniteLattice):
     return None
 
 
-def complement_selections(lat: FiniteLattice, report=None):
+def complement_selections(lat: FiniteLattice):
     """Every total complement-choice function, as index tuples."""
-    rep = report or classify(lat)
-    per_element = []
-    for lab in lat.labels:
-        comps = [lat.index(c) for c in rep.complements_of[lab]]
-        if not comps:
-            return
-        per_element.append(comps)
-    yield from itertools.product(*per_element)
+    yield from itertools.product(*complements_i(lat))
 
 
 def classic_ten_hold(lat: FiniteLattice, comp) -> bool:
@@ -580,7 +582,7 @@ def validate_probability_loop(lat: FiniteLattice, neg_map, values):
         for j in range(lat.n):
             if lat.leq_i(i, j) and pi[i] > pi[j]:
                 raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
-    for i, j in gate_loop(lat):
+    for i, j in sorted(gate_loop(lat)):
         if pi[lat.join_i(i, j)] != pi[i] + pi[j]:
             raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     if "ortho" in classify_negation(lat, neg_map):

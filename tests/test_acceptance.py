@@ -228,7 +228,7 @@ def test_criterion_09_law_suites():
             if rep.is_distributive:
                 assert rep.is_modular
             if rep.is_boolean:
-                comp = next(helpers.complement_selections(lat, rep))
+                comp = next(helpers.complement_selections(lat))
                 assert helpers.classic_ten_hold(lat, comp)
                 assert helpers.huntington_fourth_holds(lat, comp)
             for mapping in all_orthocomplements(lat):

@@ -3,7 +3,7 @@ import argparse
 import pytest
 
 from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference
-from primlat import cli, core, valuation
+from primlat import cli, core
 from primlat.cli import main
 from primlat.core import LatticeError
 
@@ -92,6 +92,17 @@ def test_enumerate_counts_match_oeis(n, capsys):
     assert main(["enumerate", "--n", str(n)]) == 0
     want = "lattices: {} modular: {} distributive: {}\n".format(*OEIS_COUNTS[n])
     assert capsys.readouterr().out == want
+
+
+def test_enumerate_counts_without_classify(monkeypatch, capsys):
+    # the counts come from the two law routes alone, never from a full report
+    def fail(lat):
+        raise AssertionError("enumerate called classify")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    for n, counts in enumerate(OEIS_COUNTS):
+        assert main(["enumerate", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == "lattices: {} modular: {} distributive: {}\n".format(*counts)
 
 
 @pytest.mark.parametrize("show", [[], ["--show"]])
@@ -184,6 +195,26 @@ def test_random_boolean_size_is_checked_first(n, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --random-boolean needs 1 <= N <= 8, got {n}\n"
+
+
+# 2^3 with set complement and p({1,2}) raised by 1/100: additivity fails at
+# (s1, s2), (s3, s4) and their mirrors
+B3_BUMPED_TEXT = """\
+lattice b3
+elements s0 s1 s2 s3 s4 s5 s6 s7
+covers s0<s1 s0<s2 s0<s4 s1<s3 s1<s5 s2<s3 s2<s6 s4<s5 s4<s6 s3<s7 s5<s7 s6<s7
+ortho s0:s7 s1:s6 s2:s5 s3:s4
+prob s0=0 s1=1/3 s2=1/3 s3=203/300 s4=1/3 s5=2/3 s6=2/3 s7=1
+"""
+
+
+def test_probability_names_the_first_additivity_failure_in_row_order(tmp_path, capsys):
+    path = tmp_path / "b3.lat"
+    path.write_text(B3_BUMPED_TEXT)
+    assert main(["probability", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: probability axiom 'additive' fails at ('s1', 's2')\n"
 
 
 def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
@@ -467,7 +498,7 @@ prob 0=0 a=1/2 b=1/2 1=1
 @pytest.mark.parametrize("module, name, command", [
     (cli, "relations_of", "ortho"),
     (cli, "relations", "negation"),
-    (valuation, "metric_from_valuation", "metric"),
+    (cli, "metric_from_valuation", "metric"),
     (cli, "probability_report", "probability"),
 ])
 def test_error_after_output_leaves_stdout_empty(module, name, command, tmp_path, monkeypatch, capsys):

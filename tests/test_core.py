@@ -4,13 +4,13 @@ import random
 import pytest
 
 from primlat.core import (
-    FiniteLattice,
     FinitePoset,
     LatticeError,
     _representative,
     bits,
     build_lattice,
     classify,
+    complements_i,
     enumerate_lattices,
 )
 
@@ -20,6 +20,7 @@ from helpers import (
     direct_product,
     enumerate_lattices_loop,
     is_isomorphic,
+    lattice_from_covers,
     least_choice_brute,
     middle_rows,
 )
@@ -54,25 +55,27 @@ def test_build_antichain_is_not_a_lattice():
 
 
 def test_classify_pentagon():
-    rep = classify(pentagon())
+    lat = pentagon()
+    rep = classify(lat)
     assert not rep.is_modular
     assert rep.n5_witness == ("0", "a", "b", "p", "1")
     assert not rep.is_distributive
+    assert rep.distributive_witness == ("N5",) + rep.n5_witness
     assert rep.complementation_class == "multiply"
     # p complements both a and b
-    assert set(rep.complements_of["p"]) == {"a", "b"}
+    assert [lat.labels[j] for j in complements_i(lat)[lat.index("p")]] == ["a", "b"]
 
 
 def test_classify_diamond():
     rep = classify(diamond())
     assert rep.is_modular
     assert not rep.is_distributive
-    assert rep.m3_witness is not None
+    assert rep.distributive_witness[0] == "M3"
     assert rep.complementation_class == "multiply"
 
 
 def test_classify_width_four_example():
-    lat = FiniteLattice.from_covers(
+    lat = lattice_from_covers(
         list("0abcpqr1"),
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "p"), ("b", "p"), ("c", "p"),
          ("c", "q"), ("c", "r"), ("p", "1"), ("q", "1"), ("r", "1")],
@@ -113,10 +116,11 @@ def test_width_matches_brute_force_antichain(small_lattices):
 
 
 def test_heights_on_chain():
-    rep = classify(chain(4))
+    lat = chain(4)
+    rep = classify(lat)
     assert rep.lattice_height == 3
     assert rep.width == 1
-    assert [rep.height_of[f"c{i}"] for i in range(4)] == [0, 1, 2, 3]
+    assert [lat.heights[lat.index(f"c{i}")] for i in range(4)] == [0, 1, 2, 3]
 
 
 # -- products and isomorphism ---------------------------------------------------

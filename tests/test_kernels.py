@@ -26,6 +26,7 @@ from primlat.core import (
     complements_i,
     distributive_by_identity,
     enumerate_lattices,
+    law_witnesses,
     modular_by_identity,
 )
 from primlat.ortho import _antitone_failure, _de_morgan_rows, _perm, classify_negation, relations
@@ -97,7 +98,6 @@ def _constructed():
     return [
         ("build_lattice", built),
         ("FiniteLattice(labels, leq)", FiniteLattice(product.labels, product.leq_rows)),
-        ("from_covers", pentagon()),
         *((f"enumerate_lattices({n})", lat) for n in (0, 1, 2, 5) for lat in enumerate_lattices(n)),
         ("boolean Level.lattice", boolean_carrier(3).lattice),
         ("difference Level.lattice", generate_primorial(4).level("D3").lattice),
@@ -157,7 +157,7 @@ def test_identity_kernels_match_loops(lat):
 
 @pytest.mark.parametrize("lat", SMALL + PRODUCTS + [powerset(6)], ids=_ids(SMALL + PRODUCTS + [powerset(6)]))
 def test_triple_and_gate_kernels_match_loops(lat):
-    assert _gate(lat) == gate_loop(lat)
+    assert {(i, j) for i, row in enumerate(_gate(lat)) for j in bits(row)} == gate_loop(lat)
 
 
 def _dropped(lat, which):
@@ -281,9 +281,8 @@ def test_more_than_256_labels_are_refused_before_the_order_is_closed(monkeypatch
 
     monkeypatch.setattr(core, "_closure", closure)
     labels = [f"c{i}" for i in range(257)]
-    for build in (build_lattice, FiniteLattice.from_covers):
-        with pytest.raises(LatticeError, match="^257 elements exceed the supported maximum of 256$"):
-            build(iter(labels), zip(labels, labels[1:]))
+    with pytest.raises(LatticeError, match="^257 elements exceed the supported maximum of 256$"):
+        build_lattice(iter(labels), zip(labels, labels[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +310,22 @@ SEARCHED = SMALL + PRODUCTS + [lat for _, _, lat, _ in NEGATED] + [B7]
 def test_sublattice_search_matches_loops(lat):
     assert _find_pentagon(lat) == find_pentagon_loop(lat)
     assert _find_diamond(lat) == find_diamond_loop(lat)
+
+
+# every class of 1-9 elements (SMALL is the 1-7 part) and the products
+LAW_CHECKED = {f"n{n}": enumerate_lattices(n) for n in range(1, 10)} | {"products": PRODUCTS}
+
+
+@pytest.mark.parametrize("group", LAW_CHECKED)
+def test_law_witnesses_match_loops_and_classify(group):
+    for lat in LAW_CHECKED[group]:
+        n5, m3 = find_pentagon_loop(lat), find_diamond_loop(lat)
+        want = ("N5",) + n5 if n5 else ("M3",) + m3 if m3 else None
+        assert law_witnesses(lat) == (n5, want)
+        assert modular_identity_loop(lat) == (n5 is None)
+        assert distributive_identity_loop(lat) == (want is None)
+        rep = classify(lat)
+        assert (rep.n5_witness, rep.distributive_witness) == (n5, want)
 
 
 def test_the_searched_lattices_hold_both_answers():

@@ -111,7 +111,7 @@ def test_classic_ten_exactly_on_boolean(small_lattices):
     for lat in small_lattices:
         rep = classify(lat)
         any_selection = False
-        for comp in helpers.complement_selections(lat, rep):
+        for comp in helpers.complement_selections(lat):
             if helpers.classic_ten_hold(lat, comp):
                 any_selection = True
                 break
@@ -122,7 +122,7 @@ def test_huntington_fourth_exactly_on_boolean(small_lattices):
     for lat in small_lattices:
         rep = classify(lat)
         any_selection = False
-        for comp in helpers.complement_selections(lat, rep):
+        for comp in helpers.complement_selections(lat):
             if helpers.huntington_fourth_holds(lat, comp):
                 any_selection = True
                 break

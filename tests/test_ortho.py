@@ -14,7 +14,13 @@ from primlat.ortho import (
 )
 
 from conftest import benzene, chain, diamond, pentagon, powerset, powerset_complement
-from helpers import all_orthocomplements, commutes_pairs, find_orthocomplement, interval_sublattice
+from helpers import (
+    all_orthocomplements,
+    commutes_pairs,
+    find_orthocomplement,
+    interval_sublattice,
+    lattice_from_covers,
+)
 
 
 def _commutes(lat, neg_map):
@@ -73,10 +79,7 @@ def test_ortho_class_examples():
     lat, omap = benzene()
     assert ortho_class(attach_ortho(lat, omap)) == {"orthocomplemented"}
 
-    m4 = classify  # noqa: F841 - keep flake quiet about unused import pattern
-    from primlat.core import FiniteLattice
-
-    m4 = FiniteLattice.from_covers(
+    m4 = lattice_from_covers(
         ["0", "m1", "m2", "m3", "m4", "1"],
         [("0", f"m{i}") for i in range(1, 5)] + [(f"m{i}", "1") for i in range(1, 5)],
     )

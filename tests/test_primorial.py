@@ -5,7 +5,7 @@ import pytest
 
 from primlat import primorial
 from primlat.cli import main
-from primlat.core import FiniteLattice, LatticeError, classify
+from primlat.core import LatticeError, classify
 from primlat.ortho import attach_ortho
 from primlat.primorial import (
     Level,
@@ -34,6 +34,7 @@ from helpers import (
     is_boolean_level_oracle,
     is_isomorphic,
     is_monotone_self_dual,
+    lattice_from_covers,
     monotone_self_dual_loop,
     reduce_boolean_loop,
 )
@@ -511,13 +512,13 @@ def test_is_primorial_on_generated_families():
 
 def test_is_primorial_rejects_diamond_and_chain():
     assert is_primorial(diamond()) is None
-    three = FiniteLattice.from_covers(["0", "m", "1"], [("0", "m"), ("m", "1")])
+    three = lattice_from_covers(["0", "m", "1"], [("0", "m"), ("m", "1")])
     assert is_primorial(three) is None
 
 
 def test_is_primorial_divisibility_example():
     labs = [1, 2, 3, 5, 7, 6, 30, 210]
-    P = FiniteLattice.from_covers(labs, [(a, b) for a in labs for b in labs if b % a == 0])
+    P = lattice_from_covers(labs, [(a, b) for a in labs for b in labs if b % a == 0])
     roles = is_primorial(P)
     assert roles is not None
     assert roles.bottom == 1

@@ -50,6 +50,17 @@ def test_normalization_failure():
     assert err.value.axiom == "normalized"
 
 
+def test_additivity_witness_is_the_first_failing_pair_in_row_order():
+    # raising p({1,2}) breaks (1, 2) and (3, 4) and their mirrors; the row
+    # order names (1, 2)
+    lat = powerset(3)
+    values = {x: Fraction(bin(x).count("1"), 3) for x in lat.labels}
+    values[0b011] += Fraction(1, 100)
+    with pytest.raises(ProbabilityError) as err:
+        validate_probability(lat, powerset_complement(3), values)
+    assert (err.value.axiom, err.value.witness) == ("additive", (1, 2))
+
+
 def test_monotonicity_failure():
     lat, omap = benzene()
     bad = dict(BENZENE_VALUES, **{"q'": Fraction(1, 4)})  # below p's value
