@@ -151,8 +151,9 @@ def cmd_metric(args, out):
 def cmd_reduce(args, out):
     check_reduce_bound(args.n)
     levels = reduce_boolean(boolean_carrier(args.n))
+    literal = [format_mask(x) for x in range(1 << args.n)]  # each mask formatted once
     for lvl in levels:
-        print(format_carrier(lvl.carrier), file=out)
+        print(" ".join(literal[x] for x in lvl.carrier), file=out)  # carriers are ascending
     _emit(out, "count", len(levels))
     return 0
 

@@ -2,10 +2,12 @@ import argparse
 
 import pytest
 
-from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference
+from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference, reduce_boolean_loop
 from primlat import cli, core
 from primlat.cli import main
 from primlat.core import LatticeError
+from primlat.primorial import boolean_carrier
+from primlat.textio import format_carrier
 
 N5_TEXT = """\
 lattice N5
@@ -42,6 +44,16 @@ def test_reduce_output_ends_with_count(capsys):
     out = capsys.readouterr().out
     assert out.rstrip().endswith("count: 10")
     assert len(out.rstrip().splitlines()) == 11
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reduce_literals_match_the_carrier_formatter(k, capsys):
+    # reduce formats each subset literal once per call; its lines must be
+    # the one carrier formatter's text of the brute-force levels
+    levels = reduce_boolean_loop(boolean_carrier(k))
+    expected = "".join(f"{format_carrier(lvl.carrier)}\n" for lvl in levels) + f"count: {len(levels)}\n"
+    assert main(["reduce", "--n", str(k)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 UNSUPPORTED = "error: reduction beyond 2^6 unsupported\n"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -200,6 +201,40 @@ def test_induced_boolean_matches_popcount_loop(levels6):
         assert _induced_boolean(lvl.carrier, 5) and induced_boolean_loop(lvl.carrier, 5)
 
 
+def _random_carrier(rng, n):
+    """A sorted carrier holding 0 inside the masks of n bits: either random
+    masks, or the unions of random disjoint blocks (a Boolean order whose top
+    need not be the full mask), some of them widened by unused bits."""
+    if rng.random() < 0.5:
+        return tuple(sorted({0, *rng.sample(range(1, 1 << n), rng.randint(1, (1 << n) - 1))}))
+    owner = [rng.randrange(n + 1) for _ in range(n)]  # block of each bit; some bits stay unused
+    blocks = [b for b in (sum(1 << i for i in range(n) if owner[i] == k) for k in range(n)) if b]
+    unused = (1 << n) - 1 ^ sum(blocks)
+    carrier = {0}
+    for s in range(1, 1 << len(blocks)):
+        x = sum(b for k, b in enumerate(blocks) if s >> k & 1)
+        if s & (s - 1) and rng.random() < 0.3:
+            x |= rng.randrange(1 << n) & unused
+        carrier.add(x)
+    return tuple(sorted(carrier))
+
+
+def test_induced_boolean_matches_popcount_loop_on_any_carrier():
+    # the bitset check reads its domain width from the largest mask, so it
+    # is held to the loop on carriers whose largest mask is not the full
+    # mask and that are not closed under complement
+    rng = random.Random(22)
+    verdicts = {True: 0, False: 0}
+    for n in range(2, 7):
+        for _ in range(300):
+            carrier = _random_carrier(rng, n)
+            for exp in range(n + 1):
+                verdict = _induced_boolean(carrier, exp)
+                assert verdict == induced_boolean_loop(carrier, exp), (carrier, exp)
+                verdicts[verdict] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 5000
+
+
 def _permute_atoms(carrier, perm):
     """The carrier's image under the atom permutation sending bit i to bit perm[i]."""
     return tuple(sorted(sum(1 << perm[i] for i in range(6) if x >> i & 1) for x in carrier))
@@ -288,8 +323,6 @@ def test_rejected_selection_can_still_be_orthocomplemented():
 def test_boolean_tests_agree_on_random_carriers():
     # the fast subset-bijection test and the generic induced-order oracle
     # must agree on arbitrary complement-closed carriers, accepted or not
-    import random
-
     rng = random.Random(99)
     checked = 0
     while checked < 400:
