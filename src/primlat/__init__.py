@@ -51,7 +51,6 @@ from .projection import (
 from .seqproc import (
     AnalysisPyramid,
     SymbolAlphabet,
-    SymbolSequence,
     analyze,
     encode,
     gsp_preset,

@@ -314,11 +314,13 @@ COMMANDS = {
 
 def build_parser(only=None):
     """The ``primlat`` parser built from COMMANDS; with ``only``, it holds
-    just that subcommand, so a call pays for one subparser, not twelve."""
+    just that subcommand, so a call pays for one subparser, not twelve, and
+    its usage line still names every command."""
     parser = argparse.ArgumentParser(
         prog="primlat", description="finite lattice computation engine"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in (only,) if only else COMMANDS:
         fn, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
@@ -328,17 +330,9 @@ def build_parser(only=None):
     return parser
 
 
-def _parse_args(argv):
-    if argv and argv[0] in COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv)
-        if not extra:
-            return args
-    # help, usage errors and leftover arguments report the full usage line
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     out = io.StringIO()  # written only once the command returns
     try:
         code = args.fn(args, out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import MAX_ATOMS, LatticeError
 from .primorial import PrimorialLattice, generate_primorial
 from .projection import _projector, project_sequence
-from .textio import format_mask, parse_choices
+from .textio import parse_choices
 
 
 class SequenceError(LatticeError):
@@ -49,22 +49,10 @@ class SymbolAlphabet:
 
 
 @dataclass(frozen=True)
-class SymbolSequence:
-    items: bytes  # top-carrier masks, one per byte
-    name: str | None = None
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
-@dataclass(frozen=True)
 class AnalysisPyramid:
     method: str
-    source: SymbolSequence
-    levels: dict  # member name -> SymbolSequence
+    source: bytes  # top-carrier masks, one per byte
+    levels: dict  # member name -> bytes
 
     def __post_init__(self):
         for name, seq in self.levels.items():
@@ -72,10 +60,10 @@ class AnalysisPyramid:
                 raise SequenceError(f"level {name!r} does not have the input's length")
 
 
-def encode(alphabet: SymbolAlphabet, tokens, name=None) -> SymbolSequence:
+def encode(alphabet: SymbolAlphabet, tokens) -> bytes:
     if alphabet.top_n > MAX_ATOMS:
         raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {alphabet.top_n}")
-    return SymbolSequence(bytes(map(alphabet.atom, tokens)), name)
+    return bytes(map(alphabet.atom, tokens))
 
 
 def load_fasta(stream, alphabet: SymbolAlphabet):
@@ -125,15 +113,15 @@ def analyze(
             f"alphabet has {alphabet.top_n} symbols but the family was generated from {pl.top_n}"
         )
     source = encode(alphabet, tokens)
-    codes = bytes(dict.fromkeys(source.items))  # each distinct input code once
-    levels = {}
-    for name in pl.levels:
-        table = bytes.maketrans(codes, project_sequence(pl, name, codes, method))
-        levels[name] = SymbolSequence(source.items.translate(table), name)
+    codes = bytes(dict.fromkeys(source))  # each distinct input code once
+    levels = {
+        name: source.translate(bytes.maketrans(codes, project_sequence(pl, name, codes, method)))
+        for name in pl.levels
+    }
     return AnalysisPyramid(method, source, levels)
 
 
-def synthesize(*seqs: SymbolSequence) -> SymbolSequence:
+def synthesize(*seqs: bytes) -> bytes:
     """Pointwise join in the top lattice (bitwise union of atom sets)."""
     if not seqs:
         raise SequenceError("nothing to synthesize")
@@ -144,23 +132,22 @@ def synthesize(*seqs: SymbolSequence) -> SymbolSequence:
     # one byte per element, so the bytewise OR is the OR of the big integers
     acc = 0
     for s in seqs:
-        acc |= int.from_bytes(s.items, "big")
-    return SymbolSequence(acc.to_bytes(length, "big"))
+        acc |= int.from_bytes(s, "big")
+    return acc.to_bytes(length, "big")
 
 
-def pyramid_rows(pyramid: AnalysisPyramid, alphabet: SymbolAlphabet | None = None):
+def pyramid_rows(pyramid: AnalysisPyramid, alphabet: SymbolAlphabet):
     """TSV-ready rows: position, input element, one column per level.
 
     The cells after the position are rendered once per distinct tuple of
     column values.
     """
-    render = alphabet.render if alphabet else format_mask
     names = list(pyramid.levels)
-    columns = [pyramid.source.items] + [pyramid.levels[n].items for n in names]
+    columns = [pyramid.source] + [pyramid.levels[n] for n in names]
     tails = {}
     yield ["position", "input"] + names
     for k, row in enumerate(zip(*columns)):
-        tail = tails.get(row) or tails.setdefault(row, [render(x) for x in row])
+        tail = tails.get(row) or tails.setdefault(row, [alphabet.render(x) for x in row])
         yield [str(k)] + tail
 
 
@@ -178,12 +165,11 @@ def summarize(
     """
     lines = [f"length: {len(pyramid.source)}", f"method: {pyramid.method}"]
     for name, seq in pyramid.levels.items():
-        items = seq.items
-        shown = " ".join(f"{alphabet.render(x)}={items.count(x)}" for x in sorted(set(items)))
+        shown = " ".join(f"{alphabet.render(x)}={seq.count(x)}" for x in sorted(set(seq)))
         lines.append(f"level {name}: {shown}")
     low, high = pl.level("L2^2").carrier[1:3]
     coarse_atoms = (low, high) if low & 1 else (high, low)
-    seq = pyramid.levels["L2^2"].items
+    seq = pyramid.levels["L2^2"]
     total = len(seq) or 1
     for mask in coarse_atoms:
         lines.append(f"{alphabet.render(mask)} fraction: {seq.count(mask) / total:.4f}")

@@ -42,7 +42,6 @@ from primlat.probability import DefinitionVerdict, ProbabilityError
 from primlat.projection import METHODS, _projector
 from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
 from primlat.seqproc import PRESETS
-from primlat.textio import format_mask
 
 
 def _idx(lat):
@@ -733,12 +732,11 @@ def project_sequence_loop(pl, level_name, items, method):
     return tuple(map(table.__getitem__, items))
 
 
-def pyramid_rows_loop(pyramid, alphabet=None):
+def pyramid_rows_loop(pyramid, alphabet):
     """The analysis rows with every column read at every position."""
-    render = alphabet.render if alphabet else format_mask
     names = list(pyramid.levels)
-    columns = [pyramid.source.items] + [pyramid.levels[n].items for n in names]
-    shown = {x: render(x) for x in set().union(*columns)}
+    columns = [pyramid.source] + [pyramid.levels[n] for n in names]
+    shown = {x: alphabet.render(x) for x in set().union(*columns)}
     yield ["position", "input"] + names
     for k, row in enumerate(zip(*columns)):
         yield [str(k)] + [shown[x] for x in row]
@@ -750,12 +748,12 @@ def summarize_loop(pyramid, alphabet, coarse_atoms=(), window=None):
     lines = [f"length: {len(pyramid.source)}", f"method: {pyramid.method}"]
     for name, seq in pyramid.levels.items():
         counts = {}
-        for x in seq.items:
+        for x in seq:
             counts[x] = counts.get(x, 0) + 1
         shown = " ".join(f"{alphabet.render(x)}={c}" for x, c in sorted(counts.items()))
         lines.append(f"level {name}: {shown}")
     if coarse_atoms and "L2^2" in pyramid.levels:
-        seq = pyramid.levels["L2^2"].items
+        seq = pyramid.levels["L2^2"]
         total = len(seq) or 1
         for mask in coarse_atoms:
             frac = sum(1 for x in seq if x == mask) / total

@@ -246,7 +246,7 @@ def test_criterion_10_gsp_demo():
         tokens = tuple(rng.choice("ACGT") for _ in range(1000))
         pyramid = analyze(preset.primorial, preset.alphabet, tokens, "ceiling")
         at_mask, cg_mask = 9, 6  # A∨T and C∨G
-        coarse = pyramid.levels["L2^2"].items
+        coarse = pyramid.levels["L2^2"]
         assert sum(1 for x in coarse if x == at_mask) == sum(
             1 for t in tokens if t in "AT"
         )

@@ -487,9 +487,9 @@ def test_only_the_named_subcommand_is_built(n5_file, monkeypatch):
         built.clear()
         assert main(argv) == 0
         assert built == [argv[0]]
-    # help and usage errors build the full parser; leftover arguments after
-    # a command first build the narrow one, then the full one for the message
-    for argv, code, count in (([], 2, 12), (["-h"], 0, 12), (["no-such-command"], 2, 12), (["classify", "a", "b"], 2, 13)):
+    # without a known command the full parser is built; after one, the
+    # narrow parser also reports leftover arguments, with the full usage line
+    for argv, code, count in (([], 2, 12), (["-h"], 0, 12), (["no-such-command"], 2, 12), (["classify", "a", "b"], 2, 1)):
         built.clear()
         with pytest.raises(SystemExit) as exc:
             main(argv)

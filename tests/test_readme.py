@@ -13,7 +13,7 @@ CLAIMS = {
     """pl.sasaki(ol, "p", "q'")""": "p",
     "pl.ortho_class(ol)": {"orthocomplemented"},
     'pl.probability_report(pa)["traditional"].satisfied': False,
-    'pyramid.levels["L2^2"].items': bytes((9, 6, 6, 9)),
+    'pyramid.levels["L2^2"]': bytes((9, 6, 6, 9)),
     "list(family.levels)": ["L2^1", "L2^2", "L2^3", "L2^4", "D2", "D3", "D4"],
 }
 
@@ -28,6 +28,7 @@ def test_library_tour_runs_and_its_comments_hold():
     source = _tour()
     namespace = {}
     exec(compile(source, str(README), "exec"), namespace)
+    assert 'pyramid.levels["L2^2"]  # bytes((A|T, C|G, C|G, A|T))\n' in source
     for expr, expected in CLAIMS.items():
         assert expr in source
         assert eval(expr, namespace) == expected, expr

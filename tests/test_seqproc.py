@@ -9,13 +9,12 @@ from helpers import pyramid_rows_loop, summarize_loop
 from primlat.cli import main
 from primlat.core import LatticeError
 from primlat.primorial import generate_primorial
-from primlat.projection import METHODS, project
+from primlat.projection import METHODS, proj_zero, project, project_sequence
 from primlat.seqproc import (
     PRESETS,
     AnalysisPyramid,
     SequenceError,
     SymbolAlphabet,
-    SymbolSequence,
     analyze,
     encode,
     gsp_preset,
@@ -24,8 +23,6 @@ from primlat.seqproc import (
     summarize,
     synthesize,
 )
-from primlat.projection import proj_zero
-from primlat.textio import format_mask
 
 
 # each preset's L2^2 middle pair, A∨T first, written out independently of
@@ -74,19 +71,19 @@ def test_alphabet_must_match_family(preset):
 
 def test_analyze_top_level_is_unchanged(preset):
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "zero")
-    assert pyramid.levels["L2^4"].items == pyramid.source.items
+    assert pyramid.levels["L2^4"] == pyramid.source
 
 
 def test_analyze_ceiling_onto_coarse_level(preset):
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "ceiling")
     at, cg = COARSE_ATOMS["acgt-atcg"]
-    assert pyramid.levels["L2^2"].items == bytes((at, cg, cg, at))
+    assert pyramid.levels["L2^2"] == bytes((at, cg, cg, at))
 
 
 def test_analyze_zero_on_level_missing_both_atoms(preset):
     # the 4-element level contains neither single nucleobase atom
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C"), "zero")
-    assert pyramid.levels["D2"].items == bytes((0, 0))
+    assert pyramid.levels["D2"] == bytes((0, 0))
     carrier = preset.primorial.level("D2").carrier_set
     assert preset.alphabet.atom("A") not in carrier
     assert preset.alphabet.atom("C") not in carrier
@@ -95,11 +92,11 @@ def test_analyze_zero_on_level_missing_both_atoms(preset):
 def test_synthesize_examples(preset):
     al = preset.alphabet
     joined = synthesize(encode(al, ("A",)), encode(al, ("T",)))
-    assert joined.items == bytes((al.atom("A") | al.atom("T"),))
+    assert joined == bytes((al.atom("A") | al.atom("T"),))
     seq = encode(al, ("A", "C", "G"))
-    zeros = type(seq)(bytes((0, 0, 0)))
-    assert synthesize(seq, zeros).items == seq.items
-    assert synthesize(seq, seq).items == seq.items
+    zeros = bytes((0, 0, 0))
+    assert synthesize(seq, zeros) == seq
+    assert synthesize(seq, seq) == seq
     with pytest.raises(SequenceError, match="length"):
         synthesize(seq, encode(al, ("A",)))
 
@@ -107,12 +104,10 @@ def test_synthesize_examples(preset):
 def test_filtering_is_pointwise_join_of_projections(preset):
     al, pl = preset.alphabet, preset.primorial
     source = encode(al, ("A", "C", "G", "T", "A"))
-    a = bytes(proj_zero(pl, "L2^2", x) for x in source.items)
-    b = bytes(proj_zero(pl, "D3", x) for x in source.items)
-    joined = synthesize(
-        type(source)(a), type(source)(b)
-    )
-    assert joined.items == bytes(x | y for x, y in zip(a, b))
+    a = bytes(proj_zero(pl, "L2^2", x) for x in source)
+    b = bytes(proj_zero(pl, "D3", x) for x in source)
+    joined = synthesize(a, b)
+    assert joined == bytes(x | y for x, y in zip(a, b))
 
 
 def test_preset_chain_shapes():
@@ -214,14 +209,14 @@ def test_summary_counts_the_l2_2_atoms_of_any_family(n):
        st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=40))
 def test_synthesis_laws_on_random_mask_sequences(xs, ys):
     n = min(len(xs), len(ys))
-    a = SymbolSequence(bytes(xs[:n]))
-    b = SymbolSequence(bytes(ys[:n]))
+    a = bytes(xs[:n])
+    b = bytes(ys[:n])
     joined = synthesize(a, b)
-    assert joined.items == bytes(x | y for x, y in zip(a.items, b.items))
-    assert synthesize(a, a).items == a.items  # idempotent
-    assert synthesize(a, b).items == synthesize(b, a).items  # commutative
-    zeros = SymbolSequence(bytes((0,) * n))
-    assert synthesize(a, zeros).items == a.items  # join identity
+    assert joined == bytes(x | y for x, y in zip(a, b))
+    assert synthesize(a, a) == a  # idempotent
+    assert synthesize(a, b) == synthesize(b, a)  # commutative
+    zeros = bytes((0,) * n)
+    assert synthesize(a, zeros) == a  # join identity
 
 
 @given(st.text(alphabet="ACGT", min_size=0, max_size=120))
@@ -229,7 +224,7 @@ def test_counting_oracle_on_random_sequences(s):
     pre = gsp_preset("acgt-atcg")
     pyramid = analyze(pre.primorial, pre.alphabet, tuple(s), "ceiling")
     at, cg = COARSE_ATOMS["acgt-atcg"]
-    coarse = pyramid.levels["L2^2"].items
+    coarse = pyramid.levels["L2^2"]
     assert sum(1 for x in coarse if x == at) == sum(1 for ch in s if ch in "AT")
     assert sum(1 for x in coarse if x == cg) == sum(1 for ch in s if ch in "CG")
     for seq in pyramid.levels.values():
@@ -255,16 +250,15 @@ def test_pyramid_rows_and_summary(preset):
         for method in METHODS:
             pyramid = analyze(pl, al, tokens, method)
             levels = {
-                name: SymbolSequence(bytes(project(pl, name, x, method) for x in source), name)
+                name: bytes(project(pl, name, x, method) for x in source)
                 for name in pyramid.levels
             }
             reference = AnalysisPyramid(method, source, levels)
-            for render, alphabet in ((al.render, al), (format_mask, None)):
-                expected = [["position", "input"] + list(levels)] + [
-                    [str(k), render(x)] + [render(levels[n].items[k]) for n in levels]
-                    for k, x in enumerate(source)
-                ]
-                assert list(pyramid_rows(pyramid, alphabet)) == expected
+            expected = [["position", "input"] + list(levels)] + [
+                [str(k), al.render(x)] + [al.render(levels[n][k]) for n in levels]
+                for k, x in enumerate(source)
+            ]
+            assert list(pyramid_rows(pyramid, al)) == expected
             for window in (None, 64):
                 assert summarize(pyramid, al, pl, window) == summarize(reference, al, pl, window)
 
@@ -278,8 +272,7 @@ def test_rows_and_summary_equal_the_per_position_loops(kind):
     for tokens in records:
         for method in METHODS:
             pyramid = analyze(pl, al, tokens, method)
-            for alphabet in (al, None):
-                assert list(pyramid_rows(pyramid, alphabet)) == list(pyramid_rows_loop(pyramid, alphabet))
+            assert list(pyramid_rows(pyramid, al)) == list(pyramid_rows_loop(pyramid, al))
             for window in (None, 1, 7, len(tokens) + 1, 10 * len(tokens) + 10):
                 assert summarize(pyramid, al, pl, window) == summarize_loop(
                     pyramid, al, COARSE_ATOMS[kind], window
@@ -287,9 +280,17 @@ def test_rows_and_summary_equal_the_per_position_loops(kind):
 
 
 def test_sequences_are_bytes(preset):
-    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "T", "T"), "sasaki")
-    assert pyramid.source.items == bytes(preset.alphabet.atom(s) for s in "ATT")
-    assert all(type(seq.items) is bytes for seq in pyramid.levels.values())
+    al, pl = preset.alphabet, preset.primorial
+    pyramid = analyze(pl, al, ("A", "T", "T"), "sasaki")
+    assert pyramid.source == bytes(al.atom(s) for s in "ATT")
+    outputs = [
+        encode(al, ("A", "T", "T")),
+        pyramid.source,
+        *pyramid.levels.values(),
+        synthesize(pyramid.source, pyramid.levels["L2^2"]),
+        project_sequence(pl, "L2^2", (1, 2, 4, 8), "ceiling"),
+    ]
+    assert all(type(x) is bytes for x in outputs)
     with pytest.raises(SequenceError, match="^symbol 'Z' not in alphabet$"):
         encode(preset.alphabet, ("A", "Z"))
     with pytest.raises(SequenceError, match="^sequences hold at most 8 symbols, not 9$"):
@@ -300,16 +301,15 @@ def test_pyramid_levels_keep_the_input_length(preset):
     source = encode(preset.alphabet, ("A", "C", "A"))
     for items in (bytes((9, 6)), bytes((9, 6, 9, 9))):
         with pytest.raises(SequenceError, match="^level 'L2\\^2' does not have the input's length$"):
-            AnalysisPyramid("zero", source, {"L2^2": SymbolSequence(items, "L2^2")})
+            AnalysisPyramid("zero", source, {"L2^2": items})
 
 
 def test_rows_of_a_pyramid_that_is_not_pointwise(preset):
     # the same input code maps to different cells at different positions
     source = encode(preset.alphabet, ("A", "C", "A", "A"))
-    levels = {"L2^2": SymbolSequence(bytes((9, 6, 6, 9)), "L2^2"), "D2": SymbolSequence(bytes(4), "D2")}
+    levels = {"L2^2": bytes((9, 6, 6, 9)), "D2": bytes(4)}
     pyramid = AnalysisPyramid("zero", source, levels)
-    for alphabet in (preset.alphabet, None):
-        assert list(pyramid_rows(pyramid, alphabet)) == list(pyramid_rows_loop(pyramid, alphabet))
+    assert list(pyramid_rows(pyramid, preset.alphabet)) == list(pyramid_rows_loop(pyramid, preset.alphabet))
     assert [row[2] for row in pyramid_rows(pyramid, preset.alphabet)][1:] == ["{A,T}", "{C,G}", "{C,G}", "{A,T}"]
 
 
