@@ -5,14 +5,18 @@ Every level lives inside one top Boolean carrier: elements are subsets of
 {1..N} encoded as machine-word bitmasks, the order is always mask inclusion
 restricted to the level's carrier, and complement pairs are always top-level
 set complements (reduction preserves this at every depth, since a Boolean
-level's unique complementation must consist of parent pairs).
+level's unique complementation must consist of parent pairs).  One operator,
+``_carrier_difference``, builds every difference level and is the one the
+D-poset check reads; ``generate_primorial`` checks each difference level's
+orthocomplement and the family's chain shape.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .core import FiniteLattice, LatticeError
 from .ortho import attach_ortho
@@ -26,23 +30,34 @@ def _inclusion_rows(masks):
     return [sum(1 << j for j, y in enumerate(masks) if x & ~y == 0) for x in masks]
 
 
-class Level:
-    """One member lattice of a family, embedded in a top Boolean carrier.
+def _bitset(masks):
+    """The masks as one integer bitset: bit c stands for mask c."""
+    bits = 0
+    for c in masks:
+        bits |= 1 << c
+    return bits
 
-    Its mask set, ``carrier_set``, and its induced tables, ``lattice``, are
-    built on first read.
+
+def _closed(cset, full):
+    """Whether the mask set holds 0 and ``full`` and is closed under complement."""
+    return 0 in cset and full in cset and all(full ^ x in cset for x in cset)
+
+
+class Level:
+    """One member lattice of a family: a carrier in a top Boolean carrier.
+
+    A level is its carrier and nothing more: its name is its key in a
+    family's ``levels``, and what it is (Boolean, orthocomplemented) is
+    checked where it is made, by ``reduce_boolean`` and ``is_reduction``
+    for a Boolean level and by ``generate_primorial`` for a difference
+    level.  Its mask set, ``carrier_set``, and its induced tables,
+    ``lattice``, are built on first read.
     """
 
-    def __init__(self, name, top_n, carrier, kind):
-        self.name = name
+    def __init__(self, top_n, carrier):
         self.top_n = top_n
         self.full = (1 << top_n) - 1
         self.carrier = tuple(sorted(carrier))
-        self.kind = kind  # "boolean" | "difference"
-
-    @property
-    def is_boolean(self):
-        return self.kind == "boolean"
 
     @cached_property
     def carrier_set(self) -> frozenset:
@@ -56,7 +71,7 @@ class Level:
         return self.full ^ mask
 
     def __repr__(self):
-        return f"Level({self.name!r}, n={self.top_n}, size={len(self.carrier)})"
+        return f"Level({self.top_n}, {self.carrier})"
 
     def __eq__(self, other):
         return (
@@ -73,7 +88,7 @@ def boolean_carrier(n: int) -> Level:
     """The full 2^n-element Boolean level on atoms {1..n}."""
     if n < 0:
         raise LatticeError("atom count must be non-negative")
-    return Level(f"L2^{n}", n, range(1 << n), "boolean")
+    return Level(n, range(1 << n))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +100,7 @@ def _up_sets(carrier):
     members of the ascending carrier holding every bit of x, as an integer
     bitset over the masks: bit c stands for mask c."""
     n = carrier[-1].bit_length()
-    member = 0
-    for c in carrier:
-        member |= 1 << c
+    member = _bitset(carrier)
     ones = (1 << (1 << n)) - 1
     up = [member]
     for b in range(n):
@@ -153,10 +166,9 @@ def _induced_boolean(carrier, size_exp):
 def _check_reducible(level: Level):
     size = len(level.carrier)
     m = size.bit_length() - 1
-    if size != 1 << m or not level.is_boolean or m < 2:
+    if size != 1 << m or m < 2:
         raise LatticeError("reduction needs a Boolean level with at least 4 elements")
-    cs = level.carrier_set
-    if 0 not in cs or level.full not in cs or any(level.complement(x) not in cs for x in cs):
+    if not _closed(level.carrier_set, level.full):
         raise LatticeError("reduction needs a level holding 0 and the top, closed under complement")
     return m
 
@@ -253,7 +265,7 @@ def reduce_boolean(level: Level):
         for f in functions:
             carriers.add(tuple(sorted(phi[t | rbit if f >> s & 1 else t] for s, t in enumerate(spread))))
     accepted = sorted(c for c in carriers if _induced_boolean(c, k))
-    return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
+    return tuple(Level(level.top_n, c) for c in accepted)
 
 
 def is_reduction(level: Level, carrier) -> bool:
@@ -263,6 +275,8 @@ def is_reduction(level: Level, carrier) -> bool:
     candidate: distinct masks drawn from the parent carrier, holding 0 and
     the top, closed under complement, 2^(m-1) of them, with a Boolean
     induced order.  The reduction bound applies as in ``reduce_boolean``.
+    ``level`` must be Boolean, as every chain level is; only its size, its
+    bounds and its complement pairs are checked here.
     """
     m = _check_reducible(level)
     check_reduce_bound(m)
@@ -271,9 +285,7 @@ def is_reduction(level: Level, carrier) -> bool:
     return (
         len(cset) == len(cand) == 1 << (m - 1)
         and cset <= level.carrier_set
-        and 0 in cset
-        and level.full in cset
-        and all(level.complement(x) in cset for x in cand)
+        and _closed(cset, level.full)
         and _induced_boolean(cand, m - 1)
     )
 
@@ -282,24 +294,21 @@ def is_reduction(level: Level, carrier) -> bool:
 # bounded lattice difference
 
 
-def difference(lx: Level, ly: Level) -> Level:
-    """Carrier set difference with the shared bounds restored.
+def _carrier_difference(full, y, x):
+    """The difference y - x of two carrier sets, with the bounds 0 and
+    ``full`` restored: the one operator behind ``difference`` and the
+    D-poset check."""
+    return (y - x) | {0, full}
 
-    When both inputs are Boolean chain levels with ly inside lx, the result
-    is verified to be orthocomplemented under the inherited complement
-    pairs.
-    """
+
+def difference(lx: Level, ly: Level) -> Level:
+    """Carrier set difference with the shared bounds restored."""
     if lx.top_n != ly.top_n:
         raise LatticeError("levels live in different top carriers")
     for lvl in (lx, ly):
         if 0 not in lvl.carrier_set or lvl.full not in lvl.carrier_set:
             raise LatticeError("difference requires carriers sharing 0 and 1")
-    carrier = (lx.carrier_set - ly.carrier_set) | {0, lx.full}
-    out = Level(None, lx.top_n, carrier, "difference")
-    if lx.is_boolean and ly.is_boolean and ly.carrier_set <= lx.carrier_set:
-        lat = out.lattice
-        attach_ortho(lat, {x: out.complement(x) for x in out.carrier})
-    return out
+    return Level(lx.top_n, _carrier_difference(lx.full, lx.carrier_set, ly.carrier_set))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +322,8 @@ class PrimorialLattice:
 
     top_n: int
     chain: tuple  # Level, ascending L2^1 .. L2^N
-    levels: dict  # name -> Level: L2^1 .. L2^N, then D2 .. DN
-    family: FiniteLattice  # labels are the level names but D2, which has L2^2's carrier
+    levels: dict  # name -> Level: L2^1 .. L2^N, then D2 .. DN; D2 is L2^2
+    family: FiniteLattice  # labels are the level names but D2
 
     def level(self, name) -> Level:
         try:
@@ -328,9 +337,7 @@ class PrimorialLattice:
 
 def _family_lattice(levels):
     """The inclusion order of the named levels' carriers."""
-    sets = [lvl.carrier_set for lvl in levels.values()]
-    rows = [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets]
-    return FiniteLattice(tuple(levels), rows)
+    return FiniteLattice(tuple(levels), _inclusion_rows([_bitset(lvl.carrier) for lvl in levels.values()]))
 
 
 def generate_primorial(n: int, choices=None) -> PrimorialLattice:
@@ -352,9 +359,12 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
     the other reductions; the last step to 2^1 takes the only carrier
     ``reduce_boolean`` returns there.  The reduction bound is checked on
     ``n`` before the top carrier is built.
-    Both family invariants are asserted: every difference level is
-    orthocomplemented under inherited pairs, and the family order has the
-    generated-chain shape.
+    Every difference level D2..Dn gets its inherited complement pairs
+    checked by ``attach_ortho``; D2 is L2^2 itself, so the family keeps one
+    level, and one set of tables, per carrier.  The family order is
+    asserted to have the generated-chain shape: ``is_primorial`` must give
+    the roles the construction does, bottom L2^1, chain L2^2..L2^n and
+    atoms D3..Dn joined in order.
     """
     if n < 2:
         raise LatticeError("generation needs at least 2 atoms")
@@ -376,39 +386,23 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
             # a mask outside the top carrier has no subset literal
             shown = format_carrier(pick) if chain[0].carrier_set.issuperset(pick) else pick
             raise LatticeError(f"invalid reduction choice for L2^{m}: {shown}")
-        chain.append(Level(f"L2^{m}", n, pick, "boolean"))
+        chain.append(Level(n, pick))
     # a 4-element level has one reduction; this call is also the one that
     # fires the primorial.reduce span the genome benchmark requires
     (last,) = reduce_boolean(chain[-1])
-    last.name = "L2^1"
     chain.append(last)
     chain.reverse()  # ascending L2^1 .. L2^n
 
-    levels = {lvl.name: lvl for lvl in chain}
+    levels = {f"L2^{m}": lvl for m, lvl in enumerate(chain, 1)}
+    assert difference(chain[1], chain[0]) == chain[1]  # L2^1 is {0, full}, so D2 is L2^2
     for m in range(2, n + 1):
-        d = difference(chain[m - 1], chain[m - 2])
-        d.name = f"D{m}"
-        levels[d.name] = d
-    assert levels["D2"].carrier == levels["L2^2"].carrier  # so the family order leaves D2 out
+        d = levels[f"D{m}"] = chain[1] if m == 2 else difference(chain[m - 1], chain[m - 2])
+        attach_ortho(d.lattice, {x: d.complement(x) for x in d.carrier})
     family = _family_lattice({name: lvl for name, lvl in levels.items() if name != "D2"})
-
-    pl = PrimorialLattice(n, tuple(chain), levels, family)
-    _assert_family_shape(pl)
-    return pl
-
-
-def _assert_family_shape(pl: PrimorialLattice):
-    fam = pl.family
-    assert fam.bottom == "L2^1"
-    atoms = set(fam.labels[i] for i in fam.atoms_i)
-    expected = {"L2^2"} | {f"D{m}" for m in range(3, pl.top_n + 1)}
-    if pl.top_n == 2:
-        expected = {"L2^2"}
-    assert atoms == expected, f"family atoms {atoms} != {expected}"
-    for m in range(2, pl.top_n):
-        assert fam.join(f"L2^{m}", f"D{m + 1}") == f"L2^{m + 1}"
-    roles = is_primorial(fam)
-    assert roles is not None, "generated family must have the chain shape"
+    assert is_primorial(family) == PrimorialRoles(
+        "L2^1", tuple(f"L2^{m}" for m in range(2, n + 1)), tuple(f"D{m}" for m in range(3, n + 1))
+    ), "generated family must have the chain shape"
+    return PrimorialLattice(n, tuple(chain), levels, family)
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +512,7 @@ def dposet_check(members, diff, leq) -> dict:
 
 
 def chain_dposet_members(pl: PrimorialLattice):
-    """The Boolean chain as carrier sets, with the difference operation."""
+    """The Boolean chain as carrier sets, with the difference operation
+    that builds the family's difference levels."""
     members = [lvl.carrier_set for lvl in pl.chain]
-    full = pl.chain[-1].full
-
-    def diff(y, x):
-        return frozenset((y - x) | {0, full})
-
-    def leq(x, y):
-        return x <= y
-
-    return members, diff, leq
+    return members, partial(_carrier_difference, pl.chain[-1].full), operator.le

@@ -25,7 +25,7 @@ def _enclosing_chain_level(pl: PrimorialLattice, x, target: Level) -> Level:
     for lvl in pl.chain:
         if x in lvl.carrier_set and target.carrier_set <= lvl.carrier_set:
             return lvl
-    raise LatticeError(f"no chain level contains {x!r} and {target.name or target.carrier!r}")
+    raise LatticeError(f"no chain level contains {x!r} and {target.carrier!r}")
 
 
 def proj_zero(pl: PrimorialLattice, level_name, x):

@@ -37,11 +37,11 @@ from primlat.core import (
     distributive_by_identity,
 )
 from primlat.ortho import _antitone_failure, _perm, classify_negation
-from primlat.primorial import Level, _inclusion_rows, boolean_carrier, reduce_boolean
+from primlat.primorial import Level, _inclusion_rows, boolean_carrier, generate_primorial, reduce_boolean
 from primlat.probability import DefinitionVerdict, ProbabilityError
 from primlat.projection import METHODS, _projector
 from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
-from primlat.seqproc import PRESETS
+from primlat.seqproc import PRESETS, gsp_preset
 
 
 def _idx(lat):
@@ -894,12 +894,17 @@ def monotone_self_dual_loop(k):
     return [f for f in range(1 << (1 << k)) if is_monotone_self_dual(f, k)]
 
 
+def family_of(source):
+    """A preset's family by its name, or the default family of 2^source."""
+    return gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
+
+
 def reduce_boolean_loop(level: Level):
     """``reduce_boolean`` by brute force: the candidates whose induced order is
     Boolean, sorted by carrier."""
     m = len(level.carrier).bit_length() - 1
     accepted = sorted(c for c in half_size_candidates(level) if induced_boolean_loop(c, m - 1))
-    return tuple(Level(None, level.top_n, c, "boolean") for c in accepted)
+    return tuple(Level(level.top_n, c) for c in accepted)
 
 
 def default_chain_loop(n):

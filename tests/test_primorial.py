@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from primlat import primorial
 from primlat.cli import main
@@ -24,11 +26,13 @@ from primlat.primorial import (
 )
 from primlat.projection import METHODS
 from primlat.seqproc import SymbolAlphabet, analyze, gsp_preset
+from primlat.textio import format_carrier, parse_choices
 
 from conftest import benzene, diamond
 from helpers import (
     _complement_pairs,
     default_chain_loop,
+    family_of,
     find_orthocomplement,
     half_size_candidates,
     induced_boolean_loop,
@@ -91,16 +95,16 @@ def test_reduce_count_is_atoms_times_functions_less_pair_merges(levels6):
 
 def test_reduce_needs_bounds_and_complement_pairs_in_the_level():
     # the level below holds neither the top 7 nor its complement pairs
-    broken = Level(None, 3, (0, 1, 2, 3), "boolean")
+    broken = Level(3, (0, 1, 2, 3))
     refused = "^reduction needs a level holding 0 and the top, closed under complement$"
     for call in (reduce_boolean, lambda lvl: is_reduction(lvl, (0, 7))):
         with pytest.raises(LatticeError, match=refused):
             call(broken)
-    (only,) = reduce_boolean(Level(None, 3, (0, 1, 6, 7), "boolean"))
+    (only,) = reduce_boolean(Level(3, (0, 1, 6, 7)))
     assert only.carrier == (0, 7)
     # bounds and complement pairs, but two chains 1 < 3 < 7 and 8 < 12 < 14
     # with two atoms: not Boolean under inclusion
-    chains = Level(None, 4, (0, 1, 3, 7, 8, 12, 14, 15), "boolean")
+    chains = Level(4, (0, 1, 3, 7, 8, 12, 14, 15))
     with pytest.raises(LatticeError, match="is not Boolean under inclusion$"):
         reduce_boolean(chains)
 
@@ -301,7 +305,7 @@ def test_reduce_members_verify_and_rejects_fail():
         verdict = is_boolean_level_oracle(carrier, 4)
         assert verdict == (carrier in accepted)
         if verdict:
-            lvl = Level(None, 4, carrier, "boolean")
+            lvl = Level(4, carrier)
             rep = classify(lvl.lattice)
             assert rep.is_boolean
             attach_ortho(lvl.lattice, {x: 15 ^ x for x in carrier})
@@ -314,7 +318,7 @@ def test_rejected_selection_can_still_be_orthocomplemented():
     w = 0b0101
     carrier = tuple(sorted({0, 15, 1, 14, 2, 13, w, 15 ^ w}))
     assert not is_boolean_level_oracle(carrier, 4)
-    lvl = Level(None, 4, carrier, "difference")
+    lvl = Level(4, carrier)
     attach_ortho(lvl.lattice, {x: 15 ^ x for x in carrier})
     rep = classify(lvl.lattice)
     assert not rep.is_distributive and rep.is_complemented
@@ -363,14 +367,14 @@ def test_direct_choice_check_rejects_malformed_carriers():
     assert not is_reduction(top, (0, 0, 7, 7))  # duplicates fill the size
     assert not is_reduction(top, (1, 6, 3, 4))  # no bounds
     assert not is_reduction(top, (0, 7))  # wrong size
-    parent = Level(None, 3, (0, 1, 6, 7), "boolean")
+    parent = Level(3, (0, 1, 6, 7))
     assert is_reduction(parent, (0, 7))
     assert not is_reduction(parent, (0, 1, 6, 7))
     l8 = reduce_boolean(boolean_carrier(4))[0]
     outside = next(x for x in range(1, 15) if x not in l8.carrier_set)
     assert not is_reduction(l8, (0, outside, 15 ^ outside, 15))
     with pytest.raises(LatticeError, match="at least 4 elements"):
-        is_reduction(Level(None, 3, (0, 7), "boolean"), (0, 7))
+        is_reduction(Level(3, (0, 7)), (0, 7))
 
 
 def test_choices_reproduce_the_default_family():
@@ -428,7 +432,7 @@ def test_difference_of_powerset_levels_is_benzene():
 def test_difference_degenerate_cases():
     top2 = boolean_carrier(2)
     assert difference(top2, top2).carrier == (0, 3)
-    l21 = Level(None, 2, (0, 3), "boolean")
+    l21 = Level(2, (0, 3))
     assert difference(top2, l21).carrier == (0, 1, 2, 3)
 
 
@@ -436,7 +440,7 @@ def test_difference_requires_shared_bounds():
     top2 = boolean_carrier(2)
     with pytest.raises(LatticeError, match="different top"):
         difference(top2, boolean_carrier(3))
-    stray = Level(None, 2, (1, 3), "difference")
+    stray = Level(2, (1, 3))
     with pytest.raises(LatticeError, match="sharing"):
         difference(top2, stray)
 
@@ -472,11 +476,72 @@ def test_levels_are_the_one_ordered_table_of_a_family(source):
     assert pl.member_names() == pl.family.labels == tuple(name for name in names if name != "D2")
     for name in names:
         assert pl.level(name) is pl.levels[name]
-        assert pl.levels[name].name == name
     for name in ("D1", "L2^0", f"D{n + 1}", f"L2^{n + 1}", "d2", ""):
         with pytest.raises(LatticeError) as err:
             pl.level(name)
         assert str(err.value) == f"unknown family member {name!r}"
+
+
+@pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
+def test_difference_levels_are_the_dposet_operator_output(source):
+    # the operator dposet checks is the one that built each D level
+    pl = family_of(source)
+    members, diff, _ = chain_dposet_members(pl)
+    assert members == [lvl.carrier_set for lvl in pl.chain]
+    for m in range(2, pl.top_n + 1):
+        assert pl.levels[f"D{m}"].carrier_set == diff(members[m - 1], members[m - 2])
+
+
+@pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
+def test_d2_is_l2_2(source):
+    pl = family_of(source)
+    assert pl.levels["D2"] is pl.levels["L2^2"]
+    full = pl.chain[-1].full
+    (only,) = reduce_boolean(pl.level("D2"))
+    assert only.carrier == (0, full) == pl.level("L2^1").carrier
+
+
+def _reduction_chains(n):
+    """Every reduction chain below 2^n, L2^(n-1) down to L2^2, as the lines
+    of a ``--choices`` text."""
+    chains = [[boolean_carrier(n)]]
+    for _ in range(n - 2):
+        chains = [chain + [lvl] for chain in chains for lvl in reduce_boolean(chain[-1])]
+    return [[format_carrier(lvl.carrier) for lvl in chain[1:]] for chain in chains]
+
+
+_CHOICE_TOKENS = st.sampled_from(["{}", "{1}", "{2,3}", "{1,2,3,4}", "{5}", "{0}", "{", "#", "x", "{1,,2}"])
+
+
+def _choices_texts(n):
+    """Arbitrary text, or a real chain with up to two lines inserted,
+    replaced or deleted; a new line is a comment, a blank, stray tokens or
+    a line of some chain."""
+    chains = _reduction_chains(n)
+    stray = st.one_of(
+        st.sampled_from(["", "# a comment"] + [line for chain in chains for line in chain]),
+        st.lists(_CHOICE_TOKENS, max_size=6).map(" ".join),
+    )
+    edit = st.tuples(st.integers(0, n), st.integers(0, 1), st.lists(stray, max_size=1))
+
+    def edited(case):
+        lines, edits = list(case[0]), case[1]
+        for pos, cut, new in edits:
+            lines[pos:pos + cut] = new
+        return "\n".join(lines)
+
+    return st.one_of(st.text(), st.tuples(st.sampled_from(chains), st.lists(edit, max_size=2)).map(edited))
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), _choices_texts(n))))
+def test_choices_text_raises_only_lattice_errors(case):
+    n, text = case
+    try:
+        choices = parse_choices(text, n)
+        pl = generate_primorial(n, choices=choices)
+    except LatticeError:
+        return
+    assert [lvl.carrier for lvl in reversed(pl.chain[1:-1])] == [tuple(sorted(c)) for c in choices]
 
 
 def test_generate_respects_choices_and_rejects_bad_ones():

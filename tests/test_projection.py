@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import closed_ball, height_valuation, proj_metric_loop, project_sequence_loop
+from helpers import closed_ball, family_of, height_valuation, proj_metric_loop, project_sequence_loop
 from primlat import valuation
 from primlat.core import MAX_ATOMS, LatticeError
 from primlat.primorial import boolean_carrier, generate_primorial, reduce_boolean
@@ -163,7 +163,7 @@ def test_top_level_projection_is_identity(family5):
     top = family5.chain[-1]
     for x in top.carrier:
         for method in METHODS:
-            assert project(family5, top.name, x, method) == x
+            assert project(family5, "L2^5", x, method) == x
 
 
 def test_project_sequence_shapes(family3, family4, family5):
@@ -202,15 +202,11 @@ def test_unknown_method_and_foreign_element(family3):
         family3.level("D9")
 
 
-def _family(source):
-    return gsp_preset(source).primorial if isinstance(source, str) else generate_primorial(source)
-
-
 @pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
 def test_project_sequence_equals_the_dict_loop(source):
     # both presets and the default families, every member with D2, every
     # method, on every top element in a seeded order with repeats
-    pl = _family(source)
+    pl = family_of(source)
     rng = random.Random(13)
     elements = list(pl.chain[-1].carrier)
     items = elements + rng.choices(elements, k=2 * len(elements))
@@ -248,20 +244,26 @@ def test_project_sequence_refuses_more_than_one_byte_per_element(family3):
 
 
 def _built(pl):
-    return {name for name, lvl in pl.levels.items() if "lattice" in lvl.__dict__}
+    """The carriers whose tables are built: one table set per carrier."""
+    return {lvl.carrier for lvl in pl.levels.values() if "lattice" in lvl.__dict__}
 
 
 @pytest.mark.parametrize("source", ["acgt-atcg", "acgt-plus-x", 2, 3, 4, 5, 6])
 def test_a_family_builds_level_tables_only_when_read(source):
-    pl = _family(source)
-    d_levels = {name for name, lvl in pl.levels.items() if not lvl.is_boolean}
-    assert _built(pl) == d_levels  # difference builds each D level's tables for its ortho check
+    pl = family_of(source)
+    d_levels = {pl.levels[f"D{m}"].carrier for m in range(2, pl.top_n + 1)}
+    assert _built(pl) == d_levels  # the family build makes each D level's tables for its ortho check
+    assert "lattice" in pl.levels["L2^2"].__dict__  # D2 is L2^2: its tables are L2^2's
     top = pl.chain[-1].carrier
     for name in pl.levels:
-        target = pl.level(name).carrier_set
-        enclosing = {next(c.name for c in pl.chain if x in c.carrier_set and target <= c.carrier_set) for x in top}
-        reads = {"zero": set(), "ceiling": {name}, "sasaki": {name} | enclosing, "metric": {name} | enclosing}
+        target = pl.level(name)
+        enclosing = {
+            next(c.carrier for c in pl.chain if x in c.carrier_set and target.carrier_set <= c.carrier_set)
+            for x in top
+        }
+        own = {target.carrier}
+        reads = {"zero": set(), "ceiling": own, "sasaki": own | enclosing, "metric": own | enclosing}
         for method in METHODS:
-            fresh = _family(source)
+            fresh = family_of(source)
             project_sequence(fresh, name, top, method)
             assert _built(fresh) == d_levels | reads[method], (name, method)

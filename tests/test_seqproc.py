@@ -231,6 +231,20 @@ def test_counting_oracle_on_random_sequences(s):
         assert len(seq) == len(s)
 
 
+_FASTA_TEXT = st.text(alphabet=">ACGTXacgtxN# \t\r\n")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@given(text=st.one_of(st.text(), _FASTA_TEXT, _FASTA_TEXT.map(">".__add__)))
+def test_load_fasta_raises_only_lattice_errors(name, text):
+    alphabet = SymbolAlphabet(tuple(PRESETS[name][0]))
+    try:
+        records = load_fasta(io.StringIO(text), alphabet)
+    except LatticeError:
+        return
+    assert records and all(set(tokens) <= set(alphabet.symbols) for _, tokens in records)
+
+
 def test_pyramid_rows_and_summary(preset):
     pyramid = analyze(preset.primorial, preset.alphabet, ("A", "T", "C"), "ceiling")
     rows = list(pyramid_rows(pyramid, preset.alphabet))
