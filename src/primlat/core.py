@@ -39,17 +39,41 @@ def _check_size(n):
         raise LatticeError(f"{n} elements exceed the supported maximum of {MAX_ELEMENTS}")
 
 
-def _closure(rows):
-    """Reflexive-transitive closure of bitmask rows, in place (Warshall)."""
-    n = len(rows)
-    for i in range(n):
-        rows[i] |= 1 << i
-    for k in range(n):
-        kbit = 1 << k
-        for i in range(n):
-            if rows[i] & kbit:
-                rows[i] |= rows[k]
-    return rows
+def _closure(succ):
+    """Reflexive-transitive closure of the relation with successor lists ``succ``.
+
+    ``succ[i]`` lists the j with i R j; repeats are allowed.  Row i of the
+    result is the bitmask of the elements reachable from i, i included.
+    Each row is its own bit ORed with the rows of its successors, taken in
+    reverse Kahn order (Kahn, CACM 5(11), 1962): when R is acyclic every
+    successor's row is final before it is read, so one sweep of O(n + e)
+    row ORs closes it.  The elements that order cannot place, those on a
+    cycle or reachable from one, are swept first, and sweeps repeat while a
+    row changes.
+    """
+    n = len(succ)
+    indegree = [0] * n
+    for js in succ:
+        for j in js:
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is read: Kahn's queue
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    acyclic = len(order) == n
+    sweep = [i for i in range(n) if indegree[i]] + order[::-1]
+    rows = [1 << i for i in range(n)]
+    while True:
+        before = rows.copy()
+        for i in sweep:
+            row = rows[i]
+            for j in succ[i]:
+                row |= rows[j]
+            rows[i] = row
+        if acyclic or rows == before:
+            return rows
 
 
 class FinitePoset:
@@ -73,29 +97,38 @@ class FinitePoset:
     def from_covers(cls, labels, covers):
         """Build from cover pairs (a, b) meaning b covers a.
 
-        The order is the reflexive-transitive closure of the cover pairs;
-        a cycle among distinct elements is an antisymmetry violation.
+        The order is the reflexive-transitive closure of the cover pairs:
+        ``_closure`` over the successor lists gives the up-sets, and over
+        the predecessor lists the down-sets, which the poset keeps as
+        ``geq_rows``.  Both take O(n + e) row ORs for n labels and e pairs
+        when there is no cycle.  The first i whose up-set and down-set
+        share another element j lies on a cycle among distinct elements,
+        an antisymmetry violation named by i and the least such j.
         """
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise LatticeError("duplicate element label")
-        rows = [0] * len(labels)
+        succ = [[] for _ in labels]
+        pred = [[] for _ in labels]
         for a, b in covers:
             if a not in index:
                 raise LatticeError(f"unknown element {a!r} in cover pair")
             if b not in index:
                 raise LatticeError(f"unknown element {b!r} in cover pair")
-            rows[index[a]] |= 1 << index[b]
-        _closure(rows)
-        n = len(labels)
-        for i in range(n):
-            for j in bits(rows[i]):
-                if j != i and rows[j] >> i & 1:
-                    raise LatticeError(
-                        f"antisymmetry violation: cycle through {labels[i]!r} and {labels[j]!r}"
-                    )
-        return cls(labels, rows)
+            i, j = index[a], index[b]
+            if i != j:  # a<a adds nothing to a reflexive order
+                succ[i].append(j)
+                pred[j].append(i)
+        rows, cols = _closure(succ), _closure(pred)
+        for i, (up, down) in enumerate(zip(rows, cols)):
+            both = (up & down) ^ (1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise LatticeError(f"antisymmetry violation: cycle through {labels[i]!r} and {labels[j]!r}")
+        poset = cls(labels, rows)
+        poset.geq_rows = tuple(cols)  # fills the cached property
+        return poset
 
     # -- order queries (index based internally, label based publicly) -------
 
@@ -302,7 +335,9 @@ def build_lattice(labels, covers):
     poset = FinitePoset.from_covers(labels, covers)
     join, meet, witness = poset.lattice_tables()
     if witness is None:
-        return FiniteLattice(poset.labels, poset.leq_rows, tables=(join, meet))
+        lat = FiniteLattice(poset.labels, poset.leq_rows, tables=(join, meet))
+        lat.geq_rows = poset.geq_rows
+        return lat
     return poset
 
 

@@ -73,6 +73,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
     elements = []
     covers = []
     named = []  # (line, stanza, label) for each label a stanza other than covers names
+    rationals = {}  # each distinct value token is read once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,9 +106,11 @@ def parse_lattice_text(text: str) -> LatticeDocument:
             for tok in rest:
                 if tok.count("=") != 1:
                     raise FormatError(f"line {lineno}: entry {tok!r} is not e=value")
-                a, v = tok.split("=")
+                a, token = tok.split("=")
                 named.append((lineno, keyword, a))
-                v = _rational(v, lineno)
+                v = rationals.get(token)
+                if v is None:
+                    v = rationals[token] = _rational(token, lineno)
                 # `is` first: a new entry returns v itself and skips Fraction.__eq__
                 if target.setdefault(a, v) is not v and target[a] != v:
                     raise _conflict(lineno, keyword, a)

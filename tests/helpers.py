@@ -769,6 +769,33 @@ def summarize_loop(pyramid, alphabet, coarse_atoms=(), window=None):
     return lines
 
 
+def from_covers_loop(labels, covers) -> FinitePoset:
+    """``FinitePoset.from_covers`` by Warshall's closure (JACM 9(1), 1962) and
+    a scan of every related pair for a cycle; ``geq_rows`` is left to the
+    transpose the poset computes on first read."""
+    labels = tuple(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise LatticeError("duplicate element label")
+    n = len(labels)
+    rows = [1 << i for i in range(n)]
+    for a, b in covers:
+        if a not in index:
+            raise LatticeError(f"unknown element {a!r} in cover pair")
+        if b not in index:
+            raise LatticeError(f"unknown element {b!r} in cover pair")
+        rows[index[a]] |= 1 << index[b]
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    for i in range(n):
+        for j in bits(rows[i]):
+            if j != i and rows[j] >> i & 1:
+                raise LatticeError(f"antisymmetry violation: cycle through {labels[i]!r} and {labels[j]!r}")
+    return FinitePoset(labels, rows)
+
+
 def lattice_tables_loop(poset):
     """Join and meet by scanning for the least upper (greatest lower) bound,
     as padded byte rows: entry k >= n of each row is k."""

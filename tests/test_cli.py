@@ -247,9 +247,10 @@ def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
         ("metric", "valuation 0=0 1=1 1=2", "line 4: conflicting valuation entries for '1'"),
         ("negation", "negation 0->1 1->0 0->0", "line 4: conflicting negation entries for '0'"),
         ("ortho", "ortho 0:1 1:1", "line 4: conflicting ortho entries for '1'"),
+        ("classify", "covers 1<zz", "unknown element 'zz' in cover pair"),  # no line: found while building
     ],
     ids=["ortho", "negation", "prob", "valuation", "float", "valuation-conflict",
-         "negation-conflict", "ortho-conflict"],
+         "negation-conflict", "ortho-conflict", "covers"],
 )
 def test_stanza_errors_fail_with_one_line(command, stanza, error, tmp_path, capsys):
     path = tmp_path / "two.lat"

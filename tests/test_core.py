@@ -37,8 +37,22 @@ def test_build_pentagon_is_lattice():
 
 
 def test_build_cycle_is_antisymmetry_error():
-    with pytest.raises(LatticeError, match="antisymmetry"):
-        build_lattice(["x", "y"], [("x", "y"), ("y", "x")])
+    cases = [
+        ("xy", ["xy", "yx"], "'x' and 'y'"),
+        ("abc", ["ab", "bc", "ca"], "'a' and 'b'"),
+        ("01cba", ["01", "1a", "ab", "bc", "ca"], "'c' and 'b'"),  # above a chain: first declared, then least
+        ("xyzw", ["xy", "wz", "zw"], "'z' and 'w'"),  # among the labels declared last
+    ]
+    for labels, covers, pair in cases:
+        with pytest.raises(LatticeError, match=rf"^antisymmetry violation: cycle through {pair}$"):
+            build_lattice(list(labels), [tuple(c) for c in covers])
+
+
+def test_build_self_loop_and_keeps_down_sets():
+    lat = build_lattice(["a"], [("a", "a")])
+    assert lat.is_lattice and lat.leq_rows == (1,) and lat.join("a", "a") == "a"
+    for built in (lat, build_lattice(["a", "b"], [])):
+        assert "geq_rows" in built.__dict__
 
 
 def test_build_unknown_and_duplicate_elements():

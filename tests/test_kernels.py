@@ -7,6 +7,7 @@ the horizontal sum HS3 with Boolean lattices.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,7 @@ from helpers import (
     find_diamond_loop,
     find_orthocomplement,
     find_pentagon_loop,
+    from_covers_loop,
     gate_loop,
     interval_sublattice,
     involutions,
@@ -224,6 +226,63 @@ def test_lattice_tables_on_random_posets(n, rel):
     except LatticeError:
         return  # a cycle
     assert p.lattice_tables() == lattice_tables_loop(p)
+
+
+def _random_covers(rng, n):
+    """n labels and cover pairs along a hidden linear order, with a bottom
+    and a top half of the time, plus self-loops a<a, repeats and redundant
+    pairs; in a third of the relations back pairs that may close cycles, and
+    in a tenth an undeclared label on either side of one pair."""
+    labels = [f"e{i}" for i in range(n)]
+    rank = rng.sample(labels, n)
+    covers = []
+    if n >= 2 and rng.random() < 0.5:
+        covers += [(rank[0], x) for x in rank[1:-1]] + [(x, rank[-1]) for x in rank[1:-1]]
+    for _ in range(rng.randrange(2 * n + 1)):
+        i, j = sorted(rng.sample(range(n), 2)) if n >= 2 else (0, 0)
+        covers.append((rank[i], rank[j]))
+    for _ in range(rng.randrange(3) if n else 0):
+        covers.append((rank[rng.randrange(n)],) * 2)
+    pairs = dict.fromkeys(covers)  # in first-seen order, whatever the hash seed
+    redundant = [(a, c) for a, b in pairs for b2, c in pairs if b == b2 and a != b and b != c]
+    covers += rng.sample(covers, min(len(covers), rng.randrange(3))) + redundant[:2]
+    if n >= 2 and rng.random() < 1 / 3:
+        for _ in range(rng.randrange(1, 3)):
+            i, j = sorted(rng.sample(range(n), 2))
+            covers.append((rank[j], rank[i]))
+    rng.shuffle(covers)
+    if rng.random() < 0.1:
+        k = rng.randrange(len(covers) + 1)
+        known = rank[rng.randrange(n)] if n else "e0"
+        covers.insert(k, rng.choice([("zz", known), (known, "zz")]))
+    return labels, covers
+
+
+def test_closure_matches_warshall_on_random_relations():
+    """``build_lattice`` against the Warshall oracle on seeded relations of
+    0-12 elements: the same rows, covers and tables, or the same error."""
+    rng = random.Random(25)
+    outcomes = Counter()
+    for _ in range(3000):
+        labels, covers = _random_covers(rng, rng.randrange(13))
+        try:
+            want = from_covers_loop(labels, covers)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                build_lattice(labels, covers)
+            assert str(got.value) == str(exc)
+            outcomes[str(exc).split(":")[0].split(" '")[0]] += 1
+            continue
+        got = build_lattice(labels, covers)
+        assert "geq_rows" in vars(got)
+        assert (got.leq_rows, got.geq_rows, got.covers_i) == (want.leq_rows, want.geq_rows, want.covers_i)
+        join, meet, witness = lattice_tables_loop(want)
+        assert got.is_lattice == (witness is None)
+        if got.is_lattice:
+            assert (got.join_table, got.meet_table) == (join, meet)
+        outcomes["lattice" if got.is_lattice else "poset"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+    assert set(outcomes) == {"lattice", "poset", "antisymmetry violation", "unknown element"}
 
 
 _weights = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=12)

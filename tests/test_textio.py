@@ -56,7 +56,7 @@ def test_rationals_are_ascii_p_over_q_or_integers():
     # float literals, digit separators and non-ASCII digits are refused before
     # Fraction sees them; 1e-99999999 would be a rational of 10^8 digits
     for value in ("1e-9", "0.5", "1_000", "٣", "1/-2", "1/0", "1e-99999999"):
-        text = f"elements a\nvaluation a={value}"
+        text = f"elements a\nvaluation a={value}\nprob a={value}"  # named at its first line
         with pytest.raises(FormatError, match=rf"^line 2: bad rational '{re.escape(value)}'$"):
             parse_lattice_text(text)
 
@@ -84,6 +84,7 @@ def test_stanza_entries_may_repeat_but_not_conflict():
     assert doc.valuation == {"a": 1}
     stanzas = {
         "valuation a=0 b=1 b=2": ("valuation", "b"),
+        "prob a=2 b=1\nvaluation b=1 b=2": ("valuation", "b"),  # both values read before, at line 2
         "prob a=0\nprob a=1/2": ("prob", "a"),
         "negation a->b b->a a->a": ("negation", "a"),
         "ortho a:b a:a": ("ortho", "a"),
