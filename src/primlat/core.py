@@ -93,8 +93,8 @@ class FinitePoset:
         if len(self._index) != self.n:
             raise LatticeError("duplicate element label")
 
-    @classmethod
-    def from_covers(cls, labels, covers):
+    @staticmethod
+    def from_covers(labels, covers):
         """Build from cover pairs (a, b) meaning b covers a.
 
         The order is the reflexive-transitive closure of the cover pairs:
@@ -103,12 +103,12 @@ class FinitePoset:
         ``geq_rows``.  Both take O(n + e) row ORs for n labels and e pairs
         when there is no cycle.  The first i whose up-set and down-set
         share another element j lies on a cycle among distinct elements,
-        an antisymmetry violation named by i and the least such j.
+        an antisymmetry violation named by i and the least such j.  The
+        poset is made first, so the cover pairs are read through its one
+        label index, and its order is filled in once closed.
         """
-        labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise LatticeError("duplicate element label")
+        poset = FinitePoset(labels, ())
+        labels, index = poset.labels, poset._index
         succ = [[] for _ in labels]
         pred = [[] for _ in labels]
         for a, b in covers:
@@ -126,7 +126,7 @@ class FinitePoset:
             if both:
                 j = (both & -both).bit_length() - 1
                 raise LatticeError(f"antisymmetry violation: cycle through {labels[i]!r} and {labels[j]!r}")
-        poset = cls(labels, rows)
+        poset.leq_rows = tuple(rows)
         poset.geq_rows = tuple(cols)  # fills the cached property
         return poset
 
@@ -335,9 +335,9 @@ def build_lattice(labels, covers):
     poset = FinitePoset.from_covers(labels, covers)
     join, meet, witness = poset.lattice_tables()
     if witness is None:
-        lat = FiniteLattice(poset.labels, poset.leq_rows, tables=(join, meet))
-        lat.geq_rows = poset.geq_rows
-        return lat
+        # the same order, label index and down-sets, now with its tables
+        poset.__class__ = FiniteLattice
+        poset.join_table, poset.meet_table = join, meet
     return poset
 
 
@@ -395,9 +395,19 @@ class PropertyReport:
 
 
 def modular_by_identity(lat: FiniteLattice) -> bool:
-    """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y)."""
-    jn, mt = lat.join_table, lat.meet_table
+    """x <= y  =>  x ∨ (z ∧ y) == (x ∨ z) ∧ y, one row comparison per (x, y).
+
+    Only join-irreducible x are checked: those whose strict down-set is
+    one element's down-set.  Every other x is the bottom, for which the
+    identity is trivial, or a join x1 ∨ x2 of smaller elements, both <= y,
+    and then (x ∨ z) ∧ y == x1 ∨ ((x2 ∨ z) ∧ y) == x1 ∨ x2 ∨ (z ∧ y) by
+    the identity for x1 and for x2 (Birkhoff, Lattice Theory, 1967).
+    """
+    jn, mt, down = lat.join_table, lat.meet_table, lat.geq_rows
+    downsets = set(down)
     for x in range(lat.n):
+        if down[x] ^ 1 << x not in downsets:
+            continue
         jx = jn[x]
         for y in bits(lat.leq_rows[x]):
             if mt[y].translate(jx) != jx.translate(mt[y]):
@@ -406,9 +416,20 @@ def modular_by_identity(lat: FiniteLattice) -> bool:
 
 
 def distributive_by_identity(lat: FiniteLattice) -> bool:
-    """x ∧ (y ∨ z) == (x ∧ y) ∨ (x ∧ z), one row comparison per (x, y)."""
-    jn, mt = lat.join_table, lat.meet_table
+    """x ∧ (y ∨ z) == (x ∧ y) ∨ (x ∧ z), one row comparison per (x, y).
+
+    Only meet-irreducible x are checked: those whose strict up-set is one
+    element's up-set.  The identity says that φ_x(y) = x ∧ y preserves
+    joins.  φ_top is the identity map, and φ_(a ∧ b) = φ_a ∘ φ_b, a
+    composition of join-preserving maps, so the identity holds for every x
+    once it holds for the meet-irreducible x, of which every element other
+    than the top is a meet.
+    """
+    jn, mt, up = lat.join_table, lat.meet_table, lat.leq_rows
+    upsets = set(up)
     for x in range(lat.n):
+        if up[x] ^ 1 << x not in upsets:
+            continue
         mx = mt[x]
         for y in range(lat.n):
             if jn[y].translate(mx) != mx.translate(jn[mx[y]]):
@@ -443,10 +464,12 @@ def law_witnesses(lat: FiniteLattice):
 
 
 def complements_i(lat: FiniteLattice):
-    """Per element, the indices of its complements."""
-    n, b, t = lat.n, lat.bottom_i, lat.top_i
+    """Per element, the indices of its complements: the AND of its meet row
+    marked at the bottom and its join row marked at the top."""
+    n = lat.n
+    zero, one = mark_table(1 << lat.bottom_i), mark_table(1 << lat.top_i)
     return [
-        [j for j, (m, u) in enumerate(zip(meets[:n], joins[:n])) if m == b and u == t]
+        list(bits(marked(meets, n, zero) & marked(joins, n, one)))
         for meets, joins in zip(lat.meet_table, lat.join_table)
     ]
 

@@ -53,12 +53,14 @@ def _de_morgan_rows(lat: FiniteLattice, neg):
 def _antitone_failure(lat: FiniteLattice, perm):
     """The first pair (i, j) with i <= j but not ¬j <= ¬i, or None.
 
-    ``perm`` maps indices to indices: a padded byte row or an index dict.
+    ``perm`` is a padded byte row.  Per i, the j with ¬j <= ¬i are ``perm``
+    marked by the down-set of ¬i, so the failing j are one row of bits.
     """
-    for i in range(lat.n):
-        for j in bits(lat.leq_rows[i]):
-            if not lat.leq_i(perm[j], perm[i]):
-                return i, j
+    n, up, down = lat.n, lat.leq_rows, lat.geq_rows
+    for i in range(n):
+        failing = up[i] & ~marked(perm, n, mark_table(down[perm[i]]))
+        if failing:
+            return i, (failing & -failing).bit_length() - 1
     return None
 
 
@@ -116,11 +118,17 @@ def sasaki(ol: OrthoLattice, x, y):
 
 
 def _orthomodular_identity(lat, perm):
-    for i in range(lat.n):
-        for j in bits(lat.leq_rows[i]):
-            if lat.join_i(i, lat.meet_i(perm[i], j)) != j:
-                return False
-    return True
+    """Whether i <= j implies i ∨ (¬i ∧ j) == j, for ``perm`` an orthocomplement.
+
+    Checked as: i <= j and ¬i ∧ j == 0 imply j == i, one row per i
+    (Kalmbach, Orthomodular Lattices, 1983).  The identity gives j ==
+    i ∨ 0 == i.  Conversely, for i <= j let k = i ∨ (¬i ∧ j) <= j; by De
+    Morgan and non-contradiction ¬k ∧ j == (¬i ∧ j) ∧ ¬(¬i ∧ j) == 0, so
+    j == k.
+    """
+    n, up, mt = lat.n, lat.leq_rows, lat.meet_table
+    zero = mark_table(1 << lat.bottom_i)
+    return all(marked(mt[perm[i]], n, zero) & up[i] == 1 << i for i in range(n))
 
 
 def ortho_class(ol: OrthoLattice) -> frozenset:

@@ -37,31 +37,24 @@ class ProbabilityAssignment:
         return self.p[label]
 
 
-def _gate(lat: FiniteLattice):
-    """Per element i, the bitset of the j whose additivity with i is switched on.
+def _gated(lat: FiniteLattice, i, j):
+    """Whether the additivity of the pair (i, j) is switched on.
 
     The pair must have meet 0 and distribute with every third element in
     both dual senses.  Requiring only the meet form would gate the coatom
     pair of the hexagon while leaving its mirror-image atom pair ungated
     (the meet form cannot see joins), breaking the motivating example on a
     self-dual lattice; the two dual triple relations together restore the
-    symmetry.  Both conditions are symmetric in i and j, so each unordered
-    pair is tested once and marked in both rows.
+    symmetry.  The test is symmetric in i and j.
     """
     n, bot = lat.n, lat.bottom_i
     jn, mt = lat.join_table, lat.meet_table
-    zero = mark_table(1 << bot)
-    partners = [0] * n
-    for i in range(n):
-        for j in bits(marked(mt[i], n, zero) >> i << i):
-            # over z: z ∧ (i ∨ j) == (z ∧ i) ∨ (z ∧ j) and z ∨ (i ∧ j) == (z ∨ i) ∧ (z ∨ j)
-            if (
-                mt[jn[i][j]][:n] == lat.pairwise(jn, mt[i], mt[j])
-                and jn[bot][:n] == lat.pairwise(mt, jn[i], jn[j])
-            ):
-                partners[i] |= 1 << j
-                partners[j] |= 1 << i
-    return partners
+    # over z: z ∧ (i ∨ j) == (z ∧ i) ∨ (z ∧ j) and z ∨ (i ∧ j) == (z ∨ i) ∧ (z ∨ j)
+    return (
+        mt[i][j] == bot
+        and mt[jn[i][j]][:n] == lat.pairwise(jn, mt[i], mt[j])
+        and jn[bot][:n] == lat.pairwise(mt, jn[i], jn[j])
+    )
 
 
 def validate_probability(lattice: FiniteLattice, neg_map, values) -> ProbabilityAssignment:
@@ -72,9 +65,11 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     identity p(x) = 1 - p(¬x) does not follow on every ortho base (the
     additivity gate can leave complement pairs unconstrained), so on ortho
     bases it is enforced as a fifth validation condition.  The checks run
-    on the values as integers over their common denominator, and gated
-    pairs in row order, so an additivity witness is the first failing pair
-    (i, j) by index, as in ``probability_report``.
+    on the values as integers over their common denominator.  Additivity
+    walks the disjoint pairs (i, j >= i) in row order and tests the gate
+    (``_gated``) only on a pair whose additivity fails.  Both are symmetric
+    in i and j, so the first failing gated pair (i, j) by index, as in
+    ``probability_report``, always has i <= j and is the witness.
     """
     classes = classify_negation(lattice, neg_map)
     if "minimal" not in classes:
@@ -94,10 +89,11 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
         for j in bits(lat.leq_rows[i]):
             if pi[i] > pi[j]:
                 raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
-    jn = lat.join_table
-    for i, row in enumerate(_gate(lat)):
-        for j in bits(row):
-            if pi[jn[i][j]] != pi[i] + pi[j]:
+    n, jn, mt = lat.n, lat.join_table, lat.meet_table
+    zero = mark_table(1 << lat.bottom_i)
+    for i in range(n):
+        for j in bits(marked(mt[i], n, zero) >> i << i):
+            if pi[jn[i][j]] != pi[i] + pi[j] and _gated(lat, i, j):
                 raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     for v in pi:
         assert 0 <= v <= one

@@ -349,13 +349,19 @@ def involutions(n: int):
     yield from rec(list(range(n)))
 
 
+def padded_row(index_map):
+    """An index map on range(n), as a dict or sequence, as a padded byte row."""
+    n = len(index_map)
+    return bytes(index_map[i] for i in range(n)) + bytes(range(n, 256))
+
+
 def all_orthocomplements(lattice: FiniteLattice):
     """Yield every involution satisfying the orthocomplement axioms."""
     lat = lattice
     if lat.n == 0:
         return
     b = lat.bottom_i
-    for perm in involutions(lat.n):
+    for perm in map(padded_row, involutions(lat.n)):
         non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(lat.n))
         if non_contra and _antitone_failure(lat, perm) is None:
             yield {lat.labels[i]: lat.labels[perm[i]] for i in range(lat.n)}
@@ -391,6 +397,24 @@ def interval_sublattice(lat: FiniteLattice, lo, hi) -> FiniteLattice:
     members = [k for k in range(lat.n) if lat.leq_i(i, k) and lat.leq_i(k, j)]
     sub = subposet(lat, [lat.labels[k] for k in members])
     return FiniteLattice(sub.labels, sub.leq_rows)
+
+
+def macneille_completion(p: FinitePoset) -> FiniteLattice:
+    """The Dedekind-MacNeille completion of a poset: its cuts, the sets of
+    common lower bounds of their own common upper bounds, ordered by
+    inclusion and labelled by their bitmasks.  Every finite lattice is the
+    completion of some poset (of its join- and meet-irreducibles)."""
+    full = (1 << p.n) - 1
+
+    def common(rows, mask):
+        out = full
+        for i in bits(mask):
+            out &= rows[i]
+        return out
+
+    cuts = sorted({common(p.geq_rows, common(p.leq_rows, m)) for m in range(1 << p.n)})
+    rows = [sum(1 << k for k, d in enumerate(cuts) if c & ~d == 0) for c in cuts]
+    return FiniteLattice(cuts, rows)
 
 
 def direct_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
@@ -485,6 +509,24 @@ def modular_identity_loop(lat: FiniteLattice) -> bool:
                 if J[x][M[z][y]] != M[J[x][z]][y]:
                     return False
     return True
+
+
+def antitone_failure_loop(lat: FiniteLattice, perm):
+    """The first pair (i, j), in row order, with i <= j but not ¬j <= ¬i."""
+    for i in _idx(lat):
+        for j in _idx(lat):
+            if lat.leq_i(i, j) and not lat.leq_i(perm[j], perm[i]):
+                return i, j
+    return None
+
+
+def orthomodular_identity_loop(lat: FiniteLattice, perm):
+    """The first pair (i, j), in row order, with i <= j but i ∨ (¬i ∧ j) != j."""
+    for i in _idx(lat):
+        for j in _idx(lat):
+            if lat.leq_i(i, j) and lat.join_i(i, lat.meet_i(perm[i], j)) != j:
+                return i, j
+    return None
 
 
 def de_morgan_rows_loop(lat: FiniteLattice, perm):

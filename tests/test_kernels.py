@@ -30,12 +30,19 @@ from primlat.core import (
     law_witnesses,
     modular_by_identity,
 )
-from primlat.ortho import _antitone_failure, _de_morgan_rows, _perm, classify_negation, relations
+from primlat.ortho import (
+    _antitone_failure,
+    _de_morgan_rows,
+    _orthomodular_identity,
+    _perm,
+    classify_negation,
+    relations,
+)
 from primlat.primorial import boolean_carrier, generate_primorial
 from primlat.probability import (
     ProbabilityAssignment,
     ProbabilityError,
-    _gate,
+    _gated,
     probability_report,
     validate_probability,
 )
@@ -43,6 +50,7 @@ from primlat.valuation import _metric_axiom_failure, check_valuation, common_sca
 
 from conftest import benzene, chain, diamond, hs3, mo2, pentagon, powerset, powerset_complement
 from helpers import (
+    antitone_failure_loop,
     check_valuation_loop,
     de_morgan_rows_loop,
     direct_product,
@@ -56,8 +64,11 @@ from helpers import (
     involutions,
     kleene_condition_loop,
     lattice_tables_loop,
+    macneille_completion,
     metric_axiom_failure_loop,
     modular_identity_loop,
+    orthomodular_identity_loop,
+    padded_row,
     probability_report_loop,
     relations_loop,
     subposet,
@@ -159,7 +170,7 @@ def test_identity_kernels_match_loops(lat):
 
 @pytest.mark.parametrize("lat", SMALL + PRODUCTS + [powerset(6)], ids=_ids(SMALL + PRODUCTS + [powerset(6)]))
 def test_triple_and_gate_kernels_match_loops(lat):
-    assert {(i, j) for i, row in enumerate(_gate(lat)) for j in bits(row)} == gate_loop(lat)
+    assert {(i, j) for i in range(lat.n) for j in range(lat.n) if _gated(lat, i, j)} == gate_loop(lat)
 
 
 def _dropped(lat, which):
@@ -184,7 +195,7 @@ def _de_morgan_maps(lat):
     """Every antitone involution: each orthocomplement, and the De Morgan
     negations that break non-contradiction, some of them not Kleene."""
     L = lat.labels
-    for perm in involutions(lat.n):
+    for perm in map(padded_row, involutions(lat.n)):
         if _antitone_failure(lat, perm) is None:
             yield {L[i]: L[perm[i]] for i in range(lat.n)}
 
@@ -215,17 +226,39 @@ def test_lattice_tables_match_bound_scans():
     assert witnesses > 20  # non-lattices, each with the scan's first witness
 
 
-@given(st.integers(1, 6), st.lists(st.integers(0, 2), min_size=15, max_size=15))
-def test_lattice_tables_on_random_posets(n, rel):
+_random_relations = (st.integers(1, 6), st.lists(st.integers(0, 2), min_size=15, max_size=15))
+
+
+def _random_poset(n, rel):
+    """The order that pair k of the n labels gets from rel[k] (0 unrelated,
+    1 below, 2 above), or None when those pairs close a cycle."""
     labels = [f"e{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     covers = [(labels[i], labels[j]) for (i, j), r in zip(pairs, rel) if r == 1]
     covers += [(labels[j], labels[i]) for (i, j), r in zip(pairs, rel) if r == 2]
     try:
-        p = FinitePoset.from_covers(labels, covers)
+        return FinitePoset.from_covers(labels, covers)
     except LatticeError:
-        return  # a cycle
-    assert p.lattice_tables() == lattice_tables_loop(p)
+        return None
+
+
+@given(*_random_relations)
+def test_lattice_tables_on_random_posets(n, rel):
+    p = _random_poset(n, rel)
+    if p is not None:
+        assert p.lattice_tables() == lattice_tables_loop(p)
+
+
+@example(3, [0] * 15)  # a three-element antichain, completed to M3
+@given(*_random_relations)
+def test_identity_kernels_on_random_lattices(n, rel):
+    """The generator checks against the loops over every triple, on the
+    Dedekind-MacNeille completion of a random poset."""
+    p = _random_poset(n, rel)
+    if p is not None:
+        lat = macneille_completion(p)
+        assert distributive_by_identity(lat) == distributive_identity_loop(lat)
+        assert modular_by_identity(lat) == modular_identity_loop(lat)
 
 
 def _random_covers(rng, n):
@@ -371,6 +404,43 @@ def test_sublattice_search_matches_loops(lat):
     assert _find_diamond(lat) == find_diamond_loop(lat)
 
 
+def _is_orthocomplement(lat, perm):
+    return (
+        all(perm[perm[i]] == i and lat.meet_i(i, perm[i]) == lat.bottom_i for i in range(lat.n))
+        and antitone_failure_loop(lat, perm) is None
+    )
+
+
+NEGATION_CHECKED = RELATED + [lat for _, _, lat, _ in NEGATED]
+
+
+@pytest.mark.parametrize("k", range(len(NEGATION_CHECKED)), ids=_ids(NEGATION_CHECKED))
+def test_antitone_and_orthomodular_kernels_match_loops(k):
+    """On every involution of the small lattices, the index maps of the De
+    Morgan rows test, set complement on 2^7, the componentwise negations of
+    the products with 2^k, and seeded random total maps and involutions.
+    The orthomodular kernel is compared only on orthocomplements, the maps
+    it is defined for."""
+    lat = NEGATION_CHECKED[k]
+    n, rng = lat.n, random.Random(k)
+    perms = [padded_row([rng.randrange(n) for _ in range(n)]) for _ in range(8)]
+    for _ in range(4):
+        order = rng.sample(range(n), n)
+        swap = dict(zip(order, order[::-1]))
+        perms.append(padded_row(swap))
+    perms += _index_maps(lat) if lat in RELATED else []
+    if lat in SMALL:
+        perms += map(padded_row, involutions(n))
+    elif lat is B7:
+        perms.append(_perm(lat, powerset_complement(7)))
+    else:
+        perms += [_perm(lat, neg) for _, _, other, neg in NEGATED if other is lat]
+    for perm in perms:
+        assert _antitone_failure(lat, perm) == antitone_failure_loop(lat, perm)
+        if _is_orthocomplement(lat, perm):
+            assert _orthomodular_identity(lat, perm) == (orthomodular_identity_loop(lat, perm) is None)
+
+
 # every class of 1-9 elements (SMALL is the 1-7 part) and the products
 LAW_CHECKED = {f"n{n}": enumerate_lattices(n) for n in range(1, 10)} | {"products": PRODUCTS}
 
@@ -446,6 +516,18 @@ def _factor_probability(name, w):
     return values
 
 
+def _product_values(name, k, lat, w, mix):
+    """A convex combination of the factor's probability from weights ``w``
+    and the Boolean one from atom weights ``mix``, on a ``NEGATED`` product."""
+    fp = _factor_probability(name, w)
+    atom = [Fraction(m, sum(mix[:k])) for m in mix[:k]]
+    share = Fraction(mix[0], mix[0] + mix[-1]) if k else Fraction(1)  # 2^0 has no atoms
+    return {
+        (x, m): share * fp[x] + (1 - share) * sum((atom[b] for b in bits(m)), Fraction(0))
+        for x, m in lat.labels
+    }
+
+
 def _validated(lat, neg, values):
     """validate_probability's assignment, or None when it raises; either way
     the loop reference must agree, down to the axiom and witness."""
@@ -476,13 +558,7 @@ def test_probability_kernels_match_loops_on_product_assignments(which, w, mix, a
     bump of one value makes most of them fail an axiom, and the kernels must
     name the same axiom and witness as the loops."""
     name, k, lat, neg = NEGATED[which]
-    fp = _factor_probability(name, w)
-    atom = [Fraction(m, sum(mix[:k])) for m in mix[:k]]
-    share = Fraction(mix[0], mix[0] + mix[-1]) if k else Fraction(1)  # 2^0 has no atoms
-    values = {
-        (x, m): share * fp[x] + (1 - share) * sum((atom[b] for b in bits(m)), Fraction(0))
-        for x, m in lat.labels
-    }
+    values = _product_values(name, k, lat, w, mix)
     valid = _validated(lat, neg, values)
     assert valid is not None
     values[lat.labels[at % lat.n]] += bump
@@ -490,6 +566,34 @@ def test_probability_kernels_match_loops_on_product_assignments(which, w, mix, a
     for pa in (valid, ProbabilityAssignment(lat, neg, values)):
         _assert_same_report(pa)
     assert check_valuation(lat, values) == check_valuation_loop(lat, values)
+
+
+UNGATED = [(name, k, lat, neg) for name, k, lat, neg in NEGATED if name in ("MO2", "HS3", "M3") and k]
+
+
+@pytest.mark.parametrize("which", range(len(UNGATED)), ids=[f"{name}x2^{k}" for name, k, _, _ in UNGATED])
+def test_validation_skips_ungated_failures_and_names_gated_ones(which):
+    """On non-distributive products, values that break additivity only on
+    ungated disjoint pairs are accepted; raising one join of a gated pair of
+    nonzero elements, by less than any gap above it, is rejected at the same
+    first pair as the loop's."""
+    name, k, lat, neg = UNGATED[which]
+    values = _product_values(name, k, lat, [3, 2, 4], [1, 2, 3, 1])
+    pi = [values[lab] for lab in lat.labels]
+    gated = gate_loop(lat)
+    broken = {
+        (i, j) for i in range(lat.n) for j in range(lat.n)
+        if lat.meet_i(i, j) == lat.bottom_i and pi[lat.join_i(i, j)] != pi[i] + pi[j]
+    }
+    assert broken and not broken & gated
+    assert _validated(lat, neg, values) is not None
+    e = min(lat.join_i(i, j) for i, j in gated if lat.bottom_i not in (i, j) and lat.join_i(i, j) != lat.top_i)
+    gap = min(pi[u] - pi[e] for u in bits(lat.leq_rows[e]) if u != e)
+    values[lat.labels[e]] += gap / 2
+    with pytest.raises(ProbabilityError) as err:
+        validate_probability(lat, neg, values)
+    assert err.value.axiom == "additive"
+    assert _validated(lat, neg, values) is None
 
 
 @given(st.integers(1, 4), st.lists(st.fractions(min_value=0, max_value=3, max_denominator=12), min_size=4, max_size=4))
