@@ -8,6 +8,7 @@ pyramids, with a batch CLI (``primlat``).
 from .core import (
     FiniteLattice,
     FinitePoset,
+    InvariantError,
     LatticeError,
     PropertyReport,
     build_lattice,

@@ -1,10 +1,17 @@
 """Batch command-line surface.
 
 Machine-readable output (TSV with a header row, key-value report lines)
-goes to stdout; human summaries go to stderr.  Exit codes: 0 success, 1
-validation failure, 2 usage error.  A command's stdout is written only
-once it returns, so an error leaves stdout empty.  Identical inputs and
-flags produce byte-identical output; nothing here computes anything the
+goes to stdout; human summaries go to stderr.  Exit codes:
+
+- 0: success;
+- 1: validation failure (bad input, or a file that cannot be read);
+- 2: usage error;
+- 3: internal invariant broken: two routes to one result disagree, or a
+  derived law fails.  That is a defect in primlat, not in its input.
+
+A command's stdout is written only once it returns, so an error leaves
+stdout empty, and stderr ends with one ``error:`` line.  Identical inputs
+and flags produce byte-identical output; nothing here computes anything the
 library does not already expose.
 """
 
@@ -15,7 +22,7 @@ import io
 import random
 import sys
 
-from .core import MAX_ATOMS, LatticeError, classify, enumerate_lattices, law_witnesses
+from .core import MAX_ATOMS, InvariantError, LatticeError, classify, enumerate_lattices, law_witnesses
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
 from .primorial import (
     DPOSET_LAWS,
@@ -339,6 +346,9 @@ def main(argv=None) -> int:
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(out.getvalue())
     return code
 

@@ -26,6 +26,13 @@ class LatticeError(ValueError):
     """Input violates an order axiom or references undeclared elements."""
 
 
+class InvariantError(AssertionError):
+    """Two routes to one result disagree, or a derived law fails: a defect
+    in primlat, not in its input.  It is not a ``LatticeError``, so nothing
+    that handles bad input catches it; the CLI exits 3 on it.  Raised by
+    plain ``if`` checks, which ``python -O`` keeps."""
+
+
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -375,9 +382,11 @@ class PropertyReport:
         self.min_chain_partition = tuple(tuple(lat.labels[i] for i in c) for c in chains)
         self.max_antichain = tuple(lat.labels[i] for i in antichain)
         self.width = len(chains)
-        assert len(antichain) == self.width, "chain cover and antichain certificates disagree"
+        if len(antichain) != self.width:
+            raise InvariantError("chain cover and antichain certificates disagree")
         covered = sorted(i for c in chains for i in c)
-        assert covered == list(range(lat.n)), "chain partition must cover the carrier"
+        if covered != list(range(lat.n)):
+            raise InvariantError("chain partition must cover the carrier")
 
         self.n5_witness, self.distributive_witness = law_witnesses(lat)
         self.is_modular = self.n5_witness is None
@@ -451,15 +460,17 @@ def law_witnesses(lat: FiniteLattice):
     modular = modular_by_identity(lat)
     distributive = distributive_by_identity(lat)
     n5 = _find_pentagon(lat)
-    assert modular == (n5 is None), "modularity routes disagree"
+    if modular != (n5 is None):
+        raise InvariantError("modularity routes disagree")
     if n5 is not None:
         witness = ("N5",) + n5
     else:
         m3 = _find_diamond(lat)
         witness = None if m3 is None else ("M3",) + m3
-    assert distributive == (witness is None), "distributivity routes disagree"
-    if distributive:
-        assert modular, "distributive lattice classified non-modular"
+    if distributive != (witness is None):
+        raise InvariantError("distributivity routes disagree")
+    if distributive and not modular:
+        raise InvariantError("distributive lattice classified non-modular")
     return n5, witness
 
 
@@ -523,7 +534,8 @@ def _chain_partition(lat):
                     queue.append(w)
     antichain = [x for x in range(n) if zl >> x & 1 and not zr >> x & 1]
     for a, b in itertools.combinations(antichain, 2):
-        assert not lat.leq_i(a, b) and not lat.leq_i(b, a), "antichain certificate broken"
+        if lat.leq_i(a, b) or lat.leq_i(b, a):
+            raise InvariantError(f"antichain certificate broken at {lat.labels[a]!r}, {lat.labels[b]!r}")
     return chains, antichain
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .core import (
     IDENTITY_ROW,
     FiniteLattice,
+    InvariantError,
     LatticeError,
     bits,
     distributive_by_identity,
@@ -86,8 +87,9 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
     """Validate an orthocomplement map and wrap the lattice with it.
 
     Checks the three defining axioms (involution, non-contradiction,
-    antitonicity) with witnesses, then asserts the derived consequences:
-    swapped bounds, both De Morgan laws, and the excluded middle.
+    antitonicity) with witnesses, then checks the derived consequences,
+    raising ``InvariantError`` if one fails: swapped bounds, both De Morgan
+    laws, and the excluded middle.
     """
     ol = OrthoLattice(lattice, ortho_map)
     lat, perm = lattice, ol._perm
@@ -101,12 +103,16 @@ def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
     if failure is not None:
         raise OrthoError("antitone", (lat.labels[failure[0]], lat.labels[failure[1]]))
     # derived consequences of a valid orthocomplement
-    assert perm[bottom] == top
-    assert perm[top] == bottom
+    if perm[bottom] != top:
+        raise InvariantError("orthocomplement of the bottom is not the top")
+    if perm[top] != bottom:
+        raise InvariantError("orthocomplement of the top is not the bottom")
     for i in range(lat.n):
-        assert lat.join_i(i, perm[i]) == top, "excluded middle"
+        if lat.join_i(i, perm[i]) != top:
+            raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
     for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
-        assert neg_join == meet_neg and neg_meet == join_neg, "De Morgan"
+        if not (neg_join == meet_neg and neg_meet == join_neg):
+            raise InvariantError("De Morgan")
     return ol
 
 
@@ -146,10 +152,10 @@ def ortho_class(ol: OrthoLattice) -> frozenset:
     if distributive_by_identity(lat):
         flags.add("boolean")
     # the classes form a chain
-    if "boolean" in flags:
-        assert "modular-orthocomplemented" in flags
-    if "modular-orthocomplemented" in flags:
-        assert "orthomodular" in flags
+    if "boolean" in flags and "modular-orthocomplemented" not in flags:
+        raise InvariantError("boolean but not modular-orthocomplemented")
+    if "modular-orthocomplemented" in flags and "orthomodular" not in flags:
+        raise InvariantError("modular-orthocomplemented but not orthomodular")
     return frozenset(flags)
 
 
@@ -161,9 +167,10 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
     """Evaluate every axiom bundle of the negation taxonomy.
 
     The result is the set of satisfied class names (the taxonomy is not a
-    chain).  Theorem consequences for whichever classes hold are asserted
-    on the way out: boundary conditions, De Morgan inequalities/equalities,
-    excluded middle and the Kleene condition for ortho negations.
+    chain).  Theorem consequences for whichever classes hold are checked
+    on the way out, raising ``InvariantError`` if one fails: boundary
+    conditions, De Morgan inequalities/equalities, excluded middle and the
+    Kleene condition for ortho negations.
     """
     lat = lattice
     perm = _perm(lat, neg_map)
@@ -199,25 +206,31 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
     if ortho and _orthomodular_identity(lat, perm):
         cls.add("orthomodular")
 
-    if "fuzzy" in cls:
-        assert perm[b] == t
-    if "intuitionistic" in cls:
-        assert perm[t] == b and perm[b] == t and "fuzzy" in cls
+    if "fuzzy" in cls and perm[b] != t:
+        raise InvariantError("fuzzy negation of the bottom is not the top")
+    if "intuitionistic" in cls and not (perm[t] == b and perm[b] == t and "fuzzy" in cls):
+        raise InvariantError("intuitionistic negation must swap the bounds and be fuzzy")
     if "minimal" in cls:
         mt = lat.meet_table
         for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
             if "de_morgan" in cls:
                 # the equalities imply both inequalities, as x ∧ x == x
-                assert neg_join == meet_neg and neg_meet == join_neg
+                if not (neg_join == meet_neg and neg_meet == join_neg):
+                    raise InvariantError("De Morgan")
             else:
                 # a <= b elementwise iff a ∧ b == a
-                assert lat.pairwise(mt, join_neg, neg_meet) == join_neg[:n]
-                assert lat.pairwise(mt, neg_join, meet_neg) == neg_join[:n]
+                if lat.pairwise(mt, join_neg, neg_meet) != join_neg[:n]:
+                    raise InvariantError("De Morgan inequality ~x | ~y <= ~(x & y)")
+                if lat.pairwise(mt, neg_join, meet_neg) != neg_join[:n]:
+                    raise InvariantError("De Morgan inequality ~(x | y) <= ~x & ~y")
     if "ortho" in cls:
-        assert perm[b] == t and perm[t] == b
+        if not (perm[b] == t and perm[t] == b):
+            raise InvariantError("ortho negation must swap the bounds")
         for i in range(n):
-            assert lat.join_i(i, perm[i]) == t
-        assert kleene_cond
+            if lat.join_i(i, perm[i]) != t:
+                raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
+        if not kleene_cond:
+            raise InvariantError("Kleene condition")
     return frozenset(cls)
 
 

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, InvariantError, LatticeError
 from .ortho import attach_ortho
 from .textio import format_carrier
 
@@ -362,7 +362,7 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
     Every difference level D2..Dn gets its inherited complement pairs
     checked by ``attach_ortho``; D2 is L2^2 itself, so the family keeps one
     level, and one set of tables, per carrier.  The family order is
-    asserted to have the generated-chain shape: ``is_primorial`` must give
+    checked to have the generated-chain shape: ``is_primorial`` must give
     the roles the construction does, bottom L2^1, chain L2^2..L2^n and
     atoms D3..Dn joined in order.
     """
@@ -394,14 +394,16 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
     chain.reverse()  # ascending L2^1 .. L2^n
 
     levels = {f"L2^{m}": lvl for m, lvl in enumerate(chain, 1)}
-    assert difference(chain[1], chain[0]) == chain[1]  # L2^1 is {0, full}, so D2 is L2^2
+    if difference(chain[1], chain[0]) != chain[1]:  # L2^1 is {0, full}, so D2 is L2^2
+        raise InvariantError("D2 is not L2^2")
     for m in range(2, n + 1):
         d = levels[f"D{m}"] = chain[1] if m == 2 else difference(chain[m - 1], chain[m - 2])
         attach_ortho(d.lattice, {x: d.complement(x) for x in d.carrier})
     family = _family_lattice({name: lvl for name, lvl in levels.items() if name != "D2"})
-    assert is_primorial(family) == PrimorialRoles(
+    if is_primorial(family) != PrimorialRoles(
         "L2^1", tuple(f"L2^{m}" for m in range(2, n + 1)), tuple(f"D{m}" for m in range(3, n + 1))
-    ), "generated family must have the chain shape"
+    ):
+        raise InvariantError("generated family must have the chain shape")
     return PrimorialLattice(n, tuple(chain), levels, family)
 
 

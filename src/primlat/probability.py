@@ -9,6 +9,7 @@ from operator import add, le
 
 from .core import (
     FiniteLattice,
+    InvariantError,
     LatticeError,
     bits,
     complements_i,
@@ -61,7 +62,7 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     """Check the four axioms exhaustively and return the assignment.
 
     The negation must classify as at least minimal.  The bound
-    0 <= p <= 1 follows from the axioms and is asserted; the complement
+    0 <= p <= 1 follows from the axioms and is checked; the complement
     identity p(x) = 1 - p(¬x) does not follow on every ortho base (the
     additivity gate can leave complement pairs unconstrained), so on ortho
     bases it is enforced as a fifth validation condition.  The checks run
@@ -96,7 +97,8 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
             if pi[jn[i][j]] != pi[i] + pi[j] and _gated(lat, i, j):
                 raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
     for v in pi:
-        assert 0 <= v <= one
+        if not 0 <= v <= one:
+            raise InvariantError("probability outside [0, 1] passed the axioms")
     if "ortho" in classes:
         perm = _perm(lat, neg_map)
         for i in range(lat.n):
@@ -127,8 +129,9 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     Sigma-additivity is read as pairwise-disjoint additivity, which on a
     finite carrier reduces to the traditional definition plus disjoint
     triples.  On Boolean bases, inclusion-exclusion and union subadditivity
-    are asserted outright.  The values are compared as integers over their
-    common denominator D; a witness reports its two sides as fractions.
+    are checked outright, raising ``InvariantError`` if either fails.  The
+    values are compared as integers over their common denominator D; a
+    witness reports its two sides as fractions.
     Disjoint and orthogonal partners are one bitset per element, so the
     disjoint triples i < j < k are the k in ``disjoint[i] & disjoint[j]``.
     """
@@ -189,8 +192,10 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
         for i in range(n):
             joined = list(map(pi.__getitem__, jn[i][:n]))
             sums = list(map(pi[i].__add__, pi))
-            assert list(map(add, joined, map(pi.__getitem__, mt[i][:n]))) == sums
-            assert all(map(le, joined, sums))
+            if list(map(add, joined, map(pi.__getitem__, mt[i][:n]))) != sums:
+                raise InvariantError(f"inclusion-exclusion on a Boolean base at {L[i]!r}")
+            if not all(map(le, joined, sums)):
+                raise InvariantError(f"union subadditivity on a Boolean base at {L[i]!r}")
     return verdicts
 
 

@@ -1,16 +1,18 @@
 """Projections of elements and sequences onto family levels.
 
 Three projections move an element from a fine lattice onto a coarser
-member: map-to-zero, Sasaki-based, and metric-ball-based.  A fourth
-(`ceiling`) coarsens upward and exists for reporting convenience.
-All joins/meets happen in each level's induced tables, never on raw masks;
-the enclosing Boolean lattice used for Sasaki maps and metric balls is the
-least chain level containing both the element and the target carrier.
+member: map-to-zero, Sasaki-based, and metric (the meet of the carrier
+elements nearest under the height metric, read from the enclosing level's
+heights).  A fourth (`ceiling`) coarsens upward and exists for reporting
+convenience.  All joins/meets happen in each level's induced tables, never
+on raw masks; the enclosing Boolean lattice used for the Sasaki maps and
+the height metric is the least chain level containing both the element
+and the target carrier.
 """
 
 from __future__ import annotations
 
-from .core import IDENTITY_ROW, MAX_ATOMS, LatticeError
+from .core import IDENTITY_ROW, MAX_ATOMS, InvariantError, LatticeError
 from .primorial import Level, PrimorialLattice
 
 
@@ -38,8 +40,8 @@ def proj_sasaki(pl: PrimorialLattice, level_name, x):
     """Join over the level of the element's shadows on the carrier.
 
     Computed both ways, through the Sasaki maps (x ∨ y') ∧ y taken in the
-    enclosing Boolean level and as joins of plain meets x ∧ y, and the two
-    results are asserted equal before returning.
+    enclosing Boolean level and as joins of plain meets x ∧ y; the two
+    results must be equal, or ``InvariantError`` is raised.
     """
     _check_element(pl, x)
     target = pl.level(level_name)
@@ -55,7 +57,8 @@ def proj_sasaki(pl: PrimorialLattice, level_name, x):
         shadows_meet.add(lat.labels[lat.meet_i(xi, yi)])
     a = target.lattice.join_all(sorted(shadows_def & target.carrier_set))
     b = target.lattice.join_all(sorted(shadows_meet & target.carrier_set))
-    assert a == b, "Sasaki-map and plain-meet forms must agree"
+    if a != b:
+        raise InvariantError(f"Sasaki-map and plain-meet forms must agree at {x!r} onto {level_name}")
     return b
 
 

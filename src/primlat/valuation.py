@@ -13,7 +13,7 @@ from itertools import compress, count
 from math import lcm
 from operator import add, ne, sub
 
-from .core import FiniteLattice, LatticeError, bits
+from .core import FiniteLattice, InvariantError, LatticeError, bits
 
 
 class ValuationError(LatticeError):
@@ -98,7 +98,8 @@ class LatticeMetric:
             for jrow, mrow in zip(lat.join_table, lat.meet_table)
         )
         failure = _metric_axiom_failure(self.table)
-        assert failure is None, failure
+        if failure is not None:
+            raise InvariantError(failure)
 
     def d(self, a, b) -> Fraction:
         return Fraction(self.table[self.lattice.index(a)][self.lattice.index(b)], self.scale)

@@ -1,6 +1,11 @@
 import argparse
+import contextlib
+import io
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference, reduce_boolean_loop
 from primlat import cli, core
@@ -529,3 +534,86 @@ def test_error_after_output_leaves_stdout_empty(module, name, command, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: boom\n"
+
+
+_VALUES = ["0", "1", "1/2", "1/3", "2/3", "-1", "3/2", "1/0", "0.5"]
+
+
+@st.composite
+def _lattice_text(draw):
+    """A lattice file over k labels: covers drawn over index pairs i < j,
+    often through a bottom and a top, stanzas drawn over the labels, and
+    now and then an arbitrary line."""
+    k = draw(st.integers(0, 7))
+    names = st.sampled_from(["0", "1", "a", "b", "c", "d", "p'", "x_1", "é"])
+    labels = draw(st.lists(names, min_size=k, max_size=k, unique=True))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    if k > 1 and draw(st.booleans()):
+        covers += [(0, i) for i in range(1, k - 1)] + [(i, k - 1) for i in range(1, k - 1)]
+    if draw(st.booleans()):
+        covers = [(j, i) for i, j in covers[:1]] + covers  # maybe a cycle
+    lines = [f"lattice {draw(st.sampled_from(['L', '', 'two words']))}", " ".join(["elements", *labels])]
+    lines.append(" ".join(["covers", *(f"{labels[i]}<{labels[j]}" for i, j in covers)]))
+    named = st.sampled_from(labels or ["0"])
+    for keyword, sep, right in (
+        ("ortho", ":", named), ("negation", "->", named), ("valuation", "=", st.sampled_from(_VALUES)),
+        ("prob", "=", st.sampled_from(_VALUES)),
+    ):
+        if draw(st.booleans()):
+            left = draw(st.permutations(labels)) if labels else []
+            entries = [f"{x}{sep}{draw(right)}" for x in left[:draw(st.integers(0, len(left)))]]
+            lines.append(" ".join([keyword, *entries]))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=20)))
+    return "\n".join(draw(st.permutations(lines)) if draw(st.integers(0, 4)) == 0 else lines) + "\n"
+
+
+CHAIN3_TEXT = """\
+lattice chain3
+elements 0 a 1
+covers 0<a a<1
+negation 0->1 a->0 1->0
+valuation 0=0 a=1 1=2
+prob 0=0 a=1/2 1=1
+"""
+
+
+@st.composite
+def _mutated_text(draw):
+    """A valid lattice file with up to three edits: a line dropped, the right
+    side of one entry redrawn, or an arbitrary line inserted."""
+    lines = draw(st.sampled_from([N5_TEXT, O6_TEXT, SQ_TEXT, B3_BUMPED_TEXT, CHAIN3_TEXT])).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split()
+        edit = draw(st.integers(0, 2))
+        if edit == 0:
+            del lines[k]
+        elif edit == 1 and len(tokens) > 1:
+            i = draw(st.integers(1, len(tokens) - 1))
+            entry = re.fullmatch(r"(.+?(?:<|:|->|=))(.*)", tokens[i])
+            if entry:
+                tokens[i] = entry[1] + draw(st.sampled_from(["0", "1", "a", "b", "p", "q'", "s3", "zz", *_VALUES]))
+                lines[k] = " ".join(tokens)
+        else:
+            lines.insert(k, draw(st.text(max_size=20)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.lat"
+
+
+@given(text=st.one_of(_lattice_text(), _mutated_text()))
+def test_file_commands_exit_0_or_1_on_any_lattice_text(text, fuzz_file):
+    # never 3 (a broken invariant) and never an escaped exception
+    fuzz_file.write_text(text, encoding="utf-8")
+    for command in ("classify", "ortho", "negation", "metric", "probability", "hasse"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(fuzz_file)])
+        assert code in (0, 1), (command, text, err.getvalue())
+        if err.getvalue().startswith("error: "):
+            assert out.getvalue() == ""
