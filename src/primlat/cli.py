@@ -9,10 +9,10 @@ goes to stdout; human summaries go to stderr.  Exit codes:
 - 3: internal invariant broken: two routes to one result disagree, or a
   derived law fails.  That is a defect in primlat, not in its input.
 
-A command's stdout is written only once it returns, so an error leaves
-stdout empty, and stderr ends with one ``error:`` line.  Identical inputs
-and flags produce byte-identical output; nothing here computes anything the
-library does not already expose.
+A command's stdout, and the ``analyze`` summary on stderr, are written only
+once it returns, so an error leaves stdout empty and one ``error:`` line
+on stderr.  Identical inputs and flags produce byte-identical output;
+nothing here computes anything the library does not already expose.
 """
 
 from __future__ import annotations
@@ -235,14 +235,14 @@ def cmd_analyze(args, out):
         raise LatticeError(f"--window needs N >= 1, got {args.window}")
     preset = gsp_preset(args.preset)
     records = load_fasta(read_text(args.fasta).split("\n"), preset.alphabet)
-    for line in preset.describe():
-        print(line, file=sys.stderr)
-    for name, tokens in records:
-        pyramid = analyze(preset.primorial, preset.alphabet, tokens, args.method)
+    report = [f"{line}\n" for line in preset.describe()]  # written, like out, only on success
+    for name, source in records:
+        pyramid = analyze(preset.primorial, preset.alphabet, source, args.method)
         out.write(f"# record {name}\n")
         out.writelines(f"{row}\n" for row in map("\t".join, pyramid_rows(pyramid, preset.alphabet)))
         summary = summarize(pyramid, preset.alphabet, preset.primorial, args.window)
-        sys.stderr.write("".join(f"{name}: {line}\n" for line in summary))
+        report.extend(f"{name}: {line}\n" for line in summary)
+    sys.stderr.write("".join(report))
     return 0
 
 

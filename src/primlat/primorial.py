@@ -246,8 +246,9 @@ def reduce_boolean(level: Level):
     Each (r, f) is mapped through phi; a merge of two atoms into one arises
     from both of them (f a projection), so duplicates are dropped, which
     leaves m * A(m-1) - C(m, 2) levels, A the count of ``monotone_self_dual``.
-    Every carrier is still checked by the induced-order test.  Levels come
-    back sorted by carrier.
+    Every carrier is still checked by the induced-order test, and one that
+    fails it is a defect in this map: ``InvariantError``.  Levels come back
+    sorted by carrier.
     """
     m = _check_reducible(level)
     check_reduce_bound(m)
@@ -264,7 +265,10 @@ def reduce_boolean(level: Level):
         spread = [(s & rbit - 1) | (s >> r << r + 1) for s in range(1 << k)]
         for f in functions:
             carriers.add(tuple(sorted(phi[t | rbit if f >> s & 1 else t] for s, t in enumerate(spread))))
-    accepted = sorted(c for c in carriers if _induced_boolean(c, k))
+    accepted = sorted(carriers)
+    for c in accepted:
+        if not _induced_boolean(c, k):
+            raise InvariantError(f"cube carrier {c} is not Boolean")
     return tuple(Level(level.top_n, c) for c in accepted)
 
 

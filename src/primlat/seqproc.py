@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import MAX_ATOMS, LatticeError
 from .primorial import PrimorialLattice, generate_primorial
-from .projection import _projector, project_sequence
+from .projection import project_sequence
 from .textio import parse_choices
 
 
@@ -31,6 +31,8 @@ class SymbolAlphabet:
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
             raise SequenceError("alphabet symbols must be distinct")
+        if len(self.symbols) > MAX_ATOMS:
+            raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {len(self.symbols)}")
 
     @property
     def top_n(self):
@@ -61,58 +63,53 @@ class AnalysisPyramid:
 
 
 def encode(alphabet: SymbolAlphabet, tokens) -> bytes:
-    if alphabet.top_n > MAX_ATOMS:
-        raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {alphabet.top_n}")
     return bytes(map(alphabet.atom, tokens))
 
 
 def load_fasta(stream, alphabet: SymbolAlphabet):
-    """Parse FASTA records into (name, token tuple) pairs.
+    """Parse FASTA records into (name, bytes) pairs, one atom mask per base.
 
     Sequence lines are folded together per record; whitespace is ignored
     and case does not matter.  A character outside the alphabet raises with
     its record and 1-based position.
     """
-    folded = {s.upper(): s for s in alphabet.symbols}
+    folded = {s.upper(): 1 << i for i, s in enumerate(alphabet.symbols)}
     if len(folded) != len(alphabet.symbols):
         raise SequenceError("alphabet symbols collide under case folding")
     records = []
-    current = None
+    masks = None
     for raw in stream:
         line = raw.rstrip("\n")
         if not line.strip():
             continue
         if line.startswith(">"):
-            current = [line[1:].strip(), []]
-            records.append(current)
+            name, masks = line[1:].strip(), bytearray()
+            records.append((name, masks))
             continue
-        if current is None:
+        if masks is None:
             raise SequenceError("sequence data before the first FASTA header")
         for ch in line:
             if ch.isspace():
                 continue
-            sym = folded.get(ch.upper())
-            if sym is None:
-                pos = len(current[1]) + 1
+            mask = folded.get(ch.upper())
+            if mask is None:
                 raise SequenceError(
-                    f"record {current[0]!r} position {pos}: symbol {ch!r} outside alphabet"
+                    f"record {name!r} position {len(masks) + 1}: symbol {ch!r} outside alphabet"
                 )
-            current[1].append(sym)
+            masks.append(mask)
     if not records:
         raise SequenceError("empty input: no FASTA records found")
-    return [(name, tuple(tokens)) for name, tokens in records]
+    return [(name, bytes(masks)) for name, masks in records]
 
 
 def analyze(
-    pl: PrimorialLattice, alphabet: SymbolAlphabet, tokens, method: str
+    pl: PrimorialLattice, alphabet: SymbolAlphabet, source: bytes, method: str
 ) -> AnalysisPyramid:
-    """Encode and project onto every resolution and frequency level."""
-    _projector(method)  # an unknown method fails before anything is encoded
+    """Project top-carrier masks onto every resolution and frequency level."""
     if alphabet.top_n != pl.top_n:
         raise SequenceError(
             f"alphabet has {alphabet.top_n} symbols but the family was generated from {pl.top_n}"
         )
-    source = encode(alphabet, tokens)
     codes = bytes(dict.fromkeys(source))  # each distinct input code once
     levels = {
         name: source.translate(bytes.maketrans(codes, project_sequence(pl, name, codes, method)))

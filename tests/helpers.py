@@ -41,7 +41,7 @@ from primlat.primorial import Level, _inclusion_rows, boolean_carrier, generate_
 from primlat.probability import DefinitionVerdict, ProbabilityError
 from primlat.projection import METHODS, _projector
 from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
-from primlat.seqproc import PRESETS, gsp_preset
+from primlat.seqproc import PRESETS, SequenceError, gsp_preset
 
 
 def _idx(lat):
@@ -809,6 +809,39 @@ def summarize_loop(pyramid, alphabet, coarse_atoms=(), window=None):
                     parts.append(f"{alphabet.render(mask)}={frac:.4f}")
                 lines.append(f"window [{start},{start + len(chunk)}): " + " ".join(parts))
     return lines
+
+
+def load_fasta_tokens_loop(stream, alphabet):
+    """FASTA records as (name, tuple of symbols), folded base by base: the
+    reader that ``load_fasta`` replaced, with the same error texts."""
+    folded = {s.upper(): s for s in alphabet.symbols}
+    if len(folded) != len(alphabet.symbols):
+        raise SequenceError("alphabet symbols collide under case folding")
+    records = []
+    current = None
+    for raw in stream:
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith(">"):
+            current = [line[1:].strip(), []]
+            records.append(current)
+            continue
+        if current is None:
+            raise SequenceError("sequence data before the first FASTA header")
+        for ch in line:
+            if ch.isspace():
+                continue
+            sym = folded.get(ch.upper())
+            if sym is None:
+                pos = len(current[1]) + 1
+                raise SequenceError(
+                    f"record {current[0]!r} position {pos}: symbol {ch!r} outside alphabet"
+                )
+            current[1].append(sym)
+    if not records:
+        raise SequenceError("empty input: no FASTA records found")
+    return [(name, tuple(tokens)) for name, tokens in records]
 
 
 def from_covers_loop(labels, covers) -> FinitePoset:

@@ -29,7 +29,7 @@ from primlat.probability import (
     validate_probability,
 )
 from primlat.projection import proj_metric, proj_sasaki, proj_zero
-from primlat.seqproc import analyze, gsp_preset
+from primlat.seqproc import analyze, encode, gsp_preset
 from primlat.valuation import check_valuation, metric_from_valuation
 
 from conftest import benzene, powerset, powerset_complement
@@ -244,7 +244,7 @@ def test_criterion_10_gsp_demo():
         preset = gsp_preset("acgt-atcg")
         rng = random.Random(0)
         tokens = tuple(rng.choice("ACGT") for _ in range(1000))
-        pyramid = analyze(preset.primorial, preset.alphabet, tokens, "ceiling")
+        pyramid = analyze(preset.primorial, preset.alphabet, encode(preset.alphabet, tokens), "ceiling")
         at_mask, cg_mask = 9, 6  # A∨T and C∨G
         coarse = pyramid.levels["L2^2"]
         assert sum(1 for x in coarse if x == at_mask) == sum(

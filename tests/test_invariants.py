@@ -35,6 +35,8 @@ elements 0 a b c ab ac bc 1
 covers 0<a 0<b 0<c a<ab a<ac b<ab b<bc c<ac c<bc ab<1 ac<1 bc<1
 ortho 0:1 a:bc b:ac c:ab
 """
+# an empty record that projects, then one that reaches the Sasaki check
+PLUS_FASTA = ">rec0 empty\n>rec1 synthetic\nACGTX\nacgtx\n"
 
 
 def _none(*args):
@@ -118,6 +120,10 @@ FORCED = {
     "primorial-d2": (
         None, ["primorial", "--n", "3"], 0, [(primorial, "difference", lambda *levels: levels[-1])], "D2 is not L2^2",
     ),
+    "primorial-reduce": (
+        None, ["reduce", "--n", "3"], 0, [(primorial, "_induced_boolean", lambda carrier, size_exp: False)],
+        "cube carrier (0, 1, 6, 7) is not Boolean",
+    ),
     "primorial-shape": (
         None, ["primorial", "--n", "3"], 0, [(primorial, "is_primorial", _none)],
         "generated family must have the chain shape",
@@ -134,6 +140,11 @@ FORCED = {
         "{1}\n", ["project", "--n", "3", "--level", "L2^2", "--method", "sasaki", "--input"], 0,
         [(projection, "_enclosing_chain_level", _self_complement)],
         "Sasaki-map and plain-meet forms must agree at 1 onto L2^2",
+    ),
+    "projection-sasaki-analyze": (
+        PLUS_FASTA, ["analyze", "--preset", "acgt-plus-x", "--method", "sasaki", "--fasta"], 0,
+        [(projection, "_enclosing_chain_level", _self_complement)],
+        "Sasaki-map and plain-meet forms must agree at 1 onto L2^1",
     ),
     "valuation-metric": (
         SQ + "valuation 0=0 a=1 b=1 1=2\n", ["metric"], 0,

@@ -25,7 +25,7 @@ from primlat.primorial import (
     reduce_boolean,
 )
 from primlat.projection import METHODS
-from primlat.seqproc import SymbolAlphabet, analyze, gsp_preset
+from primlat.seqproc import SymbolAlphabet, analyze, encode, gsp_preset
 from primlat.textio import format_carrier, parse_choices
 
 from conftest import benzene, diamond
@@ -472,7 +472,7 @@ def test_levels_are_the_one_ordered_table_of_a_family(source):
     names = [f"L2^{m}" for m in range(1, n + 1)] + [f"D{m}" for m in range(2, n + 1)]
     assert list(pl.levels) == names
     for method in METHODS:
-        assert list(analyze(pl, alphabet, alphabet.symbols, method).levels) == names
+        assert list(analyze(pl, alphabet, encode(alphabet, alphabet.symbols), method).levels) == names
     assert pl.member_names() == pl.family.labels == tuple(name for name in names if name != "D2")
     for name in names:
         assert pl.level(name) is pl.levels[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import pyramid_rows_loop, summarize_loop
+from helpers import load_fasta_tokens_loop, pyramid_rows_loop, summarize_loop
 from primlat.cli import main
 from primlat.core import LatticeError
 from primlat.primorial import generate_primorial
@@ -37,12 +37,12 @@ def preset():
 
 def test_fasta_single_record(preset):
     records = load_fasta(io.StringIO(">x\nACGT\n"), preset.alphabet)
-    assert records == [("x", ("A", "C", "G", "T"))]
+    assert records == [("x", encode(preset.alphabet, ("A", "C", "G", "T")))]
 
 
 def test_fasta_folds_lines_and_case(preset):
     records = load_fasta(io.StringIO(">x\nAc\ngT\n"), preset.alphabet)
-    assert records[0][1] == ("A", "C", "G", "T")
+    assert records[0][1] == encode(preset.alphabet, ("A", "C", "G", "T"))
 
 
 def test_fasta_rejects_foreign_symbol_with_position(preset):
@@ -60,29 +60,33 @@ def test_fasta_rejects_empty_and_headerless(preset):
 def test_fasta_multiple_records(preset):
     records = load_fasta(io.StringIO(">a\nAC\n>b\nGT\n"), preset.alphabet)
     assert [name for name, _ in records] == ["a", "b"]
-    assert records[1][1] == ("G", "T")
+    assert records[1][1] == encode(preset.alphabet, ("G", "T"))
 
 
 def test_alphabet_must_match_family(preset):
     five = SymbolAlphabet(("A", "C", "G", "T", "X"))
     with pytest.raises(SequenceError, match="symbols"):
-        analyze(preset.primorial, five, ("A",), "zero")
+        analyze(preset.primorial, five, encode(five, ("A",)), "zero")
 
 
 def test_analyze_top_level_is_unchanged(preset):
-    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "zero")
+    pyramid = analyze(
+        preset.primorial, preset.alphabet, encode(preset.alphabet, ("A", "C", "G", "T")), "zero"
+    )
     assert pyramid.levels["L2^4"] == pyramid.source
 
 
 def test_analyze_ceiling_onto_coarse_level(preset):
-    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C", "G", "T"), "ceiling")
+    pyramid = analyze(
+        preset.primorial, preset.alphabet, encode(preset.alphabet, ("A", "C", "G", "T")), "ceiling"
+    )
     at, cg = COARSE_ATOMS["acgt-atcg"]
     assert pyramid.levels["L2^2"] == bytes((at, cg, cg, at))
 
 
 def test_analyze_zero_on_level_missing_both_atoms(preset):
     # the 4-element level contains neither single nucleobase atom
-    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "C"), "zero")
+    pyramid = analyze(preset.primorial, preset.alphabet, encode(preset.alphabet, ("A", "C")), "zero")
     assert pyramid.levels["D2"] == bytes((0, 0))
     carrier = preset.primorial.level("D2").carrier_set
     assert preset.alphabet.atom("A") not in carrier
@@ -128,10 +132,11 @@ def test_preset_chain_shapes():
 
 
 def test_analyze_refuses_an_unknown_method_with_the_projection_error(preset):
-    # the same error as project and project_sequence, raised before the
-    # tokens (here with a symbol outside the alphabet) are encoded
-    with pytest.raises(LatticeError, match="^unknown projection method 'nonsense'$"):
-        analyze(preset.primorial, preset.alphabet, ("A", "Z"), "nonsense")
+    # the same error as project, raised by project_sequence before any
+    # element (here 255, outside the top carrier) is checked
+    with pytest.raises(LatticeError, match="^unknown projection method 'nonsense'$") as err:
+        analyze(preset.primorial, preset.alphabet, bytes((1, 255)), "nonsense")
+    assert [entry.name for entry in err.traceback][-2:] == ["project_sequence", "_projector"]
 
 
 def test_unknown_preset():
@@ -198,7 +203,7 @@ def test_summary_counts_the_l2_2_atoms_of_any_family(n):
     rng = random.Random(n)
     for tokens in ((), tuple(rng.choices(al.symbols, k=60))):
         for method in METHODS:
-            pyramid = analyze(pl, al, tokens, method)
+            pyramid = analyze(pl, al, encode(al, tokens), method)
             for window in (None, 1, 7, 61):
                 assert summarize(pyramid, al, pl, window) == summarize_loop(
                     pyramid, al, (first, full ^ first), window
@@ -222,7 +227,7 @@ def test_synthesis_laws_on_random_mask_sequences(xs, ys):
 @given(st.text(alphabet="ACGT", min_size=0, max_size=120))
 def test_counting_oracle_on_random_sequences(s):
     pre = gsp_preset("acgt-atcg")
-    pyramid = analyze(pre.primorial, pre.alphabet, tuple(s), "ceiling")
+    pyramid = analyze(pre.primorial, pre.alphabet, encode(pre.alphabet, s), "ceiling")
     at, cg = COARSE_ATOMS["acgt-atcg"]
     coarse = pyramid.levels["L2^2"]
     assert sum(1 for x in coarse if x == at) == sum(1 for ch in s if ch in "AT")
@@ -242,11 +247,26 @@ def test_load_fasta_raises_only_lattice_errors(name, text):
         records = load_fasta(io.StringIO(text), alphabet)
     except LatticeError:
         return
-    assert records and all(set(tokens) <= set(alphabet.symbols) for _, tokens in records)
+    atoms = set(encode(alphabet, alphabet.symbols))
+    assert records and all(set(source) <= atoms for _, source in records)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@given(text=st.one_of(st.text(), _FASTA_TEXT, _FASTA_TEXT.map(">".__add__)))
+def test_load_fasta_is_the_token_reader_through_encode(name, text):
+    alphabet = SymbolAlphabet(tuple(PRESETS[name][0]))
+    try:
+        tokens = load_fasta_tokens_loop(io.StringIO(text), alphabet)
+    except SequenceError as exc:
+        with pytest.raises(SequenceError) as err:
+            load_fasta(io.StringIO(text), alphabet)
+        assert str(err.value) == str(exc)
+        return
+    assert load_fasta(io.StringIO(text), alphabet) == [(rec, encode(alphabet, seq)) for rec, seq in tokens]
 
 
 def test_pyramid_rows_and_summary(preset):
-    pyramid = analyze(preset.primorial, preset.alphabet, ("A", "T", "C"), "ceiling")
+    pyramid = analyze(preset.primorial, preset.alphabet, encode(preset.alphabet, ("A", "T", "C")), "ceiling")
     rows = list(pyramid_rows(pyramid, preset.alphabet))
     assert rows[0][:2] == ["position", "input"]
     assert len(rows) == 4
@@ -262,7 +282,7 @@ def test_pyramid_rows_and_summary(preset):
         rng.shuffle(tokens)
         source = encode(al, tokens)
         for method in METHODS:
-            pyramid = analyze(pl, al, tokens, method)
+            pyramid = analyze(pl, al, source, method)
             levels = {
                 name: bytes(project(pl, name, x, method) for x in source)
                 for name in pyramid.levels
@@ -285,7 +305,7 @@ def test_rows_and_summary_equal_the_per_position_loops(kind):
     records = [(), (al.symbols[-1],), tuple(rng.choices(al.symbols, k=150))]
     for tokens in records:
         for method in METHODS:
-            pyramid = analyze(pl, al, tokens, method)
+            pyramid = analyze(pl, al, encode(al, tokens), method)
             assert list(pyramid_rows(pyramid, al)) == list(pyramid_rows_loop(pyramid, al))
             for window in (None, 1, 7, len(tokens) + 1, 10 * len(tokens) + 10):
                 assert summarize(pyramid, al, pl, window) == summarize_loop(
@@ -295,7 +315,7 @@ def test_rows_and_summary_equal_the_per_position_loops(kind):
 
 def test_sequences_are_bytes(preset):
     al, pl = preset.alphabet, preset.primorial
-    pyramid = analyze(pl, al, ("A", "T", "T"), "sasaki")
+    pyramid = analyze(pl, al, encode(al, ("A", "T", "T")), "sasaki")
     assert pyramid.source == bytes(al.atom(s) for s in "ATT")
     outputs = [
         encode(al, ("A", "T", "T")),
@@ -303,12 +323,19 @@ def test_sequences_are_bytes(preset):
         *pyramid.levels.values(),
         synthesize(pyramid.source, pyramid.levels["L2^2"]),
         project_sequence(pl, "L2^2", (1, 2, 4, 8), "ceiling"),
+        *(source for _, source in load_fasta(io.StringIO(">a\nAC\n>b\n"), al)),
     ]
     assert all(type(x) is bytes for x in outputs)
     with pytest.raises(SequenceError, match="^symbol 'Z' not in alphabet$"):
         encode(preset.alphabet, ("A", "Z"))
     with pytest.raises(SequenceError, match="^sequences hold at most 8 symbols, not 9$"):
         encode(SymbolAlphabet(tuple("ABCDEFGHI")), ("A",))
+
+
+def test_an_alphabet_holds_at_most_eight_symbols():
+    assert SymbolAlphabet(tuple("ABCDEFGH")).top_n == 8
+    with pytest.raises(SequenceError, match="^sequences hold at most 8 symbols, not 9$"):
+        SymbolAlphabet(tuple("ABCDEFGHI"))
 
 
 def test_pyramid_levels_keep_the_input_length(preset):
@@ -348,4 +375,5 @@ def test_fasta_rejects_non_ascii_letters(ch, preset):
 def test_fasta_accepts_crlf_line_endings(preset):
     lf = load_fasta(io.StringIO(">a one\nAC\nGT\n>b\nTT\n"), preset.alphabet)
     crlf = load_fasta(io.StringIO(">a one\r\nAC\r\nGT\r\n>b\r\nTT\r\n"), preset.alphabet)
-    assert crlf == lf == [("a one", ("A", "C", "G", "T")), ("b", ("T", "T"))]
+    al = preset.alphabet
+    assert crlf == lf == [("a one", encode(al, ("A", "C", "G", "T"))), ("b", encode(al, ("T", "T")))]
