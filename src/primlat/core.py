@@ -366,16 +366,11 @@ class PropertyReport:
         self.atoms = tuple(lat.labels[i] for i in lat.atoms_i)
         self.anti_atoms = tuple(lat.labels[i] for i in antis)
         self.lattice_height = lat.heights[lat.top_i]
-        self.is_atomic = all(
-            lat.join_all_i([a for a in lat.atoms_i if lat.leq_i(a, i)]) == i
-            for i in range(lat.n)
-            if i != lat.bottom_i
-        )
-        self.is_anti_atomic = all(
-            lat.meet_all_i([a for a in antis if lat.leq_i(i, a)]) == i
-            for i in range(lat.n)
-            if i != lat.top_i
-        )
+        # every element is the join of the atoms below it iff no two share
+        # that set of atoms: the join of i's atoms has exactly i's atoms below
+        atom_bits, coatom_bits = sum(1 << a for a in lat.atoms_i), sum(1 << a for a in antis)
+        self.is_atomic = len({down & atom_bits for down in lat.geq_rows}) == lat.n
+        self.is_anti_atomic = len({up & coatom_bits for up in lat.leq_rows}) == lat.n
         self.length = max(lat.heights, default=0)
 
         chains, antichain = _chain_partition(lat)

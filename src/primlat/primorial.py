@@ -427,39 +427,32 @@ def is_primorial(lat: FiniteLattice):
 
     Roles must be pairwise distinct: bottom, the atom y0, the remaining
     atoms x0..xK in some order, and the join chain y_{i+1} = y_i ∨ x_i,
-    together covering the carrier exactly.
+    together covering the carrier exactly.  The order forces them, so they
+    are read in one pass: no x_k (k >= i) lies below y_i (else y_{k+1} =
+    y_k), so y_i lies above exactly the atoms y0, x0..x_{i-1}, and the other
+    elements are y_1 < y_2 < ... by down-set size.  y0 and x0 are the two
+    atoms below y_1, y0 the lower-index one (which a search over the atoms
+    in index order accepts first); x_i is the atom below y_{i+1} but not y_i.
     """
     if lat.n == 0:
         return None
-    atoms = list(lat.atoms_i)
-    if not atoms:
+    atoms = lat.atoms_i
+    if len(atoms) == 1 and lat.n == 2:
+        return PrimorialRoles(lat.bottom, (lat.labels[atoms[0]],), ())
+    if len(atoms) < 2 or lat.n != 2 * len(atoms):
         return None
-    if len(atoms) == 1:
-        if lat.n == 2:
-            return PrimorialRoles(lat.bottom, (lat.labels[atoms[0]],), ())
-        return None
-    if lat.n != 2 * len(atoms):
-        return None
-    for y0 in atoms:
-        rest = [a for a in atoms if a != y0]
-        for xs in itertools.permutations(rest):
-            seen = {lat.bottom_i, y0, *xs}
-            chain = [y0]
-            ok = True
-            for x in xs:
-                nxt = lat.join_i(chain[-1], x)
-                if nxt in seen:
-                    ok = False
-                    break
-                seen.add(nxt)
-                chain.append(nxt)
-            if ok and len(seen) == lat.n:
-                return PrimorialRoles(
-                    lat.bottom,
-                    tuple(lat.labels[i] for i in chain),
-                    tuple(lat.labels[i] for i in xs),
-                )
-    return None
+    down, atom_bits = lat.geq_rows, sum(1 << a for a in atoms)
+    chain = [i for i in lat.topo_order if i != lat.bottom_i and not atom_bits >> i & 1]
+    first = down[chain[0]] & atom_bits
+    ys, xs = [(first & -first).bit_length() - 1], []
+    for y in chain:
+        new = down[y] & atom_bits & ~down[ys[-1]]
+        x = new.bit_length() - 1
+        if new.bit_count() != 1 or lat.join_i(ys[-1], x) != y:
+            return None
+        xs.append(x)
+        ys.append(y)
+    return PrimorialRoles(lat.bottom, tuple(lat.labels[i] for i in ys), tuple(lat.labels[i] for i in xs))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import le
 
 from .core import (
     FiniteLattice,
@@ -18,7 +18,7 @@ from .core import (
     marked,
 )
 from .ortho import _perm, classify_negation, orthogonal_rows
-from .valuation import common_scale, first_mismatch
+from .valuation import common_scale, modular_failure
 
 
 class ProbabilityError(LatticeError):
@@ -134,12 +134,15 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     witness reports its two sides as fractions.
     Disjoint and orthogonal partners are one bitset per element, so the
     disjoint triples i < j < k are the k in ``disjoint[i] & disjoint[j]``.
+    One scan of the valuation law (``modular_failure``) serves both the
+    generalized verdict and the Boolean-base check.
     """
     lat = pa.lattice
     n, bot, top, L = lat.n, lat.bottom_i, lat.top_i, lat.labels
     jn, mt = lat.join_table, lat.meet_table
     pi, one = common_scale([pa.p[lab] for lab in L])
     perm = _perm(lat, pa.neg)
+    failure = modular_failure(lat, pi)
 
     def violated(what, elems, lhs, rhs):
         return DefinitionVerdict(
@@ -172,15 +175,9 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     verdicts["traditional"] = traditional or DefinitionVerdict(True, None)
 
     v = base
-    if v is None:
-        for i in range(n):
-            # pi[i ∨ j] + pi[i ∧ j] against pi[i] + pi[j], over j
-            lhs = map(add, map(pi.__getitem__, jn[i][:n]), map(pi.__getitem__, mt[i][:n]))
-            j = first_mismatch(lhs, map(pi[i].__add__, pi))
-            if j is not None:
-                rhs = pi[i] + pi[j] - pi[mt[i][j]]
-                v = violated("inclusion-exclusion", (i, j), pi[jn[i][j]], rhs)
-                break
+    if v is None and failure is not None:
+        i, j = failure
+        v = violated("inclusion-exclusion", failure, pi[jn[i][j]], pi[i] + pi[j] - pi[mt[i][j]])
     verdicts["generalized"] = v or DefinitionVerdict(True, None)
 
     orthogonal = orthogonal_rows(lat, perm)
@@ -189,22 +186,27 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     verdicts["gated"] = DefinitionVerdict(True, None)  # established by validation
 
     if distributive_by_identity(lat) and all(complements_i(lat)):
-        for i in range(n):
-            joined = list(map(pi.__getitem__, jn[i][:n]))
-            sums = list(map(pi[i].__add__, pi))
-            if list(map(add, joined, map(pi.__getitem__, mt[i][:n]))) != sums:
-                raise InvariantError(f"inclusion-exclusion on a Boolean base at {L[i]!r}")
-            if not all(map(le, joined, sums)):
+        # the rows before the first inclusion-exclusion failure, then that row
+        for i in range(n if failure is None else failure[0]):
+            if not all(map(le, map(pi.__getitem__, jn[i][:n]), map(pi[i].__add__, pi))):
                 raise InvariantError(f"union subadditivity on a Boolean base at {L[i]!r}")
+        if failure is not None:
+            raise InvariantError(f"inclusion-exclusion on a Boolean base at {L[failure[0]]!r}")
     return verdicts
 
 
 def _disjoint_triple_failure(pi, jn, disjoint, violated):
-    """The first pairwise-disjoint i < j < k with pi[i ∨ j ∨ k] != pi[i] + pi[j] + pi[k]."""
+    """The first pairwise-disjoint i < j < k with pi[i ∨ j ∨ k] != pi[i] + pi[j] + pi[k].
+
+    It runs only when every disjoint pair is additive, so a k disjoint from
+    i ∨ j gives pi[i ∨ j ∨ k] = pi[i ∨ j] + pi[k] = pi[i] + pi[j] + pi[k]:
+    only the k that meet i ∨ j are tested, and on a distributive base,
+    where (i ∨ j) ∧ k = (i ∧ k) ∨ (j ∧ k) = 0, none is.
+    """
     for i, di in enumerate(disjoint):
         for j in bits(di >> i + 1 << i + 1):
             ij = jn[i][j]
-            for k in bits((di & disjoint[j]) >> j + 1 << j + 1):
+            for k in bits((di & disjoint[j] & ~disjoint[ij]) >> j + 1 << j + 1):
                 if pi[jn[ij][k]] != pi[i] + pi[j] + pi[k]:
                     return violated("additive", (i, j, k), pi[jn[ij][k]], pi[i] + pi[j] + pi[k])
     return None

@@ -57,21 +57,28 @@ class ValuationCheck:
 def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
     """Test v(x∨y) + v(x∧y) == v(x) + v(y) and isotonicity, with witness.
 
-    The witness is the first failing pair (x, y >= x) in element order; each
-    row of pairs is one comparison of integer lists.
+    The witness is the first failing pair (x, y >= x) in element order.
     """
     v = _as_fraction_map(lat, values)
     n = lat.n
     vi, _ = common_scale([v[lab] for lab in lat.labels])
-    witness = None
+    failure = modular_failure(lat, vi)
+    witness = None if failure is None else tuple(lat.labels[k] for k in failure)
+    isotone = all(vi[i] <= vi[j] for i in range(n) for j in bits(lat.leq_rows[i]))
+    return ValuationCheck(witness is None, isotone, witness)
+
+
+def modular_failure(lat: FiniteLattice, vi):
+    """The first pair (i, j >= i), in row order, with vi[i ∨ j] + vi[i ∧ j]
+    != vi[i] + vi[j], or None; each row is one comparison of lists.  The law
+    is symmetric, so the first failing row has no failing j < i either."""
+    n = lat.n
     for i, (jrow, mrow) in enumerate(zip(lat.join_table, lat.meet_table)):
         lhs = map(add, map(vi.__getitem__, jrow[i:n]), map(vi.__getitem__, mrow[i:n]))
         j = first_mismatch(lhs, map(vi[i].__add__, vi[i:]))
         if j is not None:
-            witness = (lat.labels[i], lat.labels[i + j])
-            break
-    isotone = all(vi[i] <= vi[j] for i in range(n) for j in bits(lat.leq_rows[i]))
-    return ValuationCheck(witness is None, isotone, witness)
+            return i, i + j
+    return None
 
 
 class LatticeMetric:

@@ -37,7 +37,14 @@ from primlat.core import (
     distributive_by_identity,
 )
 from primlat.ortho import _antitone_failure, _perm, classify_negation
-from primlat.primorial import Level, _inclusion_rows, boolean_carrier, generate_primorial, reduce_boolean
+from primlat.primorial import (
+    Level,
+    PrimorialRoles,
+    _inclusion_rows,
+    boolean_carrier,
+    generate_primorial,
+    reduce_boolean,
+)
 from primlat.probability import DefinitionVerdict, ProbabilityError
 from primlat.projection import METHODS, _projector
 from primlat.valuation import LatticeMetric, ValuationCheck, ValuationError, metric_from_valuation
@@ -559,6 +566,24 @@ def gate_loop(lat: FiniteLattice):
     return gated
 
 
+def atomicity_loop(lat: FiniteLattice):
+    """(is_atomic, is_anti_atomic): every element but the bottom is the join
+    of the atoms below it, and every element but the top the meet of the
+    coatoms above it, one join or meet per element."""
+    antis = tuple(bits(lat._cover_down[lat.top_i]))
+    is_atomic = all(
+        lat.join_all_i([a for a in lat.atoms_i if lat.leq_i(a, i)]) == i
+        for i in range(lat.n)
+        if i != lat.bottom_i
+    )
+    is_anti_atomic = all(
+        lat.meet_all_i([a for a in antis if lat.leq_i(i, a)]) == i
+        for i in range(lat.n)
+        if i != lat.top_i
+    )
+    return is_atomic, is_anti_atomic
+
+
 def find_pentagon_loop(lat):
     """First N5 (m, a, b, p, j) over a < b, then p, by element-wise meets and joins."""
     for a in range(lat.n):
@@ -1016,6 +1041,47 @@ def default_chain_loop(n):
     while len(chain[-1].carrier) > 2:
         chain.append(reduce_boolean(chain[-1])[0])
     return [lvl.carrier for lvl in chain]
+
+
+def is_primorial_loop(lat: FiniteLattice):
+    """Role assignment making the lattice a generated chain, or None, found
+    by trying every order of the atoms: the search ``is_primorial`` replaced.
+
+    Roles must be pairwise distinct: bottom, the atom y0, the remaining
+    atoms x0..xK in some order, and the join chain y_{i+1} = y_i ∨ x_i,
+    together covering the carrier exactly.
+    """
+    if lat.n == 0:
+        return None
+    atoms = list(lat.atoms_i)
+    if not atoms:
+        return None
+    if len(atoms) == 1:
+        if lat.n == 2:
+            return PrimorialRoles(lat.bottom, (lat.labels[atoms[0]],), ())
+        return None
+    if lat.n != 2 * len(atoms):
+        return None
+    for y0 in atoms:
+        rest = [a for a in atoms if a != y0]
+        for xs in itertools.permutations(rest):
+            seen = {lat.bottom_i, y0, *xs}
+            chain = [y0]
+            ok = True
+            for x in xs:
+                nxt = lat.join_i(chain[-1], x)
+                if nxt in seen:
+                    ok = False
+                    break
+                seen.add(nxt)
+                chain.append(nxt)
+            if ok and len(seen) == lat.n:
+                return PrimorialRoles(
+                    lat.bottom,
+                    tuple(lat.labels[i] for i in chain),
+                    tuple(lat.labels[i] for i in xs),
+                )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,18 @@ def test_src_holds_no_assert_and_reads_no_debug():
         assert (asserts, debug) == ([], []), path.name
 
 
+def test_src_imports_only_the_standard_library():
+    # runtime dependencies stay at zero, as pyproject.toml declares
+    allowed = sys.stdlib_module_names | {"__future__"}
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert sorted({name.split(".")[0] for name in names} - allowed) == [], path.name
+
+
 CHILD = """\
 import sys
 from primlat import cli, core

@@ -51,6 +51,7 @@ from primlat.valuation import _metric_axiom_failure, check_valuation, common_sca
 from conftest import benzene, chain, diamond, hs3, mo2, pentagon, powerset, powerset_complement
 from helpers import (
     antitone_failure_loop,
+    atomicity_loop,
     check_valuation_loop,
     de_morgan_rows_loop,
     direct_product,
@@ -455,6 +456,7 @@ def test_law_witnesses_match_loops_and_classify(group):
         assert distributive_identity_loop(lat) == (want is None)
         rep = classify(lat)
         assert (rep.n5_witness, rep.distributive_witness) == (n5, want)
+        assert (rep.is_atomic, rep.is_anti_atomic) == atomicity_loop(lat)
 
 
 def test_the_searched_lattices_hold_both_answers():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from primlat import primorial
 from primlat.cli import main
-from primlat.core import LatticeError, classify
+from primlat.core import LatticeError, classify, enumerate_lattices
 from primlat.ortho import attach_ortho
 from primlat.primorial import (
     Level,
@@ -25,7 +26,7 @@ from primlat.primorial import (
     reduce_boolean,
 )
 from primlat.projection import METHODS
-from primlat.seqproc import SymbolAlphabet, analyze, encode, gsp_preset
+from primlat.seqproc import PRESETS, SymbolAlphabet, analyze, encode, gsp_preset
 from primlat.textio import format_carrier, parse_choices
 
 from conftest import benzene, diamond
@@ -39,6 +40,7 @@ from helpers import (
     is_boolean_level_oracle,
     is_isomorphic,
     is_monotone_self_dual,
+    is_primorial_loop,
     lattice_from_covers,
     monotone_self_dual_loop,
     reduce_boolean_loop,
@@ -621,6 +623,53 @@ def test_is_primorial_divisibility_example():
     assert roles is not None
     assert roles.bottom == 1
     assert roles.y_chain[-1] == 210
+
+
+def _atoms_under_a_chain(n):
+    """A bottom, k = n / 2 atoms and a chain of k - 1 elements above all of
+    them: primorial only for k = 2, and every order of the atoms fails at
+    its second join."""
+    k = n // 2
+    atoms, ups = [f"a{i}" for i in range(k)], [f"c{i}" for i in range(k - 1)]
+    covers = [("0", a) for a in atoms] + [(a, ups[0]) for a in atoms] + list(zip(ups, ups[1:]))
+    return lattice_from_covers(["0", *atoms, *ups], covers)
+
+
+def _relabelled(lat, rng):
+    """The same order with its elements in a shuffled index order."""
+    labels = list(lat.labels)
+    rng.shuffle(labels)
+    return lattice_from_covers(labels, lat.covers)
+
+
+def _candidates():
+    yield from (generate_primorial(n).family for n in range(2, 7))
+    yield from (gsp_preset(name).primorial.family for name in sorted(PRESETS))
+    yield from (_atoms_under_a_chain(n) for n in (4, 6, 14, 16))
+    rng = random.Random(29)
+    for n in range(10):
+        for lat in enumerate_lattices(n):
+            yield lat
+            if n:
+                yield from (_relabelled(lat, rng) for _ in range(3))
+
+
+def test_is_primorial_reads_the_roles_the_atom_order_search_finds():
+    found = 0
+    for lat in _candidates():
+        roles = is_primorial(lat)
+        assert roles == is_primorial_loop(lat), lat
+        found += roles is not None
+    # the 2-, 4-, 6- and 8-element shapes in four index orders each, five
+    # families, two presets and the square, _atoms_under_a_chain(4)
+    assert found == 4 * 4 + 5 + 2 + 1
+
+
+def test_is_primorial_is_one_pass_on_the_adversarial_family():
+    lat = _atoms_under_a_chain(40)
+    start = time.perf_counter()
+    assert is_primorial(lat) is None
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dposet_chain_and_powerset():

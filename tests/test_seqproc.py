@@ -239,8 +239,27 @@ def test_counting_oracle_on_random_sequences(s):
 _FASTA_TEXT = st.text(alphabet=">ACGTXacgtxN# \t\r\n")
 
 
+@st.composite
+def _preset_fasta(draw):
+    """Records over one preset's symbols in mixed case, their sequences
+    wrapped at a drawn width, with blank lines and LF or CRLF line ends."""
+    symbols = PRESETS[draw(st.sampled_from(sorted(PRESETS)))][0]
+    width = draw(st.integers(1, 12))
+    lines = []
+    for name in draw(st.lists(st.text(alphabet="ab1 ", max_size=5), min_size=1, max_size=4)):
+        bases = "".join(draw(st.lists(st.sampled_from(symbols + symbols.lower()), min_size=1, max_size=40)))
+        lines.append(">" + name)
+        for k in range(0, len(bases), width):
+            lines += [""] * draw(st.integers(0, 1)) + [bases[k : k + width]]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+_FASTA_INPUT = st.one_of(st.text(), _FASTA_TEXT, _FASTA_TEXT.map(">".__add__), _preset_fasta())
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
-@given(text=st.one_of(st.text(), _FASTA_TEXT, _FASTA_TEXT.map(">".__add__)))
+@given(text=_FASTA_INPUT)
 def test_load_fasta_raises_only_lattice_errors(name, text):
     alphabet = SymbolAlphabet(tuple(PRESETS[name][0]))
     try:
@@ -252,7 +271,7 @@ def test_load_fasta_raises_only_lattice_errors(name, text):
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-@given(text=st.one_of(st.text(), _FASTA_TEXT, _FASTA_TEXT.map(">".__add__)))
+@given(text=_FASTA_INPUT)
 def test_load_fasta_is_the_token_reader_through_encode(name, text):
     alphabet = SymbolAlphabet(tuple(PRESETS[name][0]))
     try:
