@@ -22,7 +22,7 @@ import io
 import random
 import sys
 
-from .core import MAX_ATOMS, InvariantError, LatticeError, classify, enumerate_lattices, law_witnesses
+from .core import MAX_ATOMS, InvariantError, LatticeError, build_lattice, classify, enumerate_lattices, law_witnesses
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
 from .primorial import (
     DPOSET_LAWS,
@@ -44,8 +44,8 @@ from .seqproc import PRESETS, analyze, gsp_preset, load_fasta, pyramid_rows, sum
 from .textio import (
     format_carrier,
     format_mask,
-    load_lattice_file,
     parse_choices,
+    parse_lattice_text,
     parse_mask,
     read_text,
     to_dot,
@@ -65,20 +65,27 @@ def _emit(out, key, value):
     print(f"{key}: {_fmt(value)}", file=out)
 
 
-def _load_built(path):
-    doc = load_lattice_file(path)
-    built = doc.build()
-    return doc, built
-
-
-def _require_lattice(built):
-    if not built.is_lattice:
+def _load(path, *stanzas):
+    """The document a lattice file holds, its built structure, and the map of
+    each named stanza, in order.  Naming a stanza requires a lattice and
+    that stanza; an ``ortho`` stanza stands in for a missing ``negation``,
+    since an orthocomplement is a negation."""
+    doc = parse_lattice_text(read_text(path))
+    built = build_lattice(doc.elements, doc.covers)
+    if stanzas and not built.is_lattice:
         raise LatticeError("input is not a lattice (some pair has no join or meet)")
-    return built
+    maps = []
+    for stanza in stanzas:
+        sources = ("negation", "ortho") if stanza == "negation" else (stanza,)
+        found = next(filter(None, (getattr(doc, s) for s in sources)), None)
+        if not found:
+            raise LatticeError(f"no {' or '.join(sources)} stanza in input")
+        maps.append(found)
+    return doc, built, *maps
 
 
 def cmd_classify(args, out):
-    doc, built = _load_built(args.file)
+    doc, built = _load(args.file)
     rep = classify(built) if built.is_lattice else None
     _emit(out, "lattice", doc.name or args.file)
     _emit(out, "elements", built.n)
@@ -109,11 +116,8 @@ def cmd_classify(args, out):
 
 
 def cmd_ortho(args, out):
-    doc, built = _load_built(args.file)
-    _require_lattice(built)
-    if not doc.ortho:
-        raise LatticeError("no ortho stanza in input")
-    ol = attach_ortho(built, doc.ortho)
+    _, built, ortho = _load(args.file, "ortho")
+    ol = attach_ortho(built, ortho)
     _emit(out, "classes", sorted(ortho_class(ol)))
     rel = relations_of(ol)
     _emit(out, "orthogonal_pairs", rel.orthogonal_pairs)
@@ -122,11 +126,7 @@ def cmd_ortho(args, out):
 
 
 def cmd_negation(args, out):
-    doc, built = _load_built(args.file)
-    _require_lattice(built)
-    neg = doc.negation or doc.ortho
-    if not neg:
-        raise LatticeError("no negation or ortho stanza in input")
+    _, built, neg = _load(args.file, "negation")
     _emit(out, "classification", sorted(classify_negation(built, neg)))
     rel = relations(built, neg)
     _emit(out, "orthogonal_pairs", rel.orthogonal_pairs)
@@ -135,11 +135,8 @@ def cmd_negation(args, out):
 
 
 def cmd_metric(args, out):
-    doc, built = _load_built(args.file)
-    _require_lattice(built)
-    if not doc.valuation:
-        raise LatticeError("no valuation stanza in input")
-    chk = check_valuation(built, doc.valuation)
+    _, built, valuation = _load(args.file, "valuation")
+    chk = check_valuation(built, valuation)
     _emit(out, "valuation", chk.is_valuation)
     _emit(out, "isotone", chk.is_isotone)
     if not chk.is_valuation:
@@ -147,7 +144,7 @@ def cmd_metric(args, out):
         return 1
     if not chk.is_isotone:
         return 1
-    metric = metric_from_valuation(built, doc.valuation)
+    metric = metric_from_valuation(built, valuation)
     print("x\ty\td", file=out)
     for a in built.labels:
         for b in built.labels:
@@ -210,14 +207,7 @@ def cmd_probability(args, out):
     else:
         if not args.file:
             raise LatticeError("probability needs a lattice file or --random-boolean N")
-        doc, lat = _load_built(args.file)
-        _require_lattice(lat)
-        neg = doc.negation or doc.ortho
-        if not neg:
-            raise LatticeError("no negation or ortho stanza in input")
-        if not doc.prob:
-            raise LatticeError("no prob stanza in input")
-        values = doc.prob
+        _, lat, neg, values = _load(args.file, "negation", "prob")
     pa = validate_probability(lat, neg, values)
     _emit(out, "valid", True)
     report = probability_report(pa)
@@ -248,9 +238,6 @@ def cmd_analyze(args, out):
 
 def cmd_enumerate(args, out):
     lats = enumerate_lattices(args.n)
-    if args.n == 0:
-        print("lattices: 1 modular: 1 distributive: 1", file=out)
-        return 0
     witnesses = [law_witnesses(lat) for lat in lats]
     modular = sum(1 for n5, _ in witnesses if n5 is None)
     distributive = sum(1 for _, witness in witnesses if witness is None)
@@ -263,7 +250,7 @@ def cmd_enumerate(args, out):
 
 
 def cmd_hasse(args, out):
-    doc, built = _load_built(args.file)
+    doc, built = _load(args.file)
     dot = to_dot(built, name=doc.name or "hasse")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -358,4 +345,4 @@ def entry():
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

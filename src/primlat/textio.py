@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FinitePoset, LatticeError, bits, build_lattice
+from .core import FinitePoset, LatticeError, bits
 
 
 class FormatError(LatticeError):
@@ -62,10 +62,6 @@ class LatticeDocument:
     valuation: dict = field(default_factory=dict)
     prob: dict = field(default_factory=dict)
     negation: dict = field(default_factory=dict)
-
-    def build(self):
-        """FiniteLattice when joins/meets are total, else FinitePoset."""
-        return build_lattice(self.elements, self.covers)
 
 
 def parse_lattice_text(text: str) -> LatticeDocument:
@@ -140,10 +136,6 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
-def load_lattice_file(path) -> LatticeDocument:
-    return parse_lattice_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------

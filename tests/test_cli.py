@@ -1,7 +1,11 @@
 import argparse
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -141,6 +145,15 @@ def test_enumerate_beyond_cap_fails_with_one_line(capsys):
     assert captured.err == "error: element count 11 outside supported range 0..10\n"
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_enumerate_show_prints_one_cover_line_per_class(n, capsys):
+    # n = 0 included: its one class, the empty lattice, has an empty cover list
+    assert main(["enumerate", "--n", str(n), "--show"]) == 0
+    head, *shown = capsys.readouterr().out.split("\n")[:-1]
+    assert head == "lattices: {} modular: {} distributive: {}".format(*OEIS_COUNTS[n])
+    assert len(shown) == OEIS_COUNTS[n][0]
+
+
 def test_classify_reports_modularity_witness(n5_file, capsys):
     assert main(["classify", n5_file]) == 0
     out = capsys.readouterr().out
@@ -239,6 +252,58 @@ def test_probability_refuses_file_and_random_boolean_together(o6_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: probability takes a lattice file or --random-boolean N, not both\n"
+
+
+NOT_A_LATTICE = "error: input is not a lattice (some pair has no join or meet)\n"
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["ortho", "negation", "metric", "probability"])
+def test_file_commands_need_a_lattice_first(command, tmp_path, capsys):
+    # the file has none of the stanzas either: the lattice check comes first
+    path = tmp_path / "v.lat"
+    path.write_text("elements 0 a b\ncovers 0<a 0<b\n")
+    assert _run([command, str(path)], capsys) == (1, "", NOT_A_LATTICE)
+
+
+@pytest.mark.parametrize("command, stanzas, error", [
+    ("ortho", "", "no ortho stanza"),
+    ("ortho", "negation 0->1 1->0\nvaluation 0=0 1=1\nprob 0=0 1=1", "no ortho stanza"),
+    ("negation", "", "no negation or ortho stanza"),
+    ("negation", "valuation 0=0 1=1\nprob 0=0 1=1", "no negation or ortho stanza"),
+    ("metric", "", "no valuation stanza"),
+    ("metric", "ortho 0:1\nprob 0=0 1=1", "no valuation stanza"),
+    ("probability", "", "no negation or ortho stanza"),
+    ("probability", "prob 0=0 1=1", "no negation or ortho stanza"),
+    ("probability", "negation 0->1 1->0", "no prob stanza"),
+    ("probability", "ortho 0:1", "no prob stanza"),
+])
+def test_file_commands_name_the_missing_stanza(command, stanzas, error, tmp_path, capsys):
+    path = tmp_path / "two.lat"
+    path.write_text(f"lattice two\nelements 0 1\ncovers 0<1\n{stanzas}\n")
+    assert _run([command, str(path)], capsys) == (1, "", f"error: {error} in input\n")
+
+
+@pytest.mark.parametrize("command", ["negation", "probability"])
+def test_an_ortho_stanza_stands_in_for_a_missing_negation(command, tmp_path, capsys):
+    head = O6_TEXT.replace("ortho 0:1 p:p' q:q'\n", "")
+    ortho = tmp_path / "ortho.lat"
+    ortho.write_text(head + "ortho 0:1 p:p' q:q'\n")
+    negation = tmp_path / "negation.lat"
+    negation.write_text(head + "negation 0->1 1->0 p->p' p'->p q->q' q'->q\n")
+    code, out, err = _run([command, str(ortho)], capsys)
+    assert (code, err) == (0, "") and out
+    assert _run([command, str(negation)], capsys) == (code, out, err)
+
+
+def test_probability_needs_a_file_or_random_boolean(capsys):
+    want = "error: probability needs a lattice file or --random-boolean N\n"
+    assert _run(["probability"], capsys) == (1, "", want)
 
 
 @pytest.mark.parametrize(
@@ -473,6 +538,26 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-m", "primlat.cli", "enumerate", "--n", "6"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (
+        0, "lattices: 15 modular: 8 distributive: 5\n", ""
+    )
+
+
+@pytest.mark.parametrize("n, code", [("6", 0), ("11", 1)])
+def test_console_script_entry_exits_with_the_command_code(n, code, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["primlat", "enumerate", "--n", n])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
 
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=lambda argv: " ".join(argv) or "(none)")

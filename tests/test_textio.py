@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primlat.core import LatticeError
+from primlat.core import LatticeError, build_lattice
 from primlat.textio import (
     FormatError,
     format_carrier,
@@ -37,7 +37,7 @@ def test_parse_full_document():
     assert doc.valuation["p'"] == 2
     assert doc.prob["p"] == Fraction(1, 3)
     assert doc.negation["q'"] == "q"
-    built = doc.build()
+    built = build_lattice(doc.elements, doc.covers)
     assert built.is_lattice
 
 
@@ -118,7 +118,8 @@ _lines = st.sampled_from(["lattice", "elements", *_SEPARATOR]).flatmap(_stanza)
 @given(st.lists(_lines, max_size=6))
 def test_parser_raises_only_lattice_errors(lines):
     try:
-        parse_lattice_text("\n".join(lines)).build()
+        doc = parse_lattice_text("\n".join(lines))
+        build_lattice(doc.elements, doc.covers)
     except LatticeError:
         pass
 
@@ -173,7 +174,7 @@ def test_parse_mask_on_any_text(text, top_n):
 
 def test_dot_export_contains_cover_edges_only():
     doc = parse_lattice_text(O6_TEXT)
-    dot = to_dot(doc.build(), name="O6")
+    dot = to_dot(build_lattice(doc.elements, doc.covers), name="O6")
     assert "rankdir=BT" in dot
     assert '"p" -> "q\'"' in dot
     assert '"0" -> "1"' not in dot  # not a cover
@@ -182,7 +183,8 @@ def test_dot_export_contains_cover_edges_only():
 def test_dot_quotes_what_a_bare_id_cannot_hold():
     # node IDs escape backslash and double quote; a graph name that is no
     # plain identifier, or is a DOT keyword in any case, is quoted the same way
-    chain = parse_lattice_text('elements a"b c\\d\ncovers a"b<c\\d').build()
+    doc = parse_lattice_text('elements a"b c\\d\ncovers a"b<c\\d')
+    chain = build_lattice(doc.elements, doc.covers)
     assert to_dot(chain, name="L3_B2xC4") == (
         "digraph L3_B2xC4 {\n  rankdir=BT;\n  node [shape=circle];\n"
         '  "a\\"b";\n  "c\\\\d";\n  "a\\"b" -> "c\\\\d";\n}\n'
