@@ -21,6 +21,7 @@ import argparse
 import io
 import random
 import sys
+from fractions import Fraction
 
 from .core import MAX_ATOMS, InvariantError, LatticeError, build_lattice, classify, enumerate_lattices, law_witnesses
 from .ortho import attach_ortho, classify_negation, ortho_class, relations, relations_of
@@ -144,11 +145,11 @@ def cmd_metric(args, out):
         return 1
     if not chk.is_isotone:
         return 1
-    metric = metric_from_valuation(built, valuation)
+    metric = metric_from_valuation(built, chk)
+    text = {d: str(Fraction(d, metric.scale)) for d in set().union(*metric.table)}  # each distance formatted once
     print("x\ty\td", file=out)
-    for a in built.labels:
-        for b in built.labels:
-            print(f"{a}\t{b}\t{metric.d(a, b)}", file=out)
+    for a, row in zip(built.labels, metric.table):
+        out.writelines(f"{a}\t{b}\t{text[d]}\n" for b, d in zip(built.labels, row))
     return 0
 
 

@@ -83,6 +83,22 @@ def _closure(succ):
             return rows
 
 
+def _nearest(rows):
+    """Per row of a reflexive order, the elements it reaches in one step:
+    those it reaches strictly, less those it reaches through another.  An
+    element found further is skipped, as all it reaches is further too."""
+    strict = [row ^ 1 << i for i, row in enumerate(rows)]
+    out = []
+    for row in strict:
+        further, rest = 0, row
+        while rest:
+            low = rest & -rest
+            further |= strict[low.bit_length() - 1]
+            rest = (rest ^ low) & ~further
+        out.append(row & ~further)
+    return tuple(out)
+
+
 class FinitePoset:
     """Immutable finite ordered set.
 
@@ -162,15 +178,7 @@ class FinitePoset:
     @cached_property
     def covers_i(self):
         """Transitive reduction as (lower, upper) index pairs."""
-        out = []
-        for i in range(self.n):
-            strict = self.leq_rows[i] & ~(1 << i)
-            for j in bits(strict):
-                # j covers i iff no k satisfies i < k < j
-                between = strict & self.geq_rows[j] & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return tuple(out)
+        return tuple((i, j) for i, row in enumerate(self._cover_up) for j in bits(row))
 
     @cached_property
     def covers(self):
@@ -178,17 +186,13 @@ class FinitePoset:
 
     @cached_property
     def _cover_up(self):
-        up = [0] * self.n
-        for i, j in self.covers_i:
-            up[i] |= 1 << j
-        return tuple(up)
+        """Per element, the bitset of its upper covers."""
+        return _nearest(self.leq_rows)
 
     @cached_property
     def _cover_down(self):
-        down = [0] * self.n
-        for i, j in self.covers_i:
-            down[j] |= 1 << i
-        return tuple(down)
+        """Per element, the bitset of its lower covers."""
+        return _nearest(self.geq_rows)
 
     @cached_property
     def topo_order(self):
@@ -441,31 +445,95 @@ def distributive_by_identity(lat: FiniteLattice) -> bool:
     return True
 
 
+def modular_by_certificate(lat: FiniteLattice) -> bool:
+    """Upper and lower semimodularity, tested on covers.
+
+    Any two distinct upper covers a, b of one element must have a join
+    that covers both, and any two distinct lower covers a meet that both
+    cover.  A lattice of finite length is modular iff it is upper and
+    lower semimodular, and in such a lattice upper semimodularity is
+    equivalent to the first covering condition, lower to the second
+    (Birkhoff, Lattice Theory, 3rd ed., 1967, ch. II; Stern, Semimodular
+    Lattices, 1999, ch. 1).  It reads no identity, only the cover rows and
+    one table entry per pair of covers.
+    """
+    return _semimodular(lat._cover_up, lat.join_table) and _semimodular(lat._cover_down, lat.meet_table)
+
+
+def _semimodular(covers, table):
+    """Whether ``table`` takes every two distinct covers a, b of one element,
+    ``covers[c]`` being the bitset of c's covers on one side, to an element
+    that is a cover of both, on the same side."""
+    for row in covers:
+        if row & row - 1:  # two covers or more
+            for a, b in itertools.combinations(bits(row), 2):
+                m = table[a][b]
+                if not covers[a] >> m & covers[b] >> m & 1:
+                    return False
+    return True
+
+
+def distributive_by_certificate(lat: FiniteLattice) -> bool:
+    """Every join-irreducible element is join-prime.
+
+    j is join-prime when j <= a ∨ b implies j <= a or j <= b, that is,
+    when the elements not above j are closed under joins.  They form a
+    down-set, so they are closed under joins iff they are one element's
+    down-set (that element is their join), which is one set lookup per j.
+    A finite lattice is distributive iff each join-irreducible element is
+    join-prime.  If it is distributive, j <= a ∨ b gives
+    j = (j ∧ a) ∨ (j ∧ b), so j equals one of them.  If each is
+    join-prime, x ↦ {join-irreducible j <= x} keeps meets and, by
+    join-primeness, joins, and is one-to-one as each element is the join of
+    the join-irreducibles below it: an embedding in a lattice of sets,
+    which is distributive (Davey & Priestley, Introduction to Lattices and
+    Order, 2nd ed., 2002, ch. 5, Birkhoff's representation theorem).
+    Join-irreducible j are those whose strict down-set is one element's
+    down-set, as in ``modular_by_identity``.
+    """
+    up, down = lat.leq_rows, lat.geq_rows
+    downsets, full = set(down), (1 << lat.n) - 1
+    return all(full ^ up[j] in downsets for j in range(lat.n) if down[j] ^ 1 << j in downsets)
+
+
 def law_witnesses(lat: FiniteLattice):
     """``(n5_witness, distributive_witness)``: a pentagon, or None when
     ``lat`` is modular, and ``("N5",)`` plus that pentagon or ``("M3",)``
     plus a diamond, or None when ``lat`` is distributive.
 
-    Modularity and distributivity are computed twice: by the defining
-    identities and by a complete forbidden-sublattice search, as a lattice
-    is modular iff it has no N5 and distributive iff it also has no M3
-    (Dedekind, Birkhoff).  The diamond is searched for only when there is
-    no pentagon.  The call fails if the two routes ever disagree.
+    Each verdict is reached twice, by the defining identity
+    (``modular_by_identity``, ``distributive_by_identity``) and by a
+    certificate (``modular_by_certificate``: semimodular both ways on
+    covers; ``distributive_by_certificate``: join-irreducible means
+    join-prime), each with its argument and source in its docstring, and
+    the call fails if the two disagree.  A negative
+    verdict then has a third route, the complete forbidden-sublattice
+    search that finds the printed witness: a lattice is modular iff it has
+    no N5 sublattice and distributive iff it has neither N5 nor M3
+    (Dedekind, Birkhoff).  The diamond is searched for only in a modular
+    lattice that is not distributive, and the call fails if a search finds
+    nothing.  A positive verdict runs no search: the search would only
+    prove an absence that two routes already agree on.
     """
     modular = modular_by_identity(lat)
-    distributive = distributive_by_identity(lat)
-    n5 = _find_pentagon(lat)
-    if modular != (n5 is None):
+    if modular != modular_by_certificate(lat):
         raise InvariantError("modularity routes disagree")
-    if n5 is not None:
-        witness = ("N5",) + n5
-    else:
-        m3 = _find_diamond(lat)
-        witness = None if m3 is None else ("M3",) + m3
-    if distributive != (witness is None):
+    distributive = distributive_by_identity(lat)
+    if distributive != distributive_by_certificate(lat):
         raise InvariantError("distributivity routes disagree")
     if distributive and not modular:
         raise InvariantError("distributive lattice classified non-modular")
+    n5 = witness = None
+    if not modular:
+        n5 = _find_pentagon(lat)
+        if n5 is None:
+            raise InvariantError("modularity routes disagree")
+        witness = ("N5",) + n5
+    elif not distributive:
+        m3 = _find_diamond(lat)
+        if m3 is None:
+            raise InvariantError("distributivity routes disagree")
+        witness = ("M3",) + m3
     return n5, witness
 
 
@@ -559,15 +627,21 @@ def _find_pentagon(lat):
     under the lattice operations and order-isomorphic to N5.  The p for one
     pair are b's meet row marked by the down-set of a, intersected with a's
     join row marked by the up-set of b; the least p of the first pair
-    (a, b) is the witness.
+    (a, b) is the witness.  A pair with no element apart from both, such
+    as any pair with the bottom or the top, is skipped before marking.
     """
     n, up, down = lat.n, lat.leq_rows, lat.geq_rows
     jn, mt = lat.join_table, lat.meet_table
-    above = [mark_table(row) for row in up]
+    full = (1 << n) - 1
     for a in range(n):
+        apart = full ^ (up[a] | down[a])
+        if not apart:
+            continue
         below_a, ja = mark_table(down[a]), jn[a]
         for b in bits(up[a] & ~(1 << a)):
-            ps = marked(mt[b], n, below_a) & marked(ja, n, above[b])
+            if not apart & ~(up[b] | down[b]):
+                continue
+            ps = marked(mt[b], n, below_a) & marked(ja, n, mark_table(up[b]))
             if ps:
                 p = (ps & -ps).bit_length() - 1
                 L = lat.labels

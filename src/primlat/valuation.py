@@ -7,11 +7,11 @@ valuation's common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import lcm
-from operator import add, ne, sub
+from operator import add, ne, not_, sub
 
 from .core import FiniteLattice, InvariantError, LatticeError, bits
 
@@ -52,6 +52,9 @@ class ValuationCheck:
     is_valuation: bool
     is_isotone: bool
     witness: tuple | None  # first failing pair, if any
+    # (lattice, values as integers over their least common denominator,
+    # that denominator): what ``LatticeMetric`` builds its table from
+    scaled: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
@@ -61,11 +64,11 @@ def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
     """
     v = _as_fraction_map(lat, values)
     n = lat.n
-    vi, _ = common_scale([v[lab] for lab in lat.labels])
+    vi, scale = common_scale([v[lab] for lab in lat.labels])
     failure = modular_failure(lat, vi)
     witness = None if failure is None else tuple(lat.labels[k] for k in failure)
     isotone = all(vi[i] <= vi[j] for i in range(n) for j in bits(lat.leq_rows[i]))
-    return ValuationCheck(witness is None, isotone, witness)
+    return ValuationCheck(witness is None, isotone, witness, (lat, vi, scale))
 
 
 def modular_failure(lat: FiniteLattice, vi):
@@ -84,17 +87,22 @@ def modular_failure(lat: FiniteLattice, vi):
 class LatticeMetric:
     """d(x, y) = v(x∨y) − v(x∧y) for a strictly isotone valuation v.
 
-    ``table[i][j]`` is d(i, j) as an integer over ``scale``, the least common
-    denominator of v, so ``d`` returns ``Fraction(table[i][j], scale)``.
+    ``values`` maps each label to its value, or is the ``ValuationCheck``
+    that ``check_valuation`` returned for ``lat``, so a caller that has
+    checked the values does not pay for a second scan.  ``table[i][j]`` is
+    d(i, j) as an integer over ``scale``, the least common denominator of
+    v, so ``d`` returns ``Fraction(table[i][j], scale)``.
     """
 
     def __init__(self, lat: FiniteLattice, values):
-        check = check_valuation(lat, values)
+        check = values if isinstance(values, ValuationCheck) else check_valuation(lat, values)
+        if check.scaled is None or check.scaled[0] is not lat:
+            raise LatticeError("valuation check made on another lattice")
         if not check.is_valuation:
             raise ValuationError("not a valuation", check.witness)
         if not check.is_isotone:
             raise ValuationError("valuation not isotone", None)
-        vi, self.scale = common_scale([Fraction(values[lab]) for lab in lat.labels])
+        _, vi, self.scale = check.scaled
         labels, n = lat.labels, lat.n
         for i, j in lat.covers_i:
             if vi[i] == vi[j]:
@@ -115,22 +123,63 @@ class LatticeMetric:
 def _metric_axiom_failure(table):
     """The first metric axiom a square table of rationals breaks, or None.
 
-    Pairs are checked row by row; the triangle inequality over every k is
-    one C-level ``min`` per pair.
+    The table of a strictly isotone valuation is a metric by theorem
+    (Birkhoff, Lattice Theory, 3rd ed., 1967, ch. X: a lattice with a
+    positive valuation is a metric lattice); this is the second route, the
+    axioms checked on the numbers.  Pairs are taken row by row, and at each
+    pair the axioms in the order diagonal (once per row), non-negative,
+    nondegenerate, symmetric, triangle, so a table that breaks two axioms
+    names the first.  The cheap axioms give each row a first failing
+    column; the triangle inequality is tested on the columns before it.
+
+    The triangle test packs integers into one int per row (Lamport,
+    "Multiple byte processing with full-word instructions", CACM 18(8),
+    1975).  The table is scaled to integers over one denominator and
+    shifted by its least entry L <= 0 into fields of w bits, w a multiple
+    of 8 with 2^(w-1) > 2U for U the largest shifted entry (at least -L).
+    t[i][j] <= t[i][k] + t[k][j] for every k says the shifted row i plus
+    the shifted column j is at least c = t[i][j] - 2L in every field.
+    Each field of row + column + (2^(w-1) - c) stays in [0, 2^w), as
+    0 <= c <= 2U, so no field carries into the next, and its top bit, the
+    guard, is set iff the inequality holds at that k.  One pair is then two
+    additions and an AND.  In a symmetric table the test at (i, j < i) is
+    the test at (j, i), already passed, so only j >= i is tested; (i, i)
+    stays, as it fails on a row with a negative entry.
     """
-    cols = list(zip(*table))
-    for i, row in enumerate(table):
+    n = len(table)
+    flat, _ = common_scale([x for row in table for x in row])
+    rows = [flat[k : k + n] for k in range(0, n * n, n)]
+    cols = [list(col) for col in zip(*rows)]
+    symmetric = rows == cols
+    low, high = min(0, min(flat, default=0)), max(0, max(flat, default=0))
+    size = (2 * (high - low)).bit_length() // 8 + 1  # bytes per field
+    ones = int.from_bytes(b"\x01".ljust(size, b"\0") * n, "little")
+    guards = ones << 8 * size - 1
+    offset = {t: guards - (t - 2 * low) * ones for t in set(flat)}
+
+    def pack(seq):
+        shifted = map(low.__rsub__, seq)
+        return int.from_bytes(b"".join(map(int.to_bytes, shifted, repeat(size), repeat("little"))), "little")
+
+    packed_rows = list(map(pack, rows))
+    packed_cols = packed_rows if symmetric else list(map(pack, cols))
+    for i, row in enumerate(rows):
         if row[i] != 0:
             return "metric must vanish on the diagonal"
-        for j, col in enumerate(cols):
-            if row[j] < 0:
+        # the first column of each cheap axiom's failure, n for none
+        negative = next(compress(count(), map((0).__gt__, row)), n) if low < 0 else n
+        zero = next((j for j in compress(count(), map(not_, row)) if j != i), n) if row.count(0) > 1 else n
+        asymmetric = n if symmetric else next(compress(count(), map(ne, row, cols[i])), n)
+        stop = min(negative, zero, asymmetric)
+        start = i if symmetric else 0
+        sums = map(packed_rows[i].__add__, packed_cols[start:stop])
+        fields = map(add, sums, map(offset.__getitem__, row[start:stop]))
+        if first_mismatch(map(guards.__and__, fields), repeat(guards)) is not None:
+            return "triangle inequality"
+        if stop < n:
+            if stop == negative:
                 return "metric must be non-negative"
-            if (row[j] == 0) != (i == j):
-                return "metric must be nondegenerate"
-            if row[j] != table[j][i]:
-                return "metric must be symmetric"
-            if row[j] > min(map(add, row, col)):
-                return "triangle inequality"
+            return "metric must be nondegenerate" if stop == zero else "metric must be symmetric"
     return None
 
 

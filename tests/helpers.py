@@ -896,6 +896,22 @@ def from_covers_loop(labels, covers) -> FinitePoset:
     return FinitePoset(labels, rows)
 
 
+def covers_loop(poset):
+    """``(covers_i, _cover_up, _cover_down)`` by testing every related pair
+    i < j for an element strictly between them."""
+    n, up = poset.n, poset.leq_rows
+    pairs = [
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and up[i] >> j & 1
+        and not any(k not in (i, j) and up[i] >> k & 1 and up[k] >> j & 1 for k in range(n))
+    ]
+    cover_up, cover_down = [0] * n, [0] * n
+    for i, j in pairs:
+        cover_up[i] |= 1 << j
+        cover_down[j] |= 1 << i
+    return tuple(pairs), tuple(cover_up), tuple(cover_down)
+
+
 def lattice_tables_loop(poset):
     """Join and meet by scanning for the least upper (greatest lower) bound,
     as padded byte rows: entry k >= n of each row is k."""

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import PARSER_EXITS, enumerate_lattices_loop, exit_outcome, parse_reference, reduce_boolean_loop
-from primlat import cli, core
+from primlat import cli, core, valuation
 from primlat.cli import main
-from primlat.core import LatticeError
+from primlat.core import LatticeError, build_lattice
+from primlat.textio import parse_lattice_text
+from primlat.valuation import metric_from_valuation
 from primlat.primorial import boolean_carrier
 from primlat.textio import format_carrier
 
@@ -194,6 +197,72 @@ def test_metric_command_accepts_and_rejects(o6_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x\ty\td" in out
     assert "a\tb\t2" in out
+
+
+def _valued_text(name, labels, covers, value):
+    return "\n".join([
+        f"lattice {name}",
+        " ".join(["elements", *labels]),
+        " ".join(["covers", *(f"{a}<{b}" for a, b in covers)]),
+        " ".join(["valuation", *(f"{x}={value(x)}" for x in labels)]),
+    ]) + "\n"
+
+
+def _fractional_valuations():
+    """Lattice texts with strictly isotone valuations of mixed denominators:
+    2^3, the chain product 3 x 4 and M3 x 2."""
+    w = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4))
+    b3 = [f"s{x}" for x in range(8)]
+    yield _valued_text(
+        "b3", b3, [(f"s{x}", f"s{x | 1 << b}") for x in range(8) for b in range(3) if not x >> b & 1],
+        lambda s: sum((w[b] for b in range(3) if int(s[1:]) >> b & 1), Fraction(0)),
+    )
+    steps = ((Fraction(0), Fraction(3, 4), Fraction(7, 6)), (Fraction(0), Fraction(1, 5), Fraction(9, 10), 2))
+    grid = [f"a{i}b{j}" for i in range(3) for j in range(4)]
+    yield _valued_text(
+        "grid", grid,
+        [(f"a{i}b{j}", f"a{i + 1}b{j}") for i in range(2) for j in range(4)]
+        + [(f"a{i}b{j}", f"a{i}b{j + 1}") for i in range(3) for j in range(3)],
+        lambda s: steps[0][int(s[1])] + steps[1][int(s[3])],
+    )
+    height = {"0": 0, "p": 1, "q": 1, "r": 1, "1": 2}
+    m3 = [f"{x}{m}" for x in height for m in range(2)]
+    yield _valued_text(
+        "m3x2", m3,
+        [(f"0{m}", f"{x}{m}") for x in "pqr" for m in range(2)]
+        + [(f"{x}{m}", f"1{m}") for x in "pqr" for m in range(2)]
+        + [(f"{x}0", f"{x}1") for x in height],
+        lambda s: Fraction(height[s[0]], 3) + Fraction(int(s[1]) * 5, 7),
+    )
+
+
+@pytest.mark.parametrize("text", list(_fractional_valuations()), ids=["b3", "grid", "m3x2"])
+def test_metric_table_prints_as_the_distance_per_pair(text, tmp_path, capsys):
+    """The TSV read off the table by index, each distinct value formatted
+    once, is byte for byte the one that ``metric.d(a, b)`` gives per pair."""
+    doc = parse_lattice_text(text)
+    lat = build_lattice(doc.elements, doc.covers)
+    metric = metric_from_valuation(lat, doc.valuation)
+    assert metric.scale > 1
+    want = "valuation: true\nisotone: true\nx\ty\td\n" + "".join(
+        f"{a}\t{b}\t{metric.d(a, b)}\n" for a in lat.labels for b in lat.labels
+    )
+    path = tmp_path / "v.lat"
+    path.write_text(text)
+    assert main(["metric", str(path)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_metric_scans_the_valuation_once(tmp_path, monkeypatch, capsys):
+    # the law and isotonicity are one check_valuation, whose law scan is
+    # modular_failure; the metric is built from that check
+    scans = []
+    scan = valuation.modular_failure
+    monkeypatch.setattr(valuation, "modular_failure", lambda lat, vi: scans.append(lat.n) or scan(lat, vi))
+    path = tmp_path / "b3.lat"
+    path.write_text(next(_fractional_valuations()))
+    assert main(["metric", str(path)]) == 0
+    assert scans == [8]
 
 
 def test_metric_command_rejects_a_flat_valuation(tmp_path, capsys):

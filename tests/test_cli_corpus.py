@@ -6,6 +6,7 @@ Plain Python and ``python -O`` run the same program (``src/`` holds no
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,13 @@ def _b8():
         " ".join(["covers", *(f"s{x}<s{x | 1 << b}" for x in range(256) for b in range(8) if not x >> b & 1)]),
         " ".join(["ortho", *(f"s{x}:s{255 ^ x}" for x in range(256))]),
     ]) + "\n"
+
+
+def _b8_fractional():
+    """2^8 with a valuation of a different fractional weight per atom."""
+    weight = [Fraction(1, 2 + b) for b in range(8)]
+    values = (sum((w for b, w in enumerate(weight) if x >> b & 1), Fraction(0)) for x in range(256))
+    return _b8().replace("\northo", "\nvaluation " + " ".join(f"s{x}={v}" for x, v in enumerate(values)) + "\northo")
 
 
 def _plus_fasta():
@@ -55,6 +63,7 @@ def _mo2b2():
 
 INPUTS = {
     "b8.lat": _b8,
+    "b8frac.lat": _b8_fractional,
     "big.lat": lambda: "lattice big\n" + " ".join(["elements", *(f"s{x}" for x in range(20000))]) + "\n",
     "top6.txt": lambda: " ".join(_subset(x, 6) for x in range(64)) + "\n",
     "flat.lat": lambda: "lattice flat\nelements a b\ncovers a<b\nvaluation a=0 b=0\n",
@@ -96,6 +105,7 @@ INPUTS = {
 # (exit code, argv, expected stdout or None); $name is the path of INPUTS[name]
 ROWS = [
     (0, "classify $b8.lat", None),
+    (0, "metric $b8frac.lat", None),
     (0, "probability --random-boolean 8 --seed 3", None),
     (0, "reduce --n 6", None),
     (1, "reduce --n 7", None),

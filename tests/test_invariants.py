@@ -81,6 +81,13 @@ _enclosing_chain_level = projection._enclosing_chain_level
 FORCED = {
     "core-modularity": (N5, ["classify"], 0, [(core, "_find_pentagon", _none)], "modularity routes disagree"),
     "core-distributivity": (M3, ["classify"], 0, [(core, "_find_diamond", _none)], "distributivity routes disagree"),
+    "core-modularity-certificate": (
+        N5, ["classify"], 0, [(core, "modular_by_certificate", lambda lat: True)], "modularity routes disagree",
+    ),
+    "core-distributivity-certificate": (
+        M3, ["classify"], 0, [(core, "distributive_by_certificate", lambda lat: True)],
+        "distributivity routes disagree",
+    ),
     "core-width": (
         N5, ["classify"], 0, [(core, "_chain_partition", _drop_antichain_element)],
         "chain cover and antichain certificates disagree",

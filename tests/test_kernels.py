@@ -25,9 +25,11 @@ from primlat.core import (
     build_lattice,
     classify,
     complements_i,
+    distributive_by_certificate,
     distributive_by_identity,
     enumerate_lattices,
     law_witnesses,
+    modular_by_certificate,
     modular_by_identity,
 )
 from primlat.ortho import (
@@ -53,6 +55,7 @@ from helpers import (
     antitone_failure_loop,
     atomicity_loop,
     check_valuation_loop,
+    covers_loop,
     de_morgan_rows_loop,
     direct_product,
     distributive_identity_loop,
@@ -260,6 +263,8 @@ def test_identity_kernels_on_random_lattices(n, rel):
         lat = macneille_completion(p)
         assert distributive_by_identity(lat) == distributive_identity_loop(lat)
         assert modular_by_identity(lat) == modular_identity_loop(lat)
+        assert distributive_by_certificate(lat) == distributive_identity_loop(lat)
+        assert modular_by_certificate(lat) == modular_identity_loop(lat)
 
 
 def _random_covers(rng, n):
@@ -309,7 +314,8 @@ def test_closure_matches_warshall_on_random_relations():
             continue
         got = build_lattice(labels, covers)
         assert "geq_rows" in vars(got)
-        assert (got.leq_rows, got.geq_rows, got.covers_i) == (want.leq_rows, want.geq_rows, want.covers_i)
+        assert (got.leq_rows, got.geq_rows) == (want.leq_rows, want.geq_rows)
+        assert (got.covers_i, got._cover_up, got._cover_down) == covers_loop(want)
         join, meet, witness = lattice_tables_loop(want)
         assert got.is_lattice == (witness is None)
         if got.is_lattice:
@@ -338,6 +344,68 @@ def test_triangle_kernel_on_chain_product_valuations(steps):
     values = {(a, b): left[int(a[1:])] + right[int(b[1:])] for a, b in lat.labels}
     metric = metric_from_valuation(lat, values)
     assert metric_axiom_failure_loop(metric.table) is None
+
+
+def _edge_table(rng, edge):
+    """A zero-diagonal symmetric table of 2-6 elements whose entries sit at
+    the packed fields' width edge (``edge`` and its half, each give or take
+    one), so that triangle sums meet or miss their target by one; a quarter
+    of the tables also get one entry of -``edge``, 0 or a different value,
+    mirrored or not, which breaks another axiom or shifts the fields by the
+    minimum."""
+    n = rng.randint(2, 6)
+    near = [1, edge // 2 - 1, edge // 2, edge // 2 + 1, edge - 1, edge]
+    t = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            t[i][j] = t[j][i] = rng.choice(near)
+    if rng.random() < 0.25:
+        i, j = rng.randrange(n), rng.randrange(n)
+        t[i][j] = rng.choice([-edge, 0, edge + 1])
+        if rng.random() < 0.5:
+            t[j][i] = t[i][j]
+    return t
+
+
+def test_triangle_kernel_matches_loop_at_the_field_width_edge():
+    """Integer tables whose largest entry, and so twice it, sits on either
+    side of a power of two: one field byte more or less."""
+    rng = random.Random(31)
+    outcomes = Counter()
+    for edge in (63, 64, 127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**64):
+        for _ in range(300):
+            t = _edge_table(rng, edge)
+            want = metric_axiom_failure_loop(t)
+            assert _metric_axiom_failure(t) == want, (edge, t)
+            outcomes[want] += 1
+    assert outcomes["triangle inequality"] > 500 and outcomes[None] > 500, outcomes
+    # a negative entry is named only when its mirror differs at the same
+    # pair, which these tables rarely make; the explicit case below has one
+    assert set(outcomes) >= {
+        None, "triangle inequality", "metric must vanish on the diagonal", "metric must be nondegenerate",
+        "metric must be symmetric",
+    }
+
+
+def test_a_row_that_passes_is_not_blamed_for_a_later_negative_entry():
+    # row 0 passes every axiom; the -1 at (2, 1) is first seen as the
+    # asymmetry at (1, 2), before row 2 is reached
+    t = [[0, 1, 3], [1, 0, 5], [3, -1, 0]]
+    assert _metric_axiom_failure(t) == metric_axiom_failure_loop(t) == "metric must be symmetric"
+    # in row 0 the triangle holds at (0, 0), and (0, 1) is negative
+    t = [[0, -1], [5, 0]]
+    assert _metric_axiom_failure(t) == metric_axiom_failure_loop(t) == "metric must be non-negative"
+
+
+@pytest.mark.parametrize("edge", [63, 64, 127, 128, 2**31])
+def test_triangle_kernel_at_equality_and_one_past_it(edge):
+    # the path 0 - 1 - 2 meets the inequality with equality at
+    # d(0, 2) = 2·edge and breaks it at one more; with edge beside a power
+    # of two, so is the field width
+    path = [[0, edge, 2 * edge], [edge, 0, edge], [2 * edge, edge, 0]]
+    assert _metric_axiom_failure(path) is metric_axiom_failure_loop(path) is None
+    path[0][2] = path[2][0] = 2 * edge + 1
+    assert _metric_axiom_failure(path) == metric_axiom_failure_loop(path) == "triangle inequality"
 
 
 @example(3, [Fraction(0)] * 3 + [Fraction(1)] + [Fraction(0)] * 2 + [Fraction(5), Fraction(1)] + [Fraction(0)] * 17, True)
@@ -457,6 +525,25 @@ def test_law_witnesses_match_loops_and_classify(group):
         rep = classify(lat)
         assert (rep.n5_witness, rep.distributive_witness) == (n5, want)
         assert (rep.is_atomic, rep.is_anti_atomic) == atomicity_loop(lat)
+
+
+@pytest.mark.parametrize("group", LAW_CHECKED)
+def test_certificates_match_identities_and_positive_verdicts_hold_no_witness(group):
+    """Each certificate gives the identity's verdict; and as ``law_witnesses``
+    searches only on a negative verdict, this is where the searches are
+    shown to find nothing on every modular (no N5) and distributive (no M3
+    either) lattice of 1-9 elements."""
+    verdicts = Counter()
+    for lat in LAW_CHECKED[group]:
+        modular, distributive = modular_by_identity(lat), distributive_by_identity(lat)
+        assert modular_by_certificate(lat) == modular
+        assert distributive_by_certificate(lat) == distributive
+        if modular:
+            assert _find_pentagon(lat) is None
+        if distributive:
+            assert _find_diamond(lat) is None
+        verdicts[modular, distributive] += 1
+    assert verdicts[True, True] > 0
 
 
 def test_the_searched_lattices_hold_both_answers():

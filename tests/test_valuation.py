@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from primlat.core import classify
+from primlat.core import LatticeError, classify
 from primlat.valuation import (
     ValuationCheck,
     ValuationError,
@@ -143,3 +143,30 @@ def test_height_valuation_characterizes_modularity(small_lattices):
         if modular:
             assert chk.is_isotone
             metric_from_valuation(lat, height_valuation(lat))
+
+
+def test_a_check_builds_the_metric_and_refuses_as_the_values_do():
+    lat = powerset(2)
+    good = {0: 0, 1: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)}
+    via_check = metric_from_valuation(lat, check_valuation(lat, good))
+    assert via_check.table == metric_from_valuation(lat, good).table and via_check.scale == 2
+    for values, reason in (
+        ({0: 0, 1: 1, 2: 1, 3: 1}, "not a valuation"),
+        ({0: 0, 1: 1, 2: -2, 3: -1}, "valuation not isotone"),
+        ({0: 0, 1: 0, 2: 1, 3: 1}, "valuation not strictly isotone"),
+    ):
+        errors = []
+        for given in (values, check_valuation(lat, values)):
+            with pytest.raises(ValuationError) as exc:
+                metric_from_valuation(lat, given)
+            errors.append((str(exc.value), exc.value.witness))
+        assert errors[0] == errors[1] and errors[0][0].startswith(reason)
+
+
+def test_a_check_of_another_lattice_is_refused():
+    lat, other = powerset(2), powerset(2)
+    check = check_valuation(other, height_valuation(other))
+    with pytest.raises(LatticeError, match="valuation check made on another lattice"):
+        metric_from_valuation(lat, check)
+    with pytest.raises(LatticeError, match="valuation check made on another lattice"):
+        metric_from_valuation(lat, ValuationCheck(True, True, None))
