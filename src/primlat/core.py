@@ -33,6 +33,50 @@ class InvariantError(AssertionError):
     plain ``if`` checks, which ``python -O`` keeps."""
 
 
+class Record:
+    """An immutable record for the few results a ``NamedTuple`` cannot
+    hold: one whose constructor checks its fields, which a named tuple's
+    ``_make`` and ``_replace`` would skip, or one with a field left out of
+    ``==``.  The other result records are ``NamedTuple`` classes.
+
+    ``__slots__`` names the fields in constructor order, and ``_compared``
+    the ones that ``==``, ``hash`` and ``repr`` read.  A subclass checks its
+    arguments in ``__init__`` and then calls ``Record.__init__``; ``copy``
+    and ``pickle`` rebuild through the constructor, so they check too.
+    """
+
+    __slots__ = ()
+    _compared = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 def bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -3,7 +3,7 @@ orthogonality (one kernel, ``orthogonal_rows``) and center of a negation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     IDENTITY_ROW,
@@ -243,8 +243,7 @@ def orthogonal_rows(lat: FiniteLattice, perm):
     return [marked(perm, lat.n, mark_table(row)) for row in lat.leq_rows]
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     orthogonal_pairs: int  # unordered {x, y}, x = y allowed, with x <= ¬y or y <= ¬x
     center: tuple  # labels of the x commuting with every y
 

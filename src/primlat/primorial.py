@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .core import FiniteLattice, InvariantError, LatticeError
 from .ortho import attach_ortho
@@ -319,8 +319,7 @@ def difference(lx: Level, ly: Level) -> Level:
 # family assembly
 
 
-@dataclass(frozen=True)
-class PrimorialLattice:
+class PrimorialLattice(NamedTuple):
     """Chain of Boolean levels plus their difference levels, ordered by
     carrier inclusion."""
 
@@ -415,8 +414,7 @@ def generate_primorial(n: int, choices=None) -> PrimorialLattice:
 # recognition
 
 
-@dataclass(frozen=True)
-class PrimorialRoles:
+class PrimorialRoles(NamedTuple):
     bottom: object
     y_chain: tuple  # y0 <= y1 <= ... (strictly increasing joins)
     x_atoms: tuple  # x0, x1, ... joined in order

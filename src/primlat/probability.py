@@ -3,9 +3,9 @@ comparison against the classical probability definitions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
+from typing import NamedTuple
 
 from .core import (
     FiniteLattice,
@@ -28,8 +28,7 @@ class ProbabilityError(LatticeError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class ProbabilityAssignment:
+class ProbabilityAssignment(NamedTuple):
     lattice: FiniteLattice
     neg: dict
     p: dict  # label -> Fraction
@@ -113,8 +112,7 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
 # comparison report
 
 
-@dataclass(frozen=True)
-class DefinitionVerdict:
+class DefinitionVerdict(NamedTuple):
     satisfied: bool
     witness: tuple | None  # (description, elements, lhs, rhs)
 

@@ -10,9 +10,9 @@ object holding one element mask per byte, so every level of a pyramid is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import MAX_ATOMS, LatticeError
+from .core import MAX_ATOMS, LatticeError, Record
 from .primorial import PrimorialLattice, generate_primorial
 from .projection import project_sequence
 from .textio import parse_choices
@@ -22,17 +22,17 @@ class SequenceError(LatticeError):
     pass
 
 
-@dataclass(frozen=True)
-class SymbolAlphabet:
+class SymbolAlphabet(Record):
     """Ordered symbols encoded as the atoms of a 2^N carrier."""
 
-    symbols: tuple
+    __slots__ = _compared = ("symbols",)
 
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
+    def __init__(self, symbols: tuple):
+        if len(set(symbols)) != len(symbols):
             raise SequenceError("alphabet symbols must be distinct")
-        if len(self.symbols) > MAX_ATOMS:
-            raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {len(self.symbols)}")
+        if len(symbols) > MAX_ATOMS:
+            raise SequenceError(f"sequences hold at most {MAX_ATOMS} symbols, not {len(symbols)}")
+        super().__init__(symbols)
 
     @property
     def top_n(self):
@@ -50,16 +50,18 @@ class SymbolAlphabet:
         return "{" + ",".join(names) + "}"
 
 
-@dataclass(frozen=True)
-class AnalysisPyramid:
-    method: str
-    source: bytes  # top-carrier masks, one per byte
-    levels: dict  # member name -> bytes
+class AnalysisPyramid(Record):
+    """An input sequence and its projection onto every member of a family:
+    ``source`` holds top-carrier masks, one per byte, and ``levels`` maps
+    each member name to bytes of the same length."""
 
-    def __post_init__(self):
-        for name, seq in self.levels.items():
-            if len(seq) != len(self.source):
+    __slots__ = _compared = ("method", "source", "levels")
+
+    def __init__(self, method: str, source: bytes, levels: dict):
+        for name, seq in levels.items():
+            if len(seq) != len(source):
                 raise SequenceError(f"level {name!r} does not have the input's length")
+        super().__init__(method, source, levels)
 
 
 def encode(alphabet: SymbolAlphabet, tokens) -> bytes:
@@ -184,8 +186,7 @@ def summarize(
 # gsp presets -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GspPreset:
+class GspPreset(NamedTuple):
     alphabet: SymbolAlphabet
     primorial: PrimorialLattice
 

@@ -21,8 +21,8 @@ not give one label two values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import FinitePoset, LatticeError, bits
 
@@ -53,22 +53,25 @@ def _conflict(lineno, keyword, key):
     return FormatError(f"line {lineno}: conflicting {keyword} entries for {key!r}")
 
 
-@dataclass
-class LatticeDocument:
-    name: str = ""
-    elements: tuple = ()
-    covers: tuple = ()
-    ortho: dict = field(default_factory=dict)
-    valuation: dict = field(default_factory=dict)
-    prob: dict = field(default_factory=dict)
-    negation: dict = field(default_factory=dict)
+class LatticeDocument(NamedTuple):
+    """One parsed lattice text: the stanzas of each keyword merged, in
+    text order; ``name`` is "" when no ``lattice`` stanza gives one."""
+
+    name: str
+    elements: tuple
+    covers: tuple
+    ortho: dict  # label -> label, both ways round
+    valuation: dict  # label -> Fraction
+    prob: dict  # label -> Fraction
+    negation: dict  # label -> label
 
 
 def parse_lattice_text(text: str) -> LatticeDocument:
-    doc = LatticeDocument()
+    name = ""
     elements = []
     covers = []
     named = []  # (line, stanza, label) for each label a stanza other than covers names
+    ortho, valuation, prob, negation = {}, {}, {}, {}
     rationals = {}  # each distinct value token is read once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -78,7 +81,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
         if keyword == "lattice":
             if len(rest) != 1:
                 raise FormatError(f"line {lineno}: lattice stanza wants one name")
-            doc.name = rest[0]
+            name = rest[0]
         elif keyword == "elements":
             elements.extend(rest)
         elif keyword == "covers":
@@ -93,12 +96,12 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                     raise FormatError(f"line {lineno}: ortho pair {tok!r} is not a:b")
                 a, b = tok.split(":")
                 named += [(lineno, keyword, a), (lineno, keyword, b)]
-                if doc.ortho.setdefault(a, b) != b:
+                if ortho.setdefault(a, b) != b:
                     raise _conflict(lineno, keyword, a)
-                if doc.ortho.setdefault(b, a) != a:
+                if ortho.setdefault(b, a) != a:
                     raise _conflict(lineno, keyword, b)
         elif keyword in ("valuation", "prob"):
-            target = doc.valuation if keyword == "valuation" else doc.prob
+            target = valuation if keyword == "valuation" else prob
             for tok in rest:
                 if tok.count("=") != 1:
                     raise FormatError(f"line {lineno}: entry {tok!r} is not e=value")
@@ -116,7 +119,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
                     raise FormatError(f"line {lineno}: negation entry {tok!r} is not a->b")
                 a, b = tok.split("->", 1)
                 named += [(lineno, keyword, a), (lineno, keyword, b)]
-                if doc.negation.setdefault(a, b) != b:
+                if negation.setdefault(a, b) != b:
                     raise _conflict(lineno, keyword, a)
         else:
             raise FormatError(f"line {lineno}: unknown stanza {keyword!r}")
@@ -124,9 +127,7 @@ def parse_lattice_text(text: str) -> LatticeDocument:
     for lineno, keyword, label in named:
         if label not in declared:
             raise FormatError(f"line {lineno}: unknown element {label!r} in {keyword} stanza")
-    doc.elements = tuple(elements)
-    doc.covers = tuple(covers)
-    return doc
+    return LatticeDocument(name, tuple(elements), tuple(covers), ortho, valuation, prob, negation)
 
 
 def read_text(path) -> str:

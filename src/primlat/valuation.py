@@ -7,13 +7,12 @@ valuation's common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 from operator import add, ne, not_, sub
 
-from .core import FiniteLattice, InvariantError, LatticeError, bits
+from .core import FiniteLattice, InvariantError, LatticeError, Record, bits
 
 
 class ValuationError(LatticeError):
@@ -47,14 +46,18 @@ def _as_fraction_map(lat, values):
     return out
 
 
-@dataclass(frozen=True)
-class ValuationCheck:
-    is_valuation: bool
-    is_isotone: bool
-    witness: tuple | None  # first failing pair, if any
-    # (lattice, values as integers over their least common denominator,
-    # that denominator): what ``LatticeMetric`` builds its table from
-    scaled: tuple | None = field(default=None, compare=False, repr=False)
+class ValuationCheck(Record):
+    """Whether values are a valuation and isotone, with the first failing
+    pair, if any, as ``witness``.  ``scaled`` is (lattice, values as
+    integers over their least common denominator, that denominator): what
+    ``LatticeMetric`` builds its table from.  It is not compared, hashed
+    or shown."""
+
+    __slots__ = ("is_valuation", "is_isotone", "witness", "scaled")
+    _compared = __slots__[:3]
+
+    def __init__(self, is_valuation: bool, is_isotone: bool, witness, scaled=None):
+        super().__init__(is_valuation, is_isotone, witness, scaled)
 
 
 def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
@@ -121,7 +124,7 @@ class LatticeMetric:
 
 
 def _metric_axiom_failure(table):
-    """The first metric axiom a square table of rationals breaks, or None.
+    """The first metric axiom a square table of integers breaks, or None.
 
     The table of a strictly isotone valuation is a metric by theorem
     (Birkhoff, Lattice Theory, 3rd ed., 1967, ch. X: a lattice with a
@@ -134,9 +137,12 @@ def _metric_axiom_failure(table):
 
     The triangle test packs integers into one int per row (Lamport,
     "Multiple byte processing with full-word instructions", CACM 18(8),
-    1975).  The table is scaled to integers over one denominator and
-    shifted by its least entry L <= 0 into fields of w bits, w a multiple
-    of 8 with 2^(w-1) > 2U for U the largest shifted entry (at least -L).
+    1975).  The entries are taken as integers, as ``LatticeMetric`` builds
+    them over the valuation's common denominator, so no pass rescales them;
+    a table of rationals must be brought over one denominator first
+    (``common_scale``).  They are shifted by the least entry L <= 0 into
+    fields of w bits, w a multiple of 8 with 2^(w-1) > 2U for U the largest
+    shifted entry (at least -L).
     t[i][j] <= t[i][k] + t[k][j] for every k says the shifted row i plus
     the shifted column j is at least c = t[i][j] - 2L in every field.
     Each field of row + column + (2^(w-1) - c) stays in [0, 2^w), as
@@ -147,15 +153,15 @@ def _metric_axiom_failure(table):
     stays, as it fails on a row with a negative entry.
     """
     n = len(table)
-    flat, _ = common_scale([x for row in table for x in row])
-    rows = [flat[k : k + n] for k in range(0, n * n, n)]
+    rows = list(map(list, table))
     cols = [list(col) for col in zip(*rows)]
     symmetric = rows == cols
-    low, high = min(0, min(flat, default=0)), max(0, max(flat, default=0))
+    entries = set().union(*rows)
+    low, high = min(0, min(entries, default=0)), max(0, max(entries, default=0))
     size = (2 * (high - low)).bit_length() // 8 + 1  # bytes per field
     ones = int.from_bytes(b"\x01".ljust(size, b"\0") * n, "little")
     guards = ones << 8 * size - 1
-    offset = {t: guards - (t - 2 * low) * ones for t in set(flat)}
+    offset = {t: guards - (t - 2 * low) * ones for t in entries}
 
     def pack(seq):
         shifted = map(low.__rsub__, seq)

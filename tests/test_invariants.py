@@ -219,6 +219,27 @@ def test_src_imports_only_the_standard_library():
         assert sorted({name.split(".")[0] for name in names} - allowed) == [], path.name
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for its imports: `dataclasses` pulls in `inspect`,
+    # `ast`, `dis` and `tokenize`, and each @dataclass execs generated code
+    # that no bytecode cache keeps, so the records are named tuples and
+    # core.Record classes
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name
+    # a child, as pytest itself imports both; -S keeps site's imports out
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import primlat.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)], capture_output=True, text=True, timeout=60
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
 CHILD = """\
 import sys
 from primlat import cli, core

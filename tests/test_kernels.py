@@ -421,7 +421,11 @@ def test_metric_axiom_kernel_matches_loop_on_any_table(n, entries, symmetric):
             t[i][i] = Fraction(0)
             for j in range(i):
                 t[i][j] = t[j][i] = abs(t[i][j]) + Fraction(1, 9)
-    assert _metric_axiom_failure(t) == metric_axiom_failure_loop(t)
+    # the kernel takes integers, as LatticeMetric hands it; the loop reads
+    # the rationals themselves, so this also checks that scaling keeps the axioms
+    flat, _ = common_scale([x for row in t for x in row])
+    scaled = [flat[k : k + n] for k in range(0, n * n, n)]
+    assert _metric_axiom_failure(scaled) == metric_axiom_failure_loop(t)
 
 
 def test_a_256_element_lattice_classifies():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -237,7 +236,7 @@ def test_project_sequence_names_the_first_bad_element_like_the_loop(family3):
 
 def test_project_sequence_refuses_more_than_one_byte_per_element(family3):
     assert MAX_ATOMS == 8
-    wide = dataclasses.replace(family3, top_n=9)
+    wide = family3._replace(top_n=9)
     for items in ((), (1, 2)):
         with pytest.raises(LatticeError, match=r"^sequences hold elements of 2\^N for N <= 8, not of 2\^9$"):
             project_sequence(wide, "D3", items, "zero")
