@@ -43,6 +43,12 @@ class Record:
     the ones that ``==``, ``hash`` and ``repr`` read.  A subclass checks its
     arguments in ``__init__`` and then calls ``Record.__init__``; ``copy``
     and ``pickle`` rebuild through the constructor, so they check too.
+
+    The value classes that keep an instance dict for their cached
+    properties (posets and lattices, levels, property reports, metrics)
+    take its ``__setattr__`` and ``__delattr__``: their constructors fill
+    the dict once with ``vars(self).update``, and ``cached_property``
+    writes the dict directly.
     """
 
     __slots__ = ()
@@ -151,14 +157,15 @@ class FinitePoset:
     """
 
     is_lattice = False
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     def __init__(self, labels, leq):
-        self.labels = tuple(labels)
-        self.leq_rows = tuple(leq)
-        self.n = len(self.labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != self.n:
+        labels = tuple(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise LatticeError("duplicate element label")
+        vars(self).update(labels=labels, leq_rows=tuple(leq), n=len(labels), _index=index)
 
     @staticmethod
     def from_covers(labels, covers):
@@ -193,8 +200,8 @@ class FinitePoset:
             if both:
                 j = (both & -both).bit_length() - 1
                 raise LatticeError(f"antisymmetry violation: cycle through {labels[i]!r} and {labels[j]!r}")
-        poset.leq_rows = tuple(rows)
-        poset.geq_rows = tuple(cols)  # fills the cached property
+        # geq_rows fills the cached property
+        vars(poset).update(leq_rows=tuple(rows), geq_rows=tuple(cols))
         return poset
 
     # -- order queries (index based internally, label based publicly) -------
@@ -300,8 +307,9 @@ class FiniteLattice(FinitePoset):
             join, meet, witness = self.lattice_tables()
             if witness is not None:
                 raise LatticeError(f"not a lattice: {witness[0]!r}, {witness[1]!r} have {witness[2]}")
-            tables = (join, meet)
-        self.join_table, self.meet_table = tables
+        else:
+            join, meet = tables
+        vars(self).update(join_table=join, meet_table=meet)
 
     def pairwise(self, table, xs, ys):
         """``op(xs[k], ys[k])`` for every element k, as bytes.
@@ -391,8 +399,8 @@ def build_lattice(labels, covers):
     join, meet, witness = poset.lattice_tables()
     if witness is None:
         # the same order, label index and down-sets, now with its tables
-        poset.__class__ = FiniteLattice
-        poset.join_table, poset.meet_table = join, meet
+        object.__setattr__(poset, "__class__", FiniteLattice)
+        vars(poset).update(join_table=join, meet_table=meet)
     return poset
 
 
@@ -404,46 +412,55 @@ class PropertyReport:
     """Structural classification of one finite lattice: what ``classify``
     prints, with modularity and distributivity from ``law_witnesses``."""
 
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
     def __init__(self, lat: FiniteLattice):
         if lat.n == 0:
             raise LatticeError("cannot classify the empty lattice")
-        self.is_bounded = True
-        self.bottom = lat.bottom
-        self.top = lat.top
+        labels = lat.labels
         antis = tuple(bits(lat._cover_down[lat.top_i]))
-        self.atoms = tuple(lat.labels[i] for i in lat.atoms_i)
-        self.anti_atoms = tuple(lat.labels[i] for i in antis)
-        self.lattice_height = lat.heights[lat.top_i]
         # every element is the join of the atoms below it iff no two share
         # that set of atoms: the join of i's atoms has exactly i's atoms below
         atom_bits, coatom_bits = sum(1 << a for a in lat.atoms_i), sum(1 << a for a in antis)
-        self.is_atomic = len({down & atom_bits for down in lat.geq_rows}) == lat.n
-        self.is_anti_atomic = len({up & coatom_bits for up in lat.leq_rows}) == lat.n
-        self.length = max(lat.heights, default=0)
 
         chains, antichain = _chain_partition(lat)
-        self.min_chain_partition = tuple(tuple(lat.labels[i] for i in c) for c in chains)
-        self.max_antichain = tuple(lat.labels[i] for i in antichain)
-        self.width = len(chains)
-        if len(antichain) != self.width:
+        if len(antichain) != len(chains):
             raise InvariantError("chain cover and antichain certificates disagree")
         covered = sorted(i for c in chains for i in c)
         if covered != list(range(lat.n)):
             raise InvariantError("chain partition must cover the carrier")
 
-        self.n5_witness, self.distributive_witness = law_witnesses(lat)
-        self.is_modular = self.n5_witness is None
-        self.is_distributive = self.distributive_witness is None
-
+        n5_witness, distributive_witness = law_witnesses(lat)
         counts = {len(comp) for comp in complements_i(lat)}
         if 0 in counts:
-            self.complementation_class = "non-complemented"
+            complementation_class = "non-complemented"
         elif counts == {1}:
-            self.complementation_class = "uniquely"
+            complementation_class = "uniquely"
         else:
-            self.complementation_class = "multiply"
-        self.is_complemented = 0 not in counts
-        self.is_boolean = self.is_bounded and self.is_distributive and self.is_complemented
+            complementation_class = "multiply"
+        vars(self).update(
+            is_bounded=True,
+            bottom=lat.bottom,
+            top=lat.top,
+            atoms=tuple(labels[i] for i in lat.atoms_i),
+            anti_atoms=tuple(labels[i] for i in antis),
+            lattice_height=lat.heights[lat.top_i],
+            is_atomic=len({down & atom_bits for down in lat.geq_rows}) == lat.n,
+            is_anti_atomic=len({up & coatom_bits for up in lat.leq_rows}) == lat.n,
+            length=max(lat.heights, default=0),
+            min_chain_partition=tuple(tuple(labels[i] for i in c) for c in chains),
+            max_antichain=tuple(labels[i] for i in antichain),
+            width=len(chains),
+            n5_witness=n5_witness,
+            distributive_witness=distributive_witness,
+            is_modular=n5_witness is None,
+            is_distributive=distributive_witness is None,
+            complementation_class=complementation_class,
+            is_complemented=0 not in counts,
+            # bounded, as a finite non-empty lattice
+            is_boolean=distributive_witness is None and 0 not in counts,
+        )
 
 
 def modular_by_identity(lat: FiniteLattice) -> bool:

@@ -1,5 +1,6 @@
-"""Orthocomplementation, Sasaki maps, the negation taxonomy, and the
-orthogonality (one kernel, ``orthogonal_rows``) and center of a negation."""
+"""Orthocomplementation, Sasaki maps, the negation taxonomy (one evaluator,
+``_classes``, for ``attach_ortho``, ``classify_negation`` and probability),
+and the orthogonality (one kernel, ``orthogonal_rows``) and center of a negation."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from .core import (
     FiniteLattice,
     InvariantError,
     LatticeError,
-    bits,
+    Record,
     distributive_by_identity,
     mark_table,
     marked,
@@ -65,16 +66,23 @@ def _antitone_failure(lat: FiniteLattice, perm):
     return None
 
 
-class OrthoLattice:
-    """Bounded lattice with a validated orthocomplement involution."""
+class OrthoLattice(Record):
+    """Bounded lattice with an orthocomplement: the label map and its padded
+    byte row.  The constructor checks only that the map is total;
+    ``attach_ortho`` checks the axioms and is the way to build one."""
+
+    __slots__ = ("lattice", "ortho", "perm")
+    _compared = ("lattice", "perm")
 
     def __init__(self, lattice: FiniteLattice, ortho_map):
-        self.lattice = lattice
-        self.ortho = dict(ortho_map)
-        self._perm = _perm(lattice, self.ortho)
+        ortho = dict(ortho_map)
+        super().__init__(lattice, ortho, _perm(lattice, ortho))
+
+    def __reduce__(self):
+        return type(self), (self.lattice, self.ortho)
 
     def comp_i(self, i):
-        return self._perm[i]
+        return self.perm[i]
 
     def comp(self, a):
         return self.ortho[a]
@@ -84,35 +92,21 @@ class OrthoLattice:
 
 
 def attach_ortho(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
-    """Validate an orthocomplement map and wrap the lattice with it.
-
-    Checks the three defining axioms (involution, non-contradiction,
-    antitonicity) with witnesses, then checks the derived consequences,
-    raising ``InvariantError`` if one fails: swapped bounds, both De Morgan
-    laws, and the excluded middle.
-    """
+    """Validate an orthocomplement map and wrap the lattice with it.  A map
+    that ``_classes`` puts outside ``ortho`` breaks an axiom, and its
+    ``_rows`` name the first: per element involution, then
+    non-contradiction; then antitonicity."""
     ol = OrthoLattice(lattice, ortho_map)
-    lat, perm = lattice, ol._perm
-    bottom, top = lat.bottom_i, lat.top_i  # the empty lattice has neither, and raises here
-    for i in range(lat.n):
-        if perm[perm[i]] != i:
-            raise OrthoError("involution", lat.labels[i])
-        if lat.meet_i(i, perm[i]) != bottom:
-            raise OrthoError("non-contradiction", lat.labels[i])
-    failure = _antitone_failure(lat, perm)
-    if failure is not None:
-        raise OrthoError("antitone", (lat.labels[failure[0]], lat.labels[failure[1]]))
-    # derived consequences of a valid orthocomplement
-    if perm[bottom] != top:
-        raise InvariantError("orthocomplement of the bottom is not the top")
-    if perm[top] != bottom:
-        raise InvariantError("orthocomplement of the top is not the bottom")
-    for i in range(lat.n):
-        if lat.join_i(i, perm[i]) != top:
-            raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
-    for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
-        if not (neg_join == meet_neg and neg_meet == join_neg):
-            raise InvariantError("De Morgan")
+    lat, perm = lattice, ol.perm
+    if "ortho" not in _classes(lat, perm):
+        double, lows, _ = _rows(lat, perm)
+        for i in range(lat.n):
+            if double[i] != i:
+                raise OrthoError("involution", lat.labels[i])
+            if lows[i] != lat.bottom_i:
+                raise OrthoError("non-contradiction", lat.labels[i])
+        i, j = _antitone_failure(lat, perm)
+        raise OrthoError("antitone", (lat.labels[i], lat.labels[j]))
     return ol
 
 
@@ -145,7 +139,7 @@ def ortho_class(ol: OrthoLattice) -> frozenset:
     """
     lat = ol.lattice
     flags = {"orthocomplemented"}
-    if _orthomodular_identity(lat, ol._perm):
+    if _orthomodular_identity(lat, ol.perm):
         flags.add("orthomodular")
     if modular_by_identity(lat):
         flags.add("modular-orthocomplemented")
@@ -163,27 +157,25 @@ def ortho_class(ol: OrthoLattice) -> frozenset:
 # negation taxonomy
 
 
-def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
-    """Evaluate every axiom bundle of the negation taxonomy.
+def _rows(lat: FiniteLattice, perm):
+    """¬¬x, x ∧ ¬x and x ∨ ¬x over x, for ``perm`` a padded byte row."""
+    pw = lat.pairwise
+    return perm.translate(perm), pw(lat.meet_table, IDENTITY_ROW, perm), pw(lat.join_table, IDENTITY_ROW, perm)
 
-    The result is the set of satisfied class names (the taxonomy is not a
-    chain).  Theorem consequences for whichever classes hold are checked
-    on the way out, raising ``InvariantError`` if one fails: boundary
-    conditions, De Morgan inequalities/equalities, excluded middle and the
-    Kleene condition for ortho negations.
-    """
-    lat = lattice
-    perm = _perm(lat, neg_map)
+
+def _classes(lat: FiniteLattice, perm) -> frozenset:
+    """The negation classes of the padded byte row ``perm`` but
+    ``orthomodular`` (the taxonomy is not a chain), each axiom read off the
+    ``_rows``; the consequences of the classes that hold raise
+    ``InvariantError``: the bounds, the ortho excluded middle, De Morgan."""
     n, b, t = lat.n, lat.bottom_i, lat.top_i
+    double, lows, highs = _rows(lat, perm)
 
     antitone = _antitone_failure(lat, perm) is None
-    weak_dn = all(lat.leq_i(i, perm[perm[i]]) for i in range(n))
-    non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(n))
-    involutive = all(perm[perm[i]] == i for i in range(n))
-    lows = {lat.meet_i(i, perm[i]) for i in range(n)}
-    highs = {lat.join_i(j, perm[j]) for j in range(n)}
-    # every low <= every high iff their join <= their meet
-    kleene_cond = lat.leq_i(lat.join_all_i(lows), lat.meet_all_i(highs))
+    involutive = double == IDENTITY_ROW
+    # x <= ¬¬x, as x ∧ ¬¬x == x; an involution has ¬¬x == x
+    weak_dn = involutive or lat.pairwise(lat.meet_table, IDENTITY_ROW, double) == IDENTITY_ROW[:n]
+    non_contra = lows == bytes((b,)) * n
 
     cls = set()
     if antitone:
@@ -198,40 +190,47 @@ def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
     de_morgan = minimal and involutive
     if de_morgan:
         cls.add("de_morgan")
-    if de_morgan and kleene_cond:
+    # every low <= every high iff their join <= their meet; under
+    # non-contradiction every low is the bottom
+    if de_morgan and (non_contra or lat.leq_i(lat.join_all_i(set(lows)), lat.meet_all_i(set(highs)))):
         cls.add("kleene")
     ortho = de_morgan and non_contra
     if ortho:
         cls.add("ortho")
-    if ortho and _orthomodular_identity(lat, perm):
-        cls.add("orthomodular")
 
     if "fuzzy" in cls and perm[b] != t:
         raise InvariantError("fuzzy negation of the bottom is not the top")
     if "intuitionistic" in cls and not (perm[t] == b and perm[b] == t and "fuzzy" in cls):
         raise InvariantError("intuitionistic negation must swap the bounds and be fuzzy")
-    if "minimal" in cls:
-        mt = lat.meet_table
+    # an ortho negation is intuitionistic, so its bounds are swapped
+    if ortho:
+        # the first entry of x ∨ ¬x that is not the top
+        first = n - len(highs.lstrip(bytes((t,))))
+        if first < n:
+            raise InvariantError(f"excluded middle at {lat.labels[first]!r}")
+    if de_morgan:
+        # ¬(x ∨ y) == ¬x ∧ ¬y; under an involution the dual law is this one
+        # at ¬x, ¬y, and the equalities imply both inequalities
+        jn, mt = lat.join_table, lat.meet_table
+        if any(jn[i].translate(perm) != perm.translate(mt[perm[i]]) for i in range(n)):
+            raise InvariantError("De Morgan")
+    elif minimal:
         for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
-            if "de_morgan" in cls:
-                # the equalities imply both inequalities, as x ∧ x == x
-                if not (neg_join == meet_neg and neg_meet == join_neg):
-                    raise InvariantError("De Morgan")
-            else:
-                # a <= b elementwise iff a ∧ b == a
-                if lat.pairwise(mt, join_neg, neg_meet) != join_neg[:n]:
-                    raise InvariantError("De Morgan inequality ~x | ~y <= ~(x & y)")
-                if lat.pairwise(mt, neg_join, meet_neg) != neg_join[:n]:
-                    raise InvariantError("De Morgan inequality ~(x | y) <= ~x & ~y")
-    if "ortho" in cls:
-        if not (perm[b] == t and perm[t] == b):
-            raise InvariantError("ortho negation must swap the bounds")
-        for i in range(n):
-            if lat.join_i(i, perm[i]) != t:
-                raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
-        if not kleene_cond:
-            raise InvariantError("Kleene condition")
+            # a <= b elementwise iff a ∧ b == a
+            if lat.pairwise(lat.meet_table, join_neg, neg_meet) != join_neg[:n]:
+                raise InvariantError("De Morgan inequality ~x | ~y <= ~(x & y)")
+            if lat.pairwise(lat.meet_table, neg_join, meet_neg) != neg_join[:n]:
+                raise InvariantError("De Morgan inequality ~(x | y) <= ~x & ~y")
     return frozenset(cls)
+
+
+def classify_negation(lattice: FiniteLattice, neg_map) -> frozenset:
+    """Every axiom bundle of the negation taxonomy that ``neg_map`` satisfies."""
+    perm = _perm(lattice, neg_map)
+    classes = _classes(lattice, perm)
+    if "ortho" in classes and _orthomodular_identity(lattice, perm):
+        return classes | {"orthomodular"}
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import operator
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .core import FiniteLattice, InvariantError, LatticeError
+from .core import FiniteLattice, InvariantError, LatticeError, Record
 from .ortho import attach_ortho
 from .textio import format_carrier
 
@@ -54,10 +54,11 @@ class Level:
     ``lattice``, are built on first read.
     """
 
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
     def __init__(self, top_n, carrier):
-        self.top_n = top_n
-        self.full = (1 << top_n) - 1
-        self.carrier = tuple(sorted(carrier))
+        vars(self).update(top_n=top_n, full=(1 << top_n) - 1, carrier=tuple(sorted(carrier)))
 
     @cached_property
     def carrier_set(self) -> frozenset:

@@ -17,7 +17,7 @@ from .core import (
     mark_table,
     marked,
 )
-from .ortho import _perm, classify_negation, orthogonal_rows
+from .ortho import _classes, _perm, orthogonal_rows
 from .valuation import common_scale, modular_failure
 
 
@@ -71,10 +71,11 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     in i and j, so the first failing gated pair (i, j) by index, as in
     ``probability_report``, always has i <= j and is the witness.
     """
-    classes = classify_negation(lattice, neg_map)
+    lat = lattice
+    perm = _perm(lat, neg_map)
+    classes = _classes(lat, perm)
     if "minimal" not in classes:
         raise ProbabilityError("negation-not-minimal", None)
-    lat = lattice
     p = {}
     for lab in lat.labels:
         if lab not in values:
@@ -99,7 +100,6 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
         if not 0 <= v <= one:
             raise InvariantError("probability outside [0, 1] passed the axioms")
     if "ortho" in classes:
-        perm = _perm(lat, neg_map)
         for i in range(lat.n):
             if pi[i] != one - pi[perm[i]]:
                 raise ProbabilityError(

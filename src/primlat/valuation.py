@@ -97,6 +97,9 @@ class LatticeMetric:
     v, so ``d`` returns ``Fraction(table[i][j], scale)``.
     """
 
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
     def __init__(self, lat: FiniteLattice, values):
         check = values if isinstance(values, ValuationCheck) else check_valuation(lat, values)
         if check.scaled is None or check.scaled[0] is not lat:
@@ -105,19 +108,19 @@ class LatticeMetric:
             raise ValuationError("not a valuation", check.witness)
         if not check.is_isotone:
             raise ValuationError("valuation not isotone", None)
-        _, vi, self.scale = check.scaled
+        _, vi, scale = check.scaled
         labels, n = lat.labels, lat.n
         for i, j in lat.covers_i:
             if vi[i] == vi[j]:
                 raise ValuationError("valuation not strictly isotone", (labels[i], labels[j]))
-        self.lattice = lat
-        self.table = tuple(
+        table = tuple(
             tuple(map(sub, map(vi.__getitem__, jrow[:n]), map(vi.__getitem__, mrow[:n])))
             for jrow, mrow in zip(lat.join_table, lat.meet_table)
         )
-        failure = _metric_axiom_failure(self.table)
+        failure = _metric_axiom_failure(table)
         if failure is not None:
             raise InvariantError(failure)
+        vars(self).update(lattice=lat, table=table, scale=scale)
 
     def d(self, a, b) -> Fraction:
         return Fraction(self.table[self.lattice.index(a)][self.lattice.index(b)], self.scale)

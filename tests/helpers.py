@@ -30,13 +30,22 @@ from primlat.cli import (
 from primlat.core import (
     FiniteLattice,
     FinitePoset,
+    InvariantError,
     LatticeError,
     bits,
     build_lattice,
     complements_i,
     distributive_by_identity,
 )
-from primlat.ortho import _antitone_failure, _perm, classify_negation
+from primlat.ortho import (
+    OrthoError,
+    OrthoLattice,
+    _antitone_failure,
+    _de_morgan_rows,
+    _orthomodular_identity,
+    _perm,
+    classify_negation,
+)
 from primlat.primorial import (
     Level,
     PrimorialRoles,
@@ -548,6 +557,101 @@ def de_morgan_rows_loop(lat: FiniteLattice, perm):
         )
         for i in _idx(lat)
     ]
+
+
+def classify_negation_loop(lattice: FiniteLattice, neg_map) -> frozenset:
+    """The negation classes with an element loop per axiom, and their
+    consequences checked in the order of that loop: boundary conditions,
+    De Morgan, then the swapped bounds, excluded middle and Kleene
+    condition of an ortho negation."""
+    lat = lattice
+    perm = _perm(lat, neg_map)
+    n, b, t = lat.n, lat.bottom_i, lat.top_i
+
+    antitone = _antitone_failure(lat, perm) is None
+    weak_dn = all(lat.leq_i(i, perm[perm[i]]) for i in range(n))
+    non_contra = all(lat.meet_i(i, perm[i]) == b for i in range(n))
+    involutive = all(perm[perm[i]] == i for i in range(n))
+    lows = {lat.meet_i(i, perm[i]) for i in range(n)}
+    highs = {lat.join_i(j, perm[j]) for j in range(n)}
+    # every low <= every high iff their join <= their meet
+    kleene_cond = lat.leq_i(lat.join_all_i(lows), lat.meet_all_i(highs))
+
+    cls = set()
+    if antitone:
+        cls.add("subminimal")
+    minimal = antitone and weak_dn
+    if minimal:
+        cls.add("minimal")
+    if minimal and non_contra:
+        cls.add("intuitionistic")
+    if minimal and perm[t] == b:
+        cls.add("fuzzy")
+    de_morgan = minimal and involutive
+    if de_morgan:
+        cls.add("de_morgan")
+    if de_morgan and kleene_cond:
+        cls.add("kleene")
+    ortho = de_morgan and non_contra
+    if ortho:
+        cls.add("ortho")
+    if ortho and _orthomodular_identity(lat, perm):
+        cls.add("orthomodular")
+
+    if "fuzzy" in cls and perm[b] != t:
+        raise InvariantError("fuzzy negation of the bottom is not the top")
+    if "intuitionistic" in cls and not (perm[t] == b and perm[b] == t and "fuzzy" in cls):
+        raise InvariantError("intuitionistic negation must swap the bounds and be fuzzy")
+    if "minimal" in cls:
+        mt = lat.meet_table
+        for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
+            if "de_morgan" in cls:
+                # the equalities imply both inequalities, as x ∧ x == x
+                if not (neg_join == meet_neg and neg_meet == join_neg):
+                    raise InvariantError("De Morgan")
+            else:
+                # a <= b elementwise iff a ∧ b == a
+                if lat.pairwise(mt, join_neg, neg_meet) != join_neg[:n]:
+                    raise InvariantError("De Morgan inequality ~x | ~y <= ~(x & y)")
+                if lat.pairwise(mt, neg_join, meet_neg) != neg_join[:n]:
+                    raise InvariantError("De Morgan inequality ~(x | y) <= ~x & ~y")
+    if "ortho" in cls:
+        if not (perm[b] == t and perm[t] == b):
+            raise InvariantError("ortho negation must swap the bounds")
+        for i in range(n):
+            if lat.join_i(i, perm[i]) != t:
+                raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
+        if not kleene_cond:
+            raise InvariantError("Kleene condition")
+    return frozenset(cls)
+
+
+def attach_ortho_loop(lattice: FiniteLattice, ortho_map) -> OrthoLattice:
+    """The three orthocomplement axioms with witnesses, then their derived
+    consequences, each on its own element loop; raises the first failure."""
+    ol = OrthoLattice(lattice, ortho_map)
+    lat, perm = lattice, ol.perm
+    bottom, top = lat.bottom_i, lat.top_i  # the empty lattice has neither, and raises here
+    for i in range(lat.n):
+        if perm[perm[i]] != i:
+            raise OrthoError("involution", lat.labels[i])
+        if lat.meet_i(i, perm[i]) != bottom:
+            raise OrthoError("non-contradiction", lat.labels[i])
+    failure = _antitone_failure(lat, perm)
+    if failure is not None:
+        raise OrthoError("antitone", (lat.labels[failure[0]], lat.labels[failure[1]]))
+    # derived consequences of a valid orthocomplement
+    if perm[bottom] != top:
+        raise InvariantError("orthocomplement of the bottom is not the top")
+    if perm[top] != bottom:
+        raise InvariantError("orthocomplement of the top is not the bottom")
+    for i in range(lat.n):
+        if lat.join_i(i, perm[i]) != top:
+            raise InvariantError(f"excluded middle at {lat.labels[i]!r}")
+    for neg_join, meet_neg, neg_meet, join_neg in _de_morgan_rows(lat, perm):
+        if not (neg_join == meet_neg and neg_meet == join_neg):
+            raise InvariantError("De Morgan")
+    return ol
 
 
 def gate_loop(lat: FiniteLattice):

@@ -100,6 +100,19 @@ INPUTS = {
     "mo2b2.lat": _mo2b2,
     # one gated pair broken too
     "mo2b2bump.lat": lambda: _mo2b2().replace(" a1=11/40 ", " a1=23/80 "),
+    # ortho maps that break an orthocomplement axiom
+    "orthopartial.lat": lambda: "lattice chain3\nelements 0 a 1\ncovers 0<a a<1\northo 0:1\n",
+    "orthofixed.lat": lambda: "lattice chain3\nelements 0 a 1\ncovers 0<a a<1\northo 0:1 a:a\n",
+    # a stanza pair is read both ways round, so a map that is no involution
+    # conflicts with itself before the axioms are checked
+    "orthooneway.lat": lambda: "lattice chain3\nelements 0 a 1\ncovers 0<a a<1\northo 0:1 a:0\n",
+    # a:b m:c is an involution with meets 0, but a <= m and not c <= b
+    "orthoy6.lat": lambda: (
+        "lattice Y6\nelements 0 a b m c 1\ncovers 0<a 0<b a<m b<m m<1 0<c c<1\northo 0:1 a:b m:c\n"
+    ),
+    "orthoswap.lat": lambda: (
+        "lattice O6\nelements 0 p q p' q' 1\ncovers 0<p 0<q p<q' q<p' q'<1 p'<1\northo 0:1 p:q q':p'\n"
+    ),
 }
 
 # (exit code, argv, expected stdout or None); $name is the path of INPUTS[name]
@@ -140,9 +153,23 @@ ROWS = [
     (0, "hasse $redundant.lat", None),
     (0, "probability $mo2b2.lat", None),
     (1, "probability $mo2b2bump.lat", None),
+    (1, "ortho $orthopartial.lat", None),
+    (1, "ortho $orthofixed.lat", None),
+    (1, "ortho $orthooneway.lat", None),
+    (1, "ortho $orthoy6.lat", None),
+    (1, "ortho $orthoswap.lat", None),
     # OEIS A006966, A006981 and A006982 at 10 elements
     (0, "enumerate --n 10", "lattices: 5994 modular: 157 distributive: 47\n"),
 ]
+
+# command -> the one line it writes to stderr
+STDERR = {
+    "ortho $orthopartial.lat": "error: totality fails at 'a'\n",
+    "ortho $orthofixed.lat": "error: non-contradiction fails at 'a'\n",
+    "ortho $orthooneway.lat": "error: line 4: conflicting ortho entries for '0'\n",
+    "ortho $orthoy6.lat": "error: antitone fails at ('a', 'm')\n",
+    "ortho $orthoswap.lat": "error: antitone fails at ('p', \"q'\")\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -167,5 +194,7 @@ def test_command_exits_as_expected(code, command, stdout, inputs, capsys):
     captured = capsys.readouterr()
     if stdout is not None:
         assert captured.out == stdout
+    if command in STDERR:
+        assert captured.err == STDERR[command]
     if code == 1 and captured.err.startswith("error: "):
         assert captured.out == ""

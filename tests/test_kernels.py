@@ -6,6 +6,7 @@ on products of chains and on products of N5, M3, MO2, the hexagon O6 and
 the horizontal sum HS3 with Boolean lattices.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,10 +34,12 @@ from primlat.core import (
     modular_by_identity,
 )
 from primlat.ortho import (
+    OrthoError,
     _antitone_failure,
     _de_morgan_rows,
     _orthomodular_identity,
     _perm,
+    attach_ortho,
     classify_negation,
     relations,
 )
@@ -54,7 +57,9 @@ from conftest import benzene, chain, diamond, hs3, mo2, pentagon, powerset, powe
 from helpers import (
     antitone_failure_loop,
     atomicity_loop,
+    attach_ortho_loop,
     check_valuation_loop,
+    classify_negation_loop,
     covers_loop,
     de_morgan_rows_loop,
     direct_product,
@@ -218,6 +223,44 @@ def test_relations_and_kleene_class_match_pair_loops(k):
         assert (rel.orthogonal_pairs, rel.center) == relations_loop(lat, perm)
         classes = classify_negation(lat, neg)
         assert ("kleene" in classes) == ("de_morgan" in classes and kleene_condition_loop(lat, perm))
+
+
+def _negation_maps(lat):
+    """Every involution of the elements, and maps that are not involutions:
+    every total map up to 4 elements, seeded random ones beyond."""
+    L = lat.labels
+    maps = [{L[i]: L[perm[i]] for i in range(lat.n)} for perm in involutions(lat.n)]
+    if lat.n <= 4:
+        maps += [dict(zip(L, image)) for image in itertools.product(L, repeat=lat.n)]
+    else:
+        rng = random.Random(lat.n)
+        maps += [dict(zip(L, rng.choices(L, k=lat.n))) for _ in range(40)]
+    return maps
+
+
+def _ortho_outcome(attach, lat, omap):
+    """The ``OrthoLattice`` an attach gives, or the axiom and witness it refuses with."""
+    try:
+        return attach(lat, omap)
+    except OrthoError as exc:
+        return exc.axiom, exc.witness
+
+
+UP_TO_6 = [lat for lat in SMALL if lat.n <= 6]
+
+
+@pytest.mark.parametrize("k", range(len(UP_TO_6)), ids=_ids(UP_TO_6))
+def test_negation_classes_and_attach_ortho_match_element_loops(k):
+    """On every lattice of 1-6 elements, under every involution and under
+    maps that are not involutions."""
+    lat = UP_TO_6[k]
+    refused = 0
+    for neg in _negation_maps(lat):
+        assert classify_negation(lat, neg) == classify_negation_loop(lat, neg), neg
+        got = _ortho_outcome(attach_ortho, lat, neg)
+        assert got == _ortho_outcome(attach_ortho_loop, lat, neg), neg
+        refused += type(got) is tuple
+    assert refused > 0 or lat.n == 1
 
 
 def test_lattice_tables_match_bound_scans():

@@ -130,8 +130,9 @@ def test_huntington_fourth_exactly_on_boolean(small_lattices):
 
 
 def test_ortho_members_satisfy_derived_consequences(small_lattices):
-    # attach_ortho asserts swapped bounds, the De Morgan pair, and the
-    # excluded middle; running it over every valid involution is the check
+    # attach_ortho checks the consequences of the ortho class (swapped
+    # bounds, excluded middle, the De Morgan pair) and raises if one
+    # fails; running it over every orthocomplement is the check
     from primlat.ortho import attach_ortho
 
     found = 0

@@ -1,8 +1,13 @@
+import copy
+import pickle
+
 import pytest
 
+from primlat import ortho
 from primlat.core import FiniteLattice, LatticeError, classify
 from primlat.ortho import (
     OrthoError,
+    OrthoLattice,
     _perm,
     attach_ortho,
     classify_negation,
@@ -51,6 +56,40 @@ def test_attach_ortho_powerset_complement():
     lat = powerset(3)
     ol = attach_ortho(lat, powerset_complement(3))
     assert ol.comp(0b101) == 0b010
+
+
+def test_attach_ortho_returns_an_immutable_record_of_the_map_and_its_row():
+    lat, omap = benzene()
+    ol = attach_ortho(lat, omap)
+    assert (ol.lattice, ol.ortho, ol.perm) == (lat, omap, _perm(lat, omap))
+    assert ol.ortho is not omap and repr(ol) == f"OrthoLattice({lat!r})"
+    assert ol == OrthoLattice(lat, dict(omap)) and hash(ol) == hash(OrthoLattice(lat, omap))
+    assert ol != attach_ortho(powerset(3), powerset_complement(3))
+    for copied in (copy.copy(ol), copy.deepcopy(ol), pickle.loads(pickle.dumps(ol))):
+        assert copied == ol and copied.ortho == omap
+    with pytest.raises(AttributeError):
+        ol.perm = bytes(ol.perm)
+    with pytest.raises(AttributeError):
+        del ol.ortho
+    with pytest.raises(OrthoError, match="totality"):
+        OrthoLattice(lat, {"0": "1"})
+
+
+def test_the_orthomodular_identity_runs_once_per_ortho_map(monkeypatch):
+    calls = []
+    identity = ortho._orthomodular_identity
+
+    def counted(lat, perm):
+        calls.append(perm)
+        return identity(lat, perm)
+
+    monkeypatch.setattr(ortho, "_orthomodular_identity", counted)
+    ol = attach_ortho(powerset(3), powerset_complement(3))
+    assert "orthomodular" in ortho_class(ol) and relations_of(ol).center
+    assert calls == [ol.perm]
+    calls.clear()
+    assert "orthomodular" in classify_negation(ol.lattice, ol.ortho)
+    assert calls == [ol.perm]
 
 
 def test_attach_ortho_reports_failing_axiom():

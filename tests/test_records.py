@@ -1,20 +1,22 @@
 """The result records: named tuples for plain results, ``core.Record``
 classes where the constructor checks its arguments.  Every way of making
 or copying a checked record checks, ``ValuationCheck`` compares without
-its ``scaled`` field, and no field of any record can be assigned."""
+its ``scaled`` field, and no field of any record can be assigned.  The
+value classes with cached properties (posets and lattices, levels,
+property reports, metrics) refuse assignment and deletion the same way."""
 
 import copy
 import pickle
 
 import pytest
 
-from primlat.core import MAX_ATOMS, Record
+from primlat.core import MAX_ATOMS, FinitePoset, Record, classify
 from primlat.ortho import relations
-from primlat.primorial import generate_primorial, is_primorial
+from primlat.primorial import boolean_carrier, generate_primorial, is_primorial
 from primlat.probability import probability_report, validate_probability
 from primlat.seqproc import AnalysisPyramid, SequenceError, SymbolAlphabet, analyze, encode, gsp_preset
 from primlat.textio import parse_lattice_text
-from primlat.valuation import ValuationCheck, check_valuation, metric_from_valuation
+from primlat.valuation import LatticeMetric, ValuationCheck, check_valuation, metric_from_valuation
 
 from conftest import benzene, chain, powerset
 
@@ -149,3 +151,76 @@ def test_a_lattice_document_is_built_whole():
     # each parse makes its own dicts
     assert parse_lattice_text("").ortho is not parse_lattice_text("").ortho
 
+
+
+def _values():
+    """One instance of each value class that keeps an instance dict for its
+    cached properties, with those properties read, by the name of its class."""
+    lat = powerset(2)
+    level = generate_primorial(3).level("D3")
+    poset = FinitePoset.from_covers("abc", [("a", "b")])
+    values = [
+        poset,
+        lat,
+        level,
+        classify(lat),
+        LatticeMetric(lat, {x: bin(x).count("1") for x in lat.labels}),
+    ]
+    # fill cached properties, so the instance dicts hold them
+    for value in (poset, lat, level.lattice):
+        value.covers, value.topo_order
+    level.carrier_set
+    return {type(value).__name__: value for value in values}
+
+
+VALUES = ["FiniteLattice", "FinitePoset", "LatticeMetric", "Level", "PropertyReport"]
+
+
+def test_the_assignments_that_used_to_succeed_are_refused():
+    level = generate_primorial(3).level("L2^2")
+    with pytest.raises(AttributeError):
+        level.top_n = 5
+    assert (level.top_n, level.full, level.complement(1)) == (3, 7, 6)
+    lat = chain(2)
+    with pytest.raises(AttributeError):
+        classify(lat).is_modular = "x"
+    with pytest.raises(AttributeError):
+        lat.labels = ("z",)
+    assert lat.labels == ("c0", "c1") and lat.index("c1") == 1
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_no_attribute_of_a_value_can_be_assigned_or_deleted(name):
+    value = _values()[name]
+    fields = list(vars(value))
+    assert fields
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert list(vars(value)) == fields
+
+
+def test_cached_properties_still_fill_on_first_read():
+    level = boolean_carrier(3)
+    assert "lattice" not in vars(level)
+    lat = level.lattice
+    assert "lattice" in vars(level) and level.lattice is lat
+    assert "heights" not in vars(lat)
+    assert lat.heights is lat.heights and vars(lat)["heights"] == (0, 1, 1, 2, 1, 2, 2, 3)
+    assert lat.top == 7 and vars(lat)["top_i"] == lat.index(7)
+
+
+@pytest.mark.parametrize("name", VALUES)
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copied_value_is_an_equal_value(name, how):
+    value = _values()[name]
+    twin = COPIES[how](value)
+    assert type(twin) is type(value) and twin is not value
+    assert vars(twin) == vars(value)
+    if name in ("FiniteLattice", "FinitePoset", "Level"):
+        assert twin == value and hash(twin) == hash(value)
+    with pytest.raises(AttributeError):
+        twin.extra = None
