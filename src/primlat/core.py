@@ -301,14 +301,11 @@ class FiniteLattice(FinitePoset):
 
     is_lattice = True
 
-    def __init__(self, labels, leq, tables=None):
+    def __init__(self, labels, leq):
         super().__init__(labels, leq)
-        if tables is None:
-            join, meet, witness = self.lattice_tables()
-            if witness is not None:
-                raise LatticeError(f"not a lattice: {witness[0]!r}, {witness[1]!r} have {witness[2]}")
-        else:
-            join, meet = tables
+        join, meet, witness = self.lattice_tables()
+        if witness is not None:
+            raise LatticeError(f"not a lattice: {witness[0]!r}, {witness[1]!r} have {witness[2]}")
         vars(self).update(join_table=join, meet_table=meet)
 
     def pairwise(self, table, xs, ys):

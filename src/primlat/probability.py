@@ -1,5 +1,6 @@
 """Distributivity-gated probability on lattices with negation, and the
-comparison against the classical probability definitions."""
+comparison against the classical probability definitions.  An assignment
+is checked when it is built; a report reads what its checks derived."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from .core import (
     FiniteLattice,
     InvariantError,
     LatticeError,
+    Record,
     bits,
     complements_i,
     distributive_by_identity,
@@ -18,7 +20,7 @@ from .core import (
     marked,
 )
 from .ortho import _classes, _perm, orthogonal_rows
-from .valuation import common_scale, modular_failure
+from .valuation import common_scale, modular_failure, order_failure
 
 
 class ProbabilityError(LatticeError):
@@ -26,15 +28,6 @@ class ProbabilityError(LatticeError):
         super().__init__(f"probability axiom {axiom!r} fails at {witness!r}")
         self.axiom = axiom
         self.witness = witness
-
-
-class ProbabilityAssignment(NamedTuple):
-    lattice: FiniteLattice
-    neg: dict
-    p: dict  # label -> Fraction
-
-    def __call__(self, label) -> Fraction:
-        return self.p[label]
 
 
 def _gated(lat: FiniteLattice, i, j):
@@ -57,8 +50,9 @@ def _gated(lat: FiniteLattice, i, j):
     )
 
 
-def validate_probability(lattice: FiniteLattice, neg_map, values) -> ProbabilityAssignment:
-    """Check the four axioms exhaustively and return the assignment.
+class ProbabilityAssignment(Record):
+    """A probability on a lattice with negation, whose constructor checks
+    the four axioms exhaustively and raises at the first that fails.
 
     The negation must classify as at least minimal.  The bound
     0 <= p <= 1 follows from the axioms and is checked; the complement
@@ -68,44 +62,68 @@ def validate_probability(lattice: FiniteLattice, neg_map, values) -> Probability
     on the values as integers over their common denominator.  Additivity
     walks the disjoint pairs (i, j >= i) in row order and tests the gate
     (``_gated``) only on a pair whose additivity fails.  Both are symmetric
-    in i and j, so the first failing gated pair (i, j) by index, as in
-    ``probability_report``, always has i <= j and is the witness.
+    in i and j, so the first failing gated pair (i, j) by index always has
+    i <= j and is the witness.
+
+    ``==`` and ``repr`` read ``lattice``, ``neg`` and ``p`` (label -> Fraction).
+    The other fields keep what the checks derived: the negation row ``perm``;
+    ``scaled``, (values as integers over D, D) for D their least common
+    denominator; ``disjoint``, per i the bitset of the j with i ∧ j = 0; and
+    ``unadditive``, the first non-additive disjoint pair (i, j >= i), or None.
     """
-    lat = lattice
-    perm = _perm(lat, neg_map)
-    classes = _classes(lat, perm)
-    if "minimal" not in classes:
-        raise ProbabilityError("negation-not-minimal", None)
-    p = {}
-    for lab in lat.labels:
-        if lab not in values:
-            raise ProbabilityError("totality", lab)
-        p[lab] = Fraction(values[lab])
-    pi, one = common_scale([p[lab] for lab in lat.labels])
-    if pi[lat.bottom_i] != 0:
-        raise ProbabilityError("nondegenerate", lat.bottom)
-    if pi[lat.top_i] != one:
-        raise ProbabilityError("normalized", lat.top)
-    for i in range(lat.n):
-        for j in bits(lat.leq_rows[i]):
-            if pi[i] > pi[j]:
-                raise ProbabilityError("monotone", (lat.labels[i], lat.labels[j]))
-    n, jn, mt = lat.n, lat.join_table, lat.meet_table
-    zero = mark_table(1 << lat.bottom_i)
-    for i in range(n):
-        for j in bits(marked(mt[i], n, zero) >> i << i):
-            if pi[jn[i][j]] != pi[i] + pi[j] and _gated(lat, i, j):
-                raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
-    for v in pi:
-        if not 0 <= v <= one:
-            raise InvariantError("probability outside [0, 1] passed the axioms")
-    if "ortho" in classes:
-        for i in range(lat.n):
-            if pi[i] != one - pi[perm[i]]:
-                raise ProbabilityError(
-                    "complement-identity", (lat.labels[i], lat.labels[perm[i]])
-                )
-    return ProbabilityAssignment(lat, dict(neg_map), p)
+
+    __slots__ = ("lattice", "neg", "p", "perm", "scaled", "disjoint", "unadditive")
+    _compared = __slots__[:3]
+
+    def __init__(self, lattice: FiniteLattice, neg_map, values):
+        lat = lattice
+        perm = _perm(lat, neg_map)
+        classes = _classes(lat, perm)
+        if "minimal" not in classes:
+            raise ProbabilityError("negation-not-minimal", None)
+        p = {}
+        for lab in lat.labels:
+            if lab not in values:
+                raise ProbabilityError("totality", lab)
+            p[lab] = Fraction(values[lab])
+        pi, one = common_scale([p[lab] for lab in lat.labels])
+        if pi[lat.bottom_i] != 0:
+            raise ProbabilityError("nondegenerate", lat.bottom)
+        if pi[lat.top_i] != one:
+            raise ProbabilityError("normalized", lat.top)
+        failure = order_failure(lat, pi)
+        if failure is not None:
+            raise ProbabilityError("monotone", tuple(lat.labels[k] for k in failure))
+        n, jn = lat.n, lat.join_table
+        zero = mark_table(1 << lat.bottom_i)
+        disjoint = [marked(row, n, zero) for row in lat.meet_table]
+        unadditive = None
+        for i, row in enumerate(disjoint):
+            for j in bits(row >> i << i):
+                if pi[jn[i][j]] != pi[i] + pi[j]:
+                    if _gated(lat, i, j):
+                        raise ProbabilityError("additive", (lat.labels[i], lat.labels[j]))
+                    if unadditive is None:
+                        unadditive = i, j
+        for v in pi:
+            if not 0 <= v <= one:
+                raise InvariantError("probability outside [0, 1] passed the axioms")
+        if "ortho" in classes:
+            for i in range(n):
+                if pi[i] != one - pi[perm[i]]:
+                    raise ProbabilityError("complement-identity", (lat.labels[i], lat.labels[perm[i]]))
+        super().__init__(lat, dict(neg_map), p, perm, (pi, one), disjoint, unadditive)
+
+    def __reduce__(self):
+        return type(self), (self.lattice, self.neg, self.p)
+
+    def __call__(self, label) -> Fraction:
+        return self.p[label]
+
+
+def validate_probability(lattice: FiniteLattice, neg_map, values) -> ProbabilityAssignment:
+    """The checked assignment; see ``ProbabilityAssignment``."""
+    return ProbabilityAssignment(lattice, neg_map, values)
 
 
 # ---------------------------------------------------------------------------
@@ -129,59 +147,38 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     triples.  On Boolean bases, inclusion-exclusion and union subadditivity
     are checked outright, raising ``InvariantError`` if either fails.  The
     values are compared as integers over their common denominator D; a
-    witness reports its two sides as fractions.
+    witness reports its two sides as fractions.  The traditional witness is
+    ``pa.unadditive``, as the first failing disjoint row has no failing j < i.
     Disjoint and orthogonal partners are one bitset per element, so the
     disjoint triples i < j < k are the k in ``disjoint[i] & disjoint[j]``.
     One scan of the valuation law (``modular_failure``) serves both the
     generalized verdict and the Boolean-base check.
     """
     lat = pa.lattice
-    n, bot, top, L = lat.n, lat.bottom_i, lat.top_i, lat.labels
+    n, L = lat.n, lat.labels
     jn, mt = lat.join_table, lat.meet_table
-    pi, one = common_scale([pa.p[lab] for lab in L])
-    perm = _perm(lat, pa.neg)
+    pi, one = pa.scaled
     failure = modular_failure(lat, pi)
 
-    def violated(what, elems, lhs, rhs):
-        return DefinitionVerdict(
-            False, (what, tuple(L[k] for k in elems), Fraction(lhs, one), Fraction(rhs, one))
-        )
+    def verdict(elems, what="additive"):
+        # violated at elems: p of their join against the sum of theirs (less p(i ∧ j))
+        if elems is None:
+            return DefinitionVerdict(True, None)
+        lhs, rhs = pi[lat.join_all_i(elems)], sum(map(pi.__getitem__, elems))
+        if what == "inclusion-exclusion":
+            rhs -= pi[mt[elems[0]][elems[1]]]
+        return DefinitionVerdict(False, (what, tuple(L[k] for k in elems), Fraction(lhs, one), Fraction(rhs, one)))
 
-    def pair_additivity(partners):
-        for i in range(n):
-            for j in bits(partners[i]):
-                if pi[jn[i][j]] != pi[i] + pi[j]:
-                    return violated("additive", (i, j), pi[jn[i][j]], pi[i] + pi[j])
-        return None
-
-    verdicts = {}
-    zero = mark_table(1 << bot)
-    disjoint = [marked(row, n, zero) for row in mt]
-    if pi[top] != one:
-        base = violated("normalized", (top,), pi[top], one)
-    elif any(v < 0 for v in pi):
-        k = next(i for i, v in enumerate(pi) if v < 0)
-        base = violated("nonnegative", (k,), pi[k], 0)
-    else:
-        base = None
-
-    traditional = base or pair_additivity(disjoint)
-    v = traditional
-    if v is None:
-        v = _disjoint_triple_failure(pi, jn, disjoint, violated)
-    verdicts["measure-theoretic"] = v or DefinitionVerdict(True, None)
-    verdicts["traditional"] = traditional or DefinitionVerdict(True, None)
-
-    v = base
-    if v is None and failure is not None:
-        i, j = failure
-        v = violated("inclusion-exclusion", failure, pi[jn[i][j]], pi[i] + pi[j] - pi[mt[i][j]])
-    verdicts["generalized"] = v or DefinitionVerdict(True, None)
-
-    orthogonal = orthogonal_rows(lat, perm)
-    verdicts["quantum"] = base or pair_additivity(orthogonal) or DefinitionVerdict(True, None)
-
-    verdicts["gated"] = DefinitionVerdict(True, None)  # established by validation
+    orthogonal = orthogonal_rows(lat, pa.perm)
+    verdicts = {
+        "measure-theoretic": verdict(pa.unadditive or _disjoint_triple_failure(pi, jn, pa.disjoint)),
+        "traditional": verdict(pa.unadditive),
+        "generalized": verdict(failure, "inclusion-exclusion"),
+        "quantum": verdict(next(
+            ((i, j) for i, row in enumerate(orthogonal) for j in bits(row) if pi[jn[i][j]] != pi[i] + pi[j]), None
+        )),
+        "gated": verdict(None),  # established by validation
+    }
 
     if distributive_by_identity(lat) and all(complements_i(lat)):
         # the rows before the first inclusion-exclusion failure, then that row
@@ -193,8 +190,8 @@ def probability_report(pa: ProbabilityAssignment) -> dict:
     return verdicts
 
 
-def _disjoint_triple_failure(pi, jn, disjoint, violated):
-    """The first pairwise-disjoint i < j < k with pi[i ∨ j ∨ k] != pi[i] + pi[j] + pi[k].
+def _disjoint_triple_failure(pi, jn, disjoint):
+    """The first pairwise-disjoint (i < j < k) with pi[i ∨ j ∨ k] != pi[i] + pi[j] + pi[k], or None.
 
     It runs only when every disjoint pair is additive, so a k disjoint from
     i ∨ j gives pi[i ∨ j ∨ k] = pi[i ∨ j] + pi[k] = pi[i] + pi[j] + pi[k]:
@@ -206,7 +203,7 @@ def _disjoint_triple_failure(pi, jn, disjoint, violated):
             ij = jn[i][j]
             for k in bits((di & disjoint[j] & ~disjoint[ij]) >> j + 1 << j + 1):
                 if pi[jn[ij][k]] != pi[i] + pi[j] + pi[k]:
-                    return violated("additive", (i, j, k), pi[jn[ij][k]], pi[i] + pi[j] + pi[k])
+                    return i, j, k
     return None
 
 
@@ -216,7 +213,9 @@ def random_boolean_assignment(lattice: FiniteLattice, rng):
     lat = lattice
     atoms = lat.atoms_i
     weights = [Fraction(rng.randint(0, 20), 1) for _ in atoms]
-    total = sum(weights) or Fraction(1)
+    if not any(weights):
+        weights = [Fraction(1)] * len(atoms)  # every draw was 0: uniform instead
+    total = sum(weights)
     weights = [w / total for w in weights]
     values = {}
     for i, lab in enumerate(lat.labels):

@@ -66,12 +66,10 @@ def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
     The witness is the first failing pair (x, y >= x) in element order.
     """
     v = _as_fraction_map(lat, values)
-    n = lat.n
     vi, scale = common_scale([v[lab] for lab in lat.labels])
     failure = modular_failure(lat, vi)
     witness = None if failure is None else tuple(lat.labels[k] for k in failure)
-    isotone = all(vi[i] <= vi[j] for i in range(n) for j in bits(lat.leq_rows[i]))
-    return ValuationCheck(witness is None, isotone, witness, (lat, vi, scale))
+    return ValuationCheck(witness is None, order_failure(lat, vi) is None, witness, (lat, vi, scale))
 
 
 def modular_failure(lat: FiniteLattice, vi):
@@ -85,6 +83,11 @@ def modular_failure(lat: FiniteLattice, vi):
         if j is not None:
             return i, i + j
     return None
+
+
+def order_failure(lat: FiniteLattice, vi):
+    """The first pair (i, j), in row order, with i <= j and vi[i] > vi[j], or None."""
+    return next(((i, j) for i, row in enumerate(lat.leq_rows) for j in bits(row) if vi[i] > vi[j]), None)
 
 
 class LatticeMetric:

@@ -1122,7 +1122,7 @@ def is_boolean_level_oracle(carrier, top_n) -> bool:
     for i in range(n):
         if not any(meet[i][jj] == bot and join[i][jj] == top for jj in range(n)):
             return False
-    return distributive_by_identity(FiniteLattice(masks, rows, tables=(join, meet)))
+    return distributive_by_identity(FiniteLattice(masks, rows))
 
 
 def is_monotone_self_dual(f, k):
@@ -1284,12 +1284,11 @@ def enumerate_lattices_loop(n):
                 row |= 1 << (j + 1)
             leq[i + 1] = row
         poset = FinitePoset(tuple(f"x{i}" for i in range(n)), leq)
-        join, meet, witness = poset.lattice_tables()
-        if witness is not None:
+        if poset.lattice_tables()[2] is not None:
             continue
         key = _canonical_key(rows, k)
         if key not in seen:
-            seen[key] = FiniteLattice(poset.labels, leq, tables=(join, meet))
+            seen[key] = FiniteLattice(poset.labels, leq)
     return tuple(seen.values())
 
 

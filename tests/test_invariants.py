@@ -47,10 +47,6 @@ def _gate_closed(*args):
     return False
 
 
-def _no_bits(mask):
-    return iter(())
-
-
 def _no_rows(lat, neg):
     return iter(())
 
@@ -136,7 +132,7 @@ FORCED = {
         "generated family must have the chain shape",
     ),
     "probability-bound": (
-        CHAIN3 + "negation 0->1 a->0 1->0\nprob 0=0 a=2 1=1\n", ["probability"], 1, [(probability, "bits", _no_bits)],
+        CHAIN3 + "negation 0->1 a->0 1->0\nprob 0=0 a=2 1=1\n", ["probability"], 1, [(probability, "order_failure", _none)],
         "probability outside [0, 1] passed the axioms",
     ),
     "probability-inclusion-exclusion": (

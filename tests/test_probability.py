@@ -5,6 +5,7 @@ import pytest
 
 from primlat.probability import (
     DEFINITIONS,
+    ProbabilityAssignment,
     ProbabilityError,
     probability_report,
     random_boolean_assignment,
@@ -12,6 +13,7 @@ from primlat.probability import (
 )
 
 from conftest import benzene, chain, powerset, powerset_complement
+from helpers import lattice_from_covers
 
 
 BENZENE_VALUES = {
@@ -133,3 +135,36 @@ def test_assignment_must_be_total():
     with pytest.raises(ProbabilityError) as err:
         validate_probability(lat, powerset_complement(2), {0: 0, 3: 1})
     assert err.value.axiom == "totality"
+
+
+def test_random_boolean_assignments_validate_on_every_seed():
+    # an all-zero draw of atom weights falls back to uniform weights
+    for k in (1, 2, 3):
+        lat, neg = powerset(k), powerset_complement(k)
+        for seed in range(1000):
+            validate_probability(lat, neg, random_boolean_assignment(lat, random.Random(seed)))
+    assert random_boolean_assignment(powerset(1), random.Random(31)) == {0: 0, 1: 1}
+
+
+def _grid():
+    """The 2 x 3 grid: labels "ij" for i < 2, j < 3, ordered componentwise."""
+    labels = [f"{i}{j}" for i in range(2) for j in range(3)]
+    covers = [(f"{i}{j}", f"{i}{j + 1}") for i in range(2) for j in range(2)]
+    return lattice_from_covers(labels, covers + [(f"0{j}", f"1{j}") for j in range(3)])
+
+
+def test_values_that_break_an_axiom_build_no_assignment():
+    """A report was once made of any assignment: on these values it read
+    ``gated: satisfied`` on the grid, and raised ``InvariantError`` on B2.
+    Neither can now be built."""
+    grid = _grid()
+    neg = {f"{i}{j}": f"{1 - i}{2 - j}" for i in range(2) for j in range(3)}
+    quarter = Fraction(1, 4)
+    values = {"00": 0, "01": quarter, "02": 2 * quarter, "10": quarter, "11": 3 * quarter, "12": 1}
+    with pytest.raises(ProbabilityError) as err:
+        ProbabilityAssignment(grid, neg, values)
+    assert (err.value.axiom, err.value.witness) == ("additive", ("01", "10"))
+    half = Fraction(1, 2)
+    with pytest.raises(ProbabilityError) as err:
+        ProbabilityAssignment(powerset(2), powerset_complement(2), {0: 0, 1: half, 2: half, 3: half})
+    assert (err.value.axiom, err.value.witness) == ("normalized", 3)

@@ -1,19 +1,21 @@
 """The result records: named tuples for plain results, ``core.Record``
 classes where the constructor checks its arguments.  Every way of making
 or copying a checked record checks, ``ValuationCheck`` compares without
-its ``scaled`` field, and no field of any record can be assigned.  The
+its ``scaled`` field, ``ProbabilityAssignment`` without what its checks
+derived, and no field of any record can be assigned.  The
 value classes with cached properties (posets and lattices, levels,
 property reports, metrics) refuse assignment and deletion the same way."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from primlat.core import MAX_ATOMS, FinitePoset, Record, classify
 from primlat.ortho import relations
 from primlat.primorial import boolean_carrier, generate_primorial, is_primorial
-from primlat.probability import probability_report, validate_probability
+from primlat.probability import ProbabilityAssignment, ProbabilityError, probability_report, validate_probability
 from primlat.seqproc import AnalysisPyramid, SequenceError, SymbolAlphabet, analyze, encode, gsp_preset
 from primlat.textio import parse_lattice_text
 from primlat.valuation import LatticeMetric, ValuationCheck, check_valuation, metric_from_valuation
@@ -71,7 +73,7 @@ def test_no_field_of_a_record_can_be_assigned_or_deleted(name):
             delattr(rec, field)
 
 
-@pytest.mark.parametrize("name", ["SymbolAlphabet", "AnalysisPyramid", "ValuationCheck"])
+@pytest.mark.parametrize("name", ["SymbolAlphabet", "AnalysisPyramid", "ValuationCheck", "ProbabilityAssignment"])
 @pytest.mark.parametrize("how", sorted(COPIES))
 def test_a_copied_checked_record_is_an_equal_record(name, how):
     rec = _records()[name]
@@ -107,6 +109,22 @@ def test_no_path_builds_a_pyramid_with_a_level_of_the_wrong_length():
     assert rebuild is AnalysisPyramid and args == (pyramid.method, pyramid.source, pyramid.levels)
     with pytest.raises(SequenceError):
         rebuild(pyramid.method, pyramid.source[:-1], pyramid.levels)
+
+
+def test_no_path_builds_a_bad_probability_assignment():
+    pa = _records()["ProbabilityAssignment"]
+    rebuild, args = pa.__reduce__()
+    assert rebuild is ProbabilityAssignment and args == (pa.lattice, pa.neg, pa.p)
+    with pytest.raises(ProbabilityError):
+        rebuild(pa.lattice, pa.neg, dict(pa.p, p=Fraction(1, 2)))
+    assert not hasattr(pa, "_replace") and not hasattr(pa, "_make")
+    # a copy is checked again, and keeps what the checks derived
+    for how in COPIES.values():
+        twin = how(pa)
+        assert (twin.perm, twin.scaled, twin.disjoint, twin.unadditive) == (
+            pa.perm, pa.scaled, pa.disjoint, pa.unadditive
+        )
+    assert repr(pa) == f"ProbabilityAssignment(lattice={pa.lattice!r}, neg={pa.neg!r}, p={pa.p!r})"
 
 
 def test_valuation_check_compares_hashes_and_shows_without_scaled():
