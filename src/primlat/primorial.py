@@ -18,11 +18,27 @@ import operator
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .core import FiniteLattice, InvariantError, LatticeError, Record
+from .core import IDENTITY_ROW, FiniteLattice, InvariantError, LatticeError, Record
 from .ortho import attach_ortho
 from .textio import format_carrier
 
-REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~0.02 s, 2^7 1-2 s (2 vCPU Intel Xeon, Python 3.11.7)
+REDUCE_BOUND = 6  # largest atom count reduced: 2^6 takes ~5 ms, 2^7 ~0.3 s in-process (2 vCPU Intel Xeon, Python 3.11.7)
+
+
+def _bit_swaps():
+    """Padded rows, one per bit r of a byte: row r swaps bits 0 and r.
+
+    The 256 bytes are read as the bytes of one integer, so each step acts on
+    all of them at once; no bit moves out of its byte."""
+    every, low = int.from_bytes(IDENTITY_ROW, "little"), int.from_bytes(b"\1" * 256, "little")
+    rows = []
+    for r in range(8):
+        differ = (every ^ every >> r) & low  # bit 0 of each byte: do its bits 0 and r differ
+        rows.append((every ^ differ ^ differ << r).to_bytes(256, "little"))
+    return tuple(rows)
+
+
+BIT_SWAPS = _bit_swaps()  # BIT_SWAPS[r]: byte -> the byte with bits 0 and r swapped
 
 
 def _inclusion_rows(masks):
@@ -244,33 +260,47 @@ def reduce_boolean(level: Level):
       distinct index sets ordered as the cube of S, holding the empty set
       and every index, and closed under complement: a reduction.
 
-    Each (r, f) is mapped through phi; a merge of two atoms into one arises
-    from both of them (f a projection), so duplicates are dropped, which
-    leaves m * A(m-1) - C(m, 2) levels, A the count of ``monotone_self_dual``.
-    Every carrier is still checked by the induced-order test, and one that
-    fails it is a defect in this map: ``InvariantError``.  Levels come back
-    sorted by carrier.
+    Only the reductions with r = 0 are built from f: variable s of f is
+    index s + 1, so the carrier's index-set codes are (s << 1) | f(s), one
+    byte each.  Each of them is checked by the induced-order test, and one
+    that fails it is a defect in this map: ``InvariantError``.  Every other
+    reduction is the image of a checked one:
+
+    - Swapping the indices 0 and r, tau_r, is an automorphism of the cube
+      (it keeps inclusion and set complement), so it maps reductions to
+      reductions.
+    - carrier(r, f) = tau_r(carrier(0, f∘pi)) for a permutation pi of the
+      variables that depends only on r.  The monotone self-dual functions
+      are closed under permutations of the variables, so the images under
+      tau_r of the r = 0 carriers are exactly the carriers of r.  A merge
+      of two atoms into one arises from both of them (f a projection), so
+      there are m * A(m-1) - C(m, 2) levels, A the count of
+      ``monotone_self_dual``, as when every r is mapped on its own.
+
+    A carrier is held as bytes: its codes, through ``BIT_SWAPS[r]`` for the
+    image under tau_r, then through one row from codes to indices into
+    ``level.carrier``, which is ascending, so sorted indices are sorted
+    masks.  Duplicates are dropped, and levels come back sorted by carrier.
     """
     m = _check_reducible(level)
     check_reduce_bound(m)
-    k = m - 1
     atoms = _atoms_of_carrier(_up_sets(level.carrier))
     phi = {sum(1 << i for i, a in enumerate(atoms) if a & ~x == 0): x for x in level.carrier}
     if len(atoms) != m or len(phi) != len(level.carrier):
         raise LatticeError(f"{level!r} is not Boolean under inclusion")
-    functions = list(monotone_self_dual(k))
-    carriers = set()
-    for r in range(m):
-        rbit = 1 << r
-        # variable set s -> index set without r: bits from r on move up one
-        spread = [(s & rbit - 1) | (s >> r << r + 1) for s in range(1 << k)]
-        for f in functions:
-            carriers.add(tuple(sorted(phi[t | rbit if f >> s & 1 else t] for s, t in enumerate(spread))))
-    accepted = sorted(carriers)
-    for c in accepted:
-        if not _induced_boolean(c, k):
-            raise InvariantError(f"cube carrier {c} is not Boolean")
-    return tuple(Level(level.top_n, c) for c in accepted)
+    index = bytes.maketrans(bytes(phi), IDENTITY_ROW[: len(phi)])  # code -> index of its mask
+    mask = level.carrier.__getitem__
+    found = set()
+    for f in monotone_self_dual(m - 1):
+        codes = bytes(s << 1 | f >> s & 1 for s in range(len(phi) >> 1))
+        first = bytes(sorted(codes.translate(index)))
+        masks = tuple(map(mask, first))
+        if not _induced_boolean(masks, m - 1):
+            raise InvariantError(f"cube carrier {masks} is not Boolean")
+        found.add(first)
+        for swap in BIT_SWAPS[1:m]:
+            found.add(bytes(sorted(codes.translate(swap).translate(index))))
+    return tuple([Level(level.top_n, map(mask, c)) for c in sorted(found)])
 
 
 def is_reduction(level: Level, carrier) -> bool:

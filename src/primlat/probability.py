@@ -5,6 +5,7 @@ is checked when it is built; a report reads what its checks derived."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import le
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from .core import (
     marked,
 )
 from .ortho import _classes, _perm, orthogonal_rows
-from .valuation import common_scale, modular_failure, order_failure
+from .valuation import common_scale, modular_failure, order_failure, total_fractions
 
 
 class ProbabilityError(LatticeError):
@@ -81,11 +82,7 @@ class ProbabilityAssignment(Record):
         classes = _classes(lat, perm)
         if "minimal" not in classes:
             raise ProbabilityError("negation-not-minimal", None)
-        p = {}
-        for lab in lat.labels:
-            if lab not in values:
-                raise ProbabilityError("totality", lab)
-            p[lab] = Fraction(values[lab])
+        p = total_fractions(lat, values, partial(ProbabilityError, "totality"))
         pi, one = common_scale([p[lab] for lab in lat.labels])
         if pi[lat.bottom_i] != 0:
             raise ProbabilityError("nondegenerate", lat.bottom)

@@ -8,6 +8,7 @@ valuation's common denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import compress, count, repeat
 from math import lcm
 from operator import add, ne, not_, sub
@@ -37,11 +38,14 @@ def first_mismatch(xs, ys):
     return next(compress(count(), map(ne, xs, ys)), None)
 
 
-def _as_fraction_map(lat, values):
+def total_fractions(lat, values, missing):
+    """Every label's value as a Fraction, in label order.  At the first
+    label ``values`` does not name, raises ``missing(label)``: each caller
+    names its own error."""
     out = {}
     for lab in lat.labels:
         if lab not in values:
-            raise ValuationError("valuation not total", lab)
+            raise missing(lab)
         out[lab] = Fraction(values[lab])
     return out
 
@@ -65,7 +69,7 @@ def check_valuation(lat: FiniteLattice, values) -> ValuationCheck:
 
     The witness is the first failing pair (x, y >= x) in element order.
     """
-    v = _as_fraction_map(lat, values)
+    v = total_fractions(lat, values, partial(ValuationError, "valuation not total"))
     vi, scale = common_scale([v[lab] for lab in lat.labels])
     failure = modular_failure(lat, vi)
     witness = None if failure is None else tuple(lat.labels[k] for k in failure)

@@ -52,6 +52,7 @@ from primlat.primorial import (
     _inclusion_rows,
     boolean_carrier,
     generate_primorial,
+    monotone_self_dual,
     reduce_boolean,
 )
 from primlat.probability import DefinitionVerdict, ProbabilityError
@@ -1152,6 +1153,26 @@ def reduce_boolean_loop(level: Level):
     m = len(level.carrier).bit_length() - 1
     accepted = sorted(c for c in half_size_candidates(level) if induced_boolean_loop(c, m - 1))
     return tuple(Level(level.top_n, c) for c in accepted)
+
+
+def reduce_boolean_per_atom_loop(level: Level):
+    """``reduce_boolean`` as one closed-form map per extra atom r, without
+    the atom symmetry: each monotone self-dual f on the other atoms gives
+    the carrier of the index sets S + (r if f(S)), read through the atoms.
+    The 2^(m-1) variable sets are spread over the indices other than r."""
+    m = len(level.carrier).bit_length() - 1
+    k = m - 1
+    atoms = atoms_loop(level.carrier)
+    phi = {sum(1 << i for i, a in enumerate(atoms) if a & ~x == 0): x for x in level.carrier}
+    functions = list(monotone_self_dual(k))
+    carriers = set()
+    for r in range(m):
+        rbit = 1 << r
+        # variable set s -> index set without r: bits from r on move up one
+        spread = [(s & rbit - 1) | (s >> r << r + 1) for s in range(1 << k)]
+        for f in functions:
+            carriers.add(tuple(sorted(phi[t | rbit if f >> s & 1 else t] for s, t in enumerate(spread))))
+    return tuple(Level(level.top_n, c) for c in sorted(carriers))
 
 
 def default_chain_loop(n):

@@ -621,6 +621,37 @@ def test_module_entry_point_runs_the_cli():
     )
 
 
+HASH_SEED_FILES = {
+    "o6.lat": O6_TEXT.replace("ortho 0:1 p:p' q:q'", "negation 0->1 1->0 p->q q->p q'->p' p'->q'"),
+    "plus.fa": ">r1 one\nACGTXACGTTGCAX\n>r2 two\nGGCATXTTACG\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "reduce --n 5",
+    "primorial --n 5",
+    "classify $o6.lat",
+    "negation $o6.lat",
+    "analyze --preset acgt-plus-x --window 4 --fasta $plus.fa",
+])
+def test_stdout_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    # str and bytes hashes, and so set and dict-of-set orders, follow
+    # PYTHONHASHSEED; identical inputs must still give identical bytes
+    for name, text in HASH_SEED_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    args = [str(tmp_path / word[1:]) if word.startswith("$") else word for word in argv.split()]
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        child = subprocess.run(
+            [sys.executable, "-m", "primlat.cli", *args], env=env, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        outs.append(child.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("n, code", [("6", 0), ("11", 1)])
 def test_console_script_entry_exits_with_the_command_code(n, code, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["primlat", "enumerate", "--n", n])

@@ -125,7 +125,13 @@ FORCED = {
     ),
     "primorial-reduce": (
         None, ["reduce", "--n", "3"], 0, [(primorial, "_induced_boolean", lambda carrier, size_exp: False)],
-        "cube carrier (0, 1, 6, 7) is not Boolean",
+        "cube carrier (0, 3, 4, 7) is not Boolean",
+    ),
+    # the generation, not the check: x0 xor x1 xor x2 is self-dual but not
+    # monotone, so its carrier has six atoms
+    "primorial-reduce-generation": (
+        None, ["reduce", "--n", "4"], 0, [(primorial, "monotone_self_dual", lambda k: iter((0b10010110,)))],
+        "cube carrier (0, 3, 5, 6, 9, 10, 12, 15) is not Boolean",
     ),
     "primorial-shape": (
         None, ["primorial", "--n", "3"], 0, [(primorial, "is_primorial", _none)],

@@ -44,6 +44,7 @@ from helpers import (
     lattice_from_covers,
     monotone_self_dual_loop,
     reduce_boolean_loop,
+    reduce_boolean_per_atom_loop,
 )
 
 
@@ -161,6 +162,35 @@ def test_reduce_agrees_with_brute_force_on_reduction_trees(levels6, reduction_tr
         assert _carriers(reduce_boolean(parent)) == _carriers(reduce_boolean_loop(parent))
 
 
+def test_reduce_matches_one_map_per_atom(levels6, reduction_tree):
+    # the atom-0 reductions and their transposition images are the levels,
+    # in the same order, that one closed-form map per extra atom gives
+    for parent, levels in reduction_tree:
+        assert _carriers(levels) == _carriers(reduce_boolean_per_atom_loop(parent))
+    assert _carriers(levels6) == _carriers(reduce_boolean_per_atom_loop(boolean_carrier(6)))
+    # chain levels whose carriers are not range(2^m)
+    chain_levels = [lvl for name in PRESETS for lvl in gsp_preset(name).primorial.chain if len(lvl.carrier) >= 4]
+    assert any(lvl.carrier != tuple(range(len(lvl.carrier))) for lvl in chain_levels)
+    for parent in chain_levels:
+        assert _carriers(reduce_boolean(parent)) == _carriers(reduce_boolean_per_atom_loop(parent))
+
+
+def test_bit_swaps_trade_bit_0_with_bit_r():
+    for r, row in enumerate(primorial.BIT_SWAPS):
+        place = {0: r, r: 0}
+        assert row == bytes(sum((x >> b & 1) << place.get(b, b) for b in range(8)) for x in range(256))
+    assert len(primorial.BIT_SWAPS) == 8
+
+
+def test_reduce_seven_atoms_matches_one_map_per_atom(monkeypatch):
+    # the bound lifted in-process: 7 * A(6) - C(7, 2) levels
+    monkeypatch.setattr(primorial, "REDUCE_BOUND", 7)
+    top = boolean_carrier(7)
+    levels = reduce_boolean(top)
+    assert len(levels) == 7 * 2646 - 21 == 18501
+    assert _carriers(levels) == _carriers(reduce_boolean_per_atom_loop(top))
+
+
 def test_default_chain_matches_full_enumeration():
     for n in (2, 3, 4, 5, 6):
         chain = [lvl.carrier for lvl in reversed(generate_primorial(n).chain)]
@@ -202,6 +232,7 @@ def test_induced_boolean_matches_popcount_loop(levels6):
             assert verdict == induced_boolean_loop(carrier, n - 1)
             if n < 5:
                 assert verdict == is_boolean_level_oracle(carrier, n)
+    # reduce_boolean runs the test itself only on the carriers of atom 0
     assert len(levels6) == 471
     for lvl in levels6:
         assert _induced_boolean(lvl.carrier, 5) and induced_boolean_loop(lvl.carrier, 5)

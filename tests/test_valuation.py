@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from primlat.core import LatticeError, classify
+from primlat.probability import ProbabilityError, validate_probability
 from primlat.valuation import (
     ValuationCheck,
     ValuationError,
@@ -13,7 +14,7 @@ from primlat.valuation import (
     metric_from_valuation,
 )
 
-from conftest import benzene, chain, powerset
+from conftest import benzene, chain, powerset, powerset_complement
 from helpers import closed_ball, height_valuation
 
 
@@ -21,6 +22,19 @@ def test_height_is_isotone_valuation_on_powerset():
     lat = powerset(3)
     chk = check_valuation(lat, height_valuation(lat))
     assert chk.is_valuation and chk.is_isotone
+
+
+def test_a_value_map_missing_a_label_names_the_first_one():
+    # one totality check serves valuations and probabilities, each with
+    # its own error
+    lat = powerset(2)
+    values = {0: 0, 2: Fraction(1, 2), 3: 1}
+    with pytest.raises(ValuationError) as verr:
+        check_valuation(lat, values)
+    assert (str(verr.value), verr.value.reason, verr.value.witness) == ("valuation not total at 1", "valuation not total", 1)
+    with pytest.raises(ProbabilityError) as perr:
+        validate_probability(lat, powerset_complement(2), values)
+    assert (str(perr.value), perr.value.axiom, perr.value.witness) == ("probability axiom 'totality' fails at 1", "totality", 1)
 
 
 def test_height_fails_on_benzene_with_atom_witness():
